@@ -22,18 +22,16 @@ from .exceptions import (
     SingularDesignError,
 )
 from .index import IndexFit, fit_from_direction, fit_index_ols, project, rank_transform
-from .kernels import KernelId, kernel_weight, quartic_kernel
+from .kernels import quartic_kernel
 from .omnibus import (
     BootstrapConfig,
     GammaGrid,
     OmnibusReport,
     bootstrap_critical_value,
-    bootstrap_replicate,
     cf_process,
     gamma_grid,
     omnibus_test,
     standardize_columns,
-    sup_statistic,
 )
 from .score_test import (
     MaximinReport,
@@ -66,11 +64,8 @@ from .simulate import (
 )
 from .smoother import (
     SmootherConfig,
-    empty_window_count,
     interior_mask,
-    loo_fit_all,
     loo_matrix,
-    loo_smooth,
     residuals,
     smoothed_weights,
 )
@@ -87,7 +82,6 @@ __all__ = [
     "GammaGrid",
     "IndexFit",
     "InsufficientDataError",
-    "KernelId",
     "MCResult",
     "MaximinCheck",
     "MaximinReport",
@@ -105,14 +99,12 @@ __all__ = [
     "WeightSpec",
     "binary_success_prob",
     "bootstrap_critical_value",
-    "bootstrap_replicate",
     "bump_mean",
     "cf_process",
     "covariance_matrix",
     "cubic_mean",
     "default_bandwidth_grid",
     "default_beta",
-    "empty_window_count",
     "fit_from_direction",
     "fit_index_ols",
     "gamma_grid",
@@ -123,11 +115,8 @@ __all__ = [
     "generate",
     "interaction_mean",
     "interior_mask",
-    "kernel_weight",
     "load_dataset",
-    "loo_fit_all",
     "loo_matrix",
-    "loo_smooth",
     "maximin_statistic",
     "maximin_test",
     "mise",
@@ -143,6 +132,5 @@ __all__ = [
     "smoothed_weights",
     "standardize_columns",
     "standardized_test",
-    "sup_statistic",
     "variance_estimate",
 ]

@@ -1,25 +1,16 @@
-"""Kernel primitives shared by every smoother in the pipeline.
-
-The quartic (biweight) kernel is the only member for now:
+"""The quartic (biweight) kernel used by every smoother in the pipeline:
 
     K(u) = 15/16 (1 - u^2)^2   for |u| <= 1,   0 otherwise.
 
 It is symmetric, compactly supported on [-1, 1], nonincreasing on the
-positive half line and integrates to one.  ``KernelId`` is an enumeration
-so alternatives can be added without touching smoother code.
+positive half line and integrates to one.
 """
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
-from .exceptions import ConfigError, DataError
-
-
-class KernelId(enum.Enum):
-    QUARTIC = "quartic"
+from .exceptions import DataError
 
 
 def quartic_kernel(u):
@@ -32,19 +23,3 @@ def quartic_kernel(u):
         raise DataError("kernel argument must be finite")
     out = np.where(np.abs(arr) < 1.0, (15.0 / 16.0) * (1.0 - arr * arr) ** 2, 0.0)
     return out if out.ndim else float(out)
-
-
-def kernel_weight(u, center, h):
-    """Scaled kernel weight K((u - center)/h) / h for bandwidth h > 0."""
-    if not h > 0:
-        raise ConfigError(f"bandwidth must be positive, got {h}")
-    arr = np.asarray(u, dtype=float)
-    out = quartic_kernel((arr - center) / h)
-    return out / h if np.ndim(out) else float(out) / h
-
-
-def kernel_function(kernel: KernelId):
-    """Return the plain (unscaled) kernel callable for an identifier."""
-    if kernel is KernelId.QUARTIC:
-        return quartic_kernel
-    raise ConfigError(f"unknown kernel {kernel!r}")

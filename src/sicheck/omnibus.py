@@ -33,7 +33,7 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError, DataError
 from .index import IndexFit
-from .smoother import SmootherConfig, interior_mask, loo_matrix
+from .smoother import SmootherConfig, residual_core
 
 #: Largest dense frequency grid; beyond this the grid falls back to
 #: quasi-random symmetric points.
@@ -182,7 +182,14 @@ class OmnibusReport:
 
 
 def cf_process(eps_hat, x, gamma) -> complex:
-    """Complex weighted-residual statistic at one frequency."""
+    """Uncentered weighted-residual sum at one frequency, over all n
+    observations: n^(-1/2) sum_j eps_j exp(i gamma' x_j).
+
+    This is the raw characteristic-function process.  It is not the
+    functional that ``omnibus_test`` takes the sup of, which centers the
+    weights by their leave-one-out smooth, sums over interior observations
+    only and evaluates standardized covariates.
+    """
     eps = np.asarray(eps_hat, dtype=float)
     mat = np.asarray(x, dtype=float)
     g = np.asarray(gamma, dtype=float)
@@ -190,39 +197,6 @@ def cf_process(eps_hat, x, gamma) -> complex:
         raise DataError("residuals (n,), covariates (n, p) and gamma (p,) must conform")
     phase = mat @ g
     return complex((eps * np.exp(1j * phase)).sum() / math.sqrt(eps.size))
-
-
-def _process_values(eps: np.ndarray, x: np.ndarray, points: np.ndarray) -> np.ndarray:
-    w = np.exp(1j * (x @ points.T))
-    return eps @ w / math.sqrt(eps.size)
-
-
-def sup_statistic(eps_hat, x, grid: GammaGrid) -> float:
-    """Maximum modulus of the process over the frequency grid."""
-    eps = np.asarray(eps_hat, dtype=float)
-    mat = np.asarray(x, dtype=float)
-    if mat.ndim != 2 or eps.shape != (mat.shape[0],):
-        raise DataError("residuals (n,) and covariates (n, p) must conform")
-    if grid.p != mat.shape[1]:
-        raise DataError(
-            f"grid dimension {grid.p} does not match covariate dimension {mat.shape[1]}"
-        )
-    return float(np.abs(_process_values(eps, mat, grid.points)).max())
-
-
-def bootstrap_replicate(eps_hat, centered_w, e) -> float:
-    """Sup modulus of the multiplier-perturbed process for one draw e.
-
-    ``centered_w`` is the (n, g) matrix of centered weights
-    W_i(gamma) - Wbar_i(gamma), computed once and shared by all replicates.
-    """
-    eps = np.asarray(eps_hat, dtype=float)
-    c = np.asarray(centered_w)
-    mult = np.asarray(e, dtype=float)
-    if c.ndim != 2 or eps.shape != (c.shape[0],) or mult.shape != eps.shape:
-        raise DataError("residuals, multipliers and centered weights must conform")
-    vals = (mult * eps) @ c / math.sqrt(eps.size)
-    return float(np.abs(vals).max())
 
 
 def standardize_columns(x) -> np.ndarray:
@@ -259,8 +233,6 @@ def omnibus_test(
     Replicate r draws its multipliers from the stream (seed, r), so the
     result is bit-reproducible regardless of evaluation order.
     """
-    if fit.n != data.n:
-        raise DataError("index fit and dataset sizes differ")
     z = standardize_columns(data.x)
     if grid is None:
         grid = gamma_grid(data.p)
@@ -268,13 +240,11 @@ def omnibus_test(
         raise DataError(
             f"grid dimension {grid.p} does not match covariate dimension {data.p}"
         )
-    s = loo_matrix(fit.ranks_u, cfg.h, cfg.kernel)
-    eps = data.y - data.y @ s
-    w = np.exp(1j * (z @ grid.points.T))
-    centered = w - s.T @ w
-    keep = interior_mask(fit.ranks_u, cfg.h, margin=SUP_INTERIOR_MARGIN)
-    n_int = int(keep.sum())
-    summands = centered[keep] * eps[keep][:, None]
+    core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
+    eps = core.eps[core.keep]
+    n_int = eps.size
+    summands = core.centered(np.exp(1j * (z @ grid.points.T)))
+    summands *= eps[:, None]
     scale = math.sqrt(n_int)
     t_tilde = float(np.abs(summands.sum(axis=0)).max()) / scale
     reps = np.empty(boot.m)
@@ -284,7 +254,6 @@ def omnibus_test(
         reps[r] = np.abs(e @ summands).max() / scale
     critical = bootstrap_critical_value(reps, boot.alpha)
     p_value = (1 + int(np.count_nonzero(reps >= t_tilde))) / (boot.m + 1)
-    empty = int(np.count_nonzero(s.sum(axis=0) == 0.0))
     return OmnibusReport(
         t_tilde=t_tilde,
         critical_value=critical,
@@ -296,5 +265,5 @@ def omnibus_test(
         h=cfg.h,
         n=data.n,
         grid=grid.summary(),
-        diagnostics={"empty_windows": empty, "n_interior": n_int},
+        diagnostics=core.diagnostics,
     )

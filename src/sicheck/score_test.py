@@ -37,7 +37,7 @@ from .exceptions import (
     NearSingularCovarianceError,
 )
 from .index import IndexFit
-from .smoother import SmootherConfig, interior_mask, loo_matrix
+from .smoother import ResidualCore, SmootherConfig, residual_core
 from .special import chisq_quantile, chisq_sf, normal_two_sided_p
 from .weights import WeightSpec
 
@@ -170,6 +170,15 @@ def _real_weight_values(weight: WeightSpec, x: np.ndarray) -> np.ndarray:
     return values
 
 
+def _score_vector(core: ResidualCore, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interior score vector and its covariance for an (n, d) weight stack."""
+    smoothed = core.smooth(values)
+    keep = core.keep
+    eps = core.eps[keep]
+    t_vec = (values - smoothed)[keep].T @ eps / math.sqrt(eps.size)
+    return t_vec, covariance_matrix(eps, values[keep], smoothed[keep])
+
+
 def standardized_test(
     data: Dataset,
     fit: IndexFit,
@@ -177,18 +186,13 @@ def standardized_test(
     cfg: SmootherConfig,
     alpha: float = 0.05,
 ) -> ScoreReport:
-    """Two-sided standardized score test against the normal quantiles."""
+    """Two-sided standardized score test against the normal quantiles: the
+    d = 1 case of the maximin test."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    if fit.n != data.n:
-        raise DataError("index fit and dataset sizes differ")
-    w_values = _real_weight_values(weight, data.x)
-    s = loo_matrix(fit.ranks_u, cfg.h, cfg.kernel)
-    eps = data.y - data.y @ s
-    w_bar = w_values @ s
-    keep = interior_mask(fit.ranks_u, cfg.h)
-    t_hat = score_statistic(eps[keep], (w_values - w_bar)[keep])
-    sigma2 = variance_estimate(eps[keep], w_values[keep], w_bar[keep])
+    core = residual_core(data, fit, cfg)
+    t_vec, sigma = _score_vector(core, _real_weight_values(weight, data.x)[:, None])
+    t_hat, sigma2 = float(t_vec[0]), float(sigma[0, 0])
     if sigma2 <= 0.0:
         raise DegenerateVarianceError(
             "variance estimate is zero: the weight is fully explained by the "
@@ -196,7 +200,6 @@ def standardized_test(
         )
     t_bar = t_hat / math.sqrt(sigma2)
     p_value = normal_two_sided_p(t_bar)
-    empty = int(np.count_nonzero(s.sum(axis=0) == 0.0))
     return ScoreReport(
         t_hat=t_hat,
         sigma_n2=sigma2,
@@ -207,7 +210,7 @@ def standardized_test(
         h=cfg.h,
         n=data.n,
         weight_kind=weight.label,
-        diagnostics={"empty_windows": empty, "n_interior": int(keep.sum())},
+        diagnostics=core.diagnostics,
     )
 
 
@@ -229,20 +232,13 @@ def maximin_test(
     """Chi-square test on the vector of score statistics for d weights."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    if fit.n != data.n:
-        raise DataError("index fit and dataset sizes differ")
     weights = tuple(weights)
     if not weights:
         raise ConfigError("maximin test needs at least one weight function")
+    core = residual_core(data, fit, cfg)
     labels = tuple(w.label for w in weights)
     values = np.column_stack([_real_weight_values(w, data.x) for w in weights])
-    s = loo_matrix(fit.ranks_u, cfg.h, cfg.kernel)
-    eps = data.y - data.y @ s
-    smoothed = s.T @ values
-    keep = interior_mask(fit.ranks_u, cfg.h)
-    centered = (values - smoothed)[keep]
-    t_vec = centered.T @ eps[keep] / math.sqrt(int(keep.sum()))
-    sigma = covariance_matrix(eps[keep], values[keep], smoothed[keep])
+    t_vec, sigma = _score_vector(core, values)
     diag = np.diag(sigma)
     if np.any(diag <= 0.0):
         bad = labels[int(np.argmin(diag))]
@@ -268,7 +264,6 @@ def maximin_test(
     d = len(weights)
     c_alpha = chisq_quantile(1.0 - alpha, d)
     p_value = chisq_sf(statistic, d)
-    empty = int(np.count_nonzero(s.sum(axis=0) == 0.0))
     return MaximinReport(
         t_vec=t_vec,
         sigma_mat=sigma,
@@ -280,5 +275,5 @@ def maximin_test(
         h=cfg.h,
         n=data.n,
         weight_kinds=labels,
-        diagnostics={"empty_windows": empty, "n_interior": int(keep.sum())},
+        diagnostics=core.diagnostics,
     )

@@ -1,4 +1,5 @@
-"""Leave-one-out kernel smoothing on rank-transformed projections.
+"""Leave-one-out kernel smoothing on rank-transformed projections, and the
+residual core that the score, maximin and omnibus tests share.
 
 For observation j the smoother averages the remaining values with kernel
 weights on the rank scale,
@@ -19,13 +20,12 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError, DataError, InsufficientDataError
 from .index import IndexFit
-from .kernels import KernelId, kernel_function
+from .kernels import quartic_kernel
 
 
 @dataclass(frozen=True)
 class SmootherConfig:
     h: float
-    kernel: KernelId = KernelId.QUARTIC
 
     def __post_init__(self):
         if not 0.0 < self.h <= 1.0:
@@ -34,7 +34,7 @@ class SmootherConfig:
             )
 
 
-def loo_matrix(u_ranks, h: float, kernel: KernelId = KernelId.QUARTIC) -> np.ndarray:
+def loo_matrix(u_ranks, h: float) -> np.ndarray:
     """Leave-one-out weight matrix S on the rank scale.
 
     S[i, j] = K((U_j - U_i) / h) / ((n - 1) h) with a zero diagonal, so the
@@ -47,64 +47,72 @@ def loo_matrix(u_ranks, h: float, kernel: KernelId = KernelId.QUARTIC) -> np.nda
     n = u.size
     if n < 2:
         raise InsufficientDataError("leave-one-out smoothing needs n >= 2")
-    kern = kernel_function(kernel)
-    s = kern((u[None, :] - u[:, None]) / h)
+    s = quartic_kernel((u[None, :] - u[:, None]) / h)
     np.fill_diagonal(s, 0.0)
     return s / ((n - 1) * h)
 
 
-def loo_smooth(values, u_ranks, j: int, u: float, cfg: SmootherConfig):
-    """Leave-one-out fitted value at point ``u``, excluding observation j."""
-    v = np.asarray(values)
-    ranks = np.asarray(u_ranks, dtype=float)
-    n = ranks.size
-    if v.shape != ranks.shape:
-        raise DataError("values and ranks must have equal length")
-    if n < 2:
-        raise InsufficientDataError("leave-one-out smoothing needs n >= 2")
-    if not 0 <= j < n:
-        raise DataError(f"observation index {j} out of range for n={n}")
-    kern = kernel_function(cfg.kernel)
-    w = kern((u - ranks) / cfg.h)
-    w[j] = 0.0
-    return (v * w).sum() / ((n - 1) * cfg.h)
-
-
-def loo_fit_all(values, u_ranks, cfg: SmootherConfig) -> np.ndarray:
-    """Leave-one-out fits at every observation's own rank.
-
-    ``values`` may be a vector or an (n, d) column stack; complex values
-    (characteristic-function weights) pass through unchanged.
-    """
-    s = loo_matrix(u_ranks, cfg.h, cfg.kernel)
+def _smooth(s: np.ndarray, values) -> np.ndarray:
+    # a vector or an (n, d) column stack; complex values pass through
     v = np.asarray(values)
     if v.shape[0] != s.shape[0]:
         raise DataError("values and ranks must have equal length")
-    if v.ndim == 1:
-        return v @ s
-    return s.T @ v
+    return v @ s if v.ndim == 1 else s.T @ v
+
+
+@dataclass(frozen=True, eq=False)
+class ResidualCore:
+    """Leave-one-out matrix ``s``, residuals ``eps = y - y S`` at every
+    observation, and the interior mask ``keep`` that the test sums run over.
+    """
+
+    s: np.ndarray
+    eps: np.ndarray
+    keep: np.ndarray
+
+    def smooth(self, values) -> np.ndarray:
+        """Leave-one-out fits of a vector or an (n, d) column stack, real or
+        complex, at each observation's own rank."""
+        return _smooth(self.s, values)
+
+    def centered(self, values) -> np.ndarray:
+        """Interior rows of ``values`` minus their leave-one-out smooth."""
+        v = np.asarray(values)
+        return (v - self.smooth(v))[self.keep]
+
+    @property
+    def diagnostics(self) -> dict:
+        """Empty kernel windows (nonzero flags undersmoothing: those residuals
+        reduce to the raw responses) and the interior count."""
+        return {
+            "empty_windows": int(np.count_nonzero(self.s.sum(axis=0) == 0.0)),
+            "n_interior": int(self.keep.sum()),
+        }
+
+
+def residual_core(
+    data: Dataset, fit: IndexFit, cfg: SmootherConfig, margin: float = 1.0
+) -> ResidualCore:
+    """Build the shared core; ``margin`` is the interior margin in bandwidths."""
+    if fit.n != data.n:
+        raise DataError("index fit and dataset sizes differ")
+    s = loo_matrix(fit.ranks_u, cfg.h)
+    return ResidualCore(
+        s=s, eps=data.y - data.y @ s, keep=interior_mask(fit.ranks_u, cfg.h, margin)
+    )
 
 
 def residuals(data: Dataset, fit: IndexFit, cfg: SmootherConfig) -> np.ndarray:
     """y_j minus the leave-one-out fit at U_j, for every observation."""
-    if fit.n != data.n:
-        raise DataError("index fit and dataset sizes differ")
-    return data.y - loo_fit_all(data.y, fit.ranks_u, cfg)
+    return residual_core(data, fit, cfg).eps
 
 
 def smoothed_weights(w_values, fit: IndexFit, cfg: SmootherConfig) -> np.ndarray:
-    """Leave-one-out smooth of weight values at each observation's own rank."""
-    return loo_fit_all(w_values, fit.ranks_u, cfg)
+    """Leave-one-out smooth of weight values at each observation's own rank.
 
-
-def empty_window_count(u_ranks, cfg: SmootherConfig) -> int:
-    """Number of observations whose leave-one-out kernel window is empty.
-
-    A nonzero count flags undersmoothing: those residuals reduce to the
-    raw responses.
+    ``w_values`` may be a vector or an (n, d) column stack, real or complex.
     """
-    s = loo_matrix(u_ranks, cfg.h, cfg.kernel)
-    return int(np.count_nonzero(s.sum(axis=0) == 0.0))
+    return _smooth(loo_matrix(fit.ranks_u, cfg.h), w_values)
 
 
 #: Smallest interior subsample a test statistic may run on; below this the

@@ -1,12 +1,10 @@
-"""Normal and chi-square distribution functions, implemented in-repo.
+"""Normal and chi-square distribution functions.
 
-erf/erfc follow Cody's rational Chebyshev approximations (the classic
-CALERF arrangement with three argument regimes); the normal quantile is
-Wichura's PPND16 rational approximation; the chi-square distribution is
-computed through the regularized incomplete gamma function (power series
-below a + 1, Lentz continued fraction above).  All of these are accurate
-to near machine precision, which the test suite verifies against direct
-quadrature oracles.
+The normal functions are thin wrappers over ``math.erfc``; the chi-square
+distribution is computed through the regularized incomplete gamma
+function (power series below a + 1, Lentz continued fraction above),
+accurate to near machine precision, which the test suite verifies against
+direct quadrature oracles.
 """
 
 from __future__ import annotations
@@ -16,199 +14,17 @@ from functools import lru_cache
 
 from .exceptions import ConfigError
 
-_THRESH = 0.46875
-_INV_SQRT_PI = 0.56418958354775628695
-
-_ERF_A = (
-    3.16112374387056560e0,
-    1.13864154151050156e2,
-    3.77485237685302021e2,
-    3.20937758913846947e3,
-    1.85777706184603153e-1,
-)
-_ERF_B = (
-    2.36012909523441209e1,
-    2.44024637934444173e2,
-    1.28261652607737228e3,
-    2.84423683343917062e3,
-)
-_ERFC_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e0,
-    6.61191906371416295e1,
-    2.98635138197400131e2,
-    8.81952221241769090e2,
-    1.71204761263407058e3,
-    2.05107837782607147e3,
-    1.23033935479799725e3,
-    2.15311535474403846e-8,
-)
-_ERFC_D = (
-    1.57449261107098347e1,
-    1.17693950891312499e2,
-    5.37181101862009858e2,
-    1.62138957456669019e3,
-    3.29079923573345963e3,
-    4.36261909014324716e3,
-    3.43936767414372164e3,
-    1.23033935480374942e3,
-)
-_ERFC_P = (
-    3.05326634961232344e-1,
-    3.60344899949804439e-1,
-    1.25781726111229246e-1,
-    1.60837851487422766e-2,
-    6.58749161529837803e-4,
-    1.63153871373020978e-2,
-)
-_ERFC_Q = (
-    2.56852019228982242e0,
-    1.87295284992346047e0,
-    5.27905102951428412e-1,
-    6.05183413124413191e-2,
-    2.33520497626869185e-3,
-)
-
-
-def erf(x: float) -> float:
-    """Error function via Cody's rational approximation."""
-    y = abs(x)
-    if y <= _THRESH:
-        z = y * y
-        num = _ERF_A[4] * z
-        den = z
-        for i in range(3):
-            num = (num + _ERF_A[i]) * z
-            den = (den + _ERF_B[i]) * z
-        return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
-    return 1.0 - erfc(y) if x > 0 else erfc(y) - 1.0
-
-
-def erfc(x: float) -> float:
-    """Complementary error function via Cody's rational approximation."""
-    y = abs(x)
-    if y <= _THRESH:
-        return 1.0 - erf(x)
-    if y <= 4.0:
-        num = _ERFC_C[8] * y
-        den = y
-        for i in range(7):
-            num = (num + _ERFC_C[i]) * y
-            den = (den + _ERFC_D[i]) * y
-        result = math.exp(-y * y) * (num + _ERFC_C[7]) / (den + _ERFC_D[7])
-    else:
-        z = 1.0 / (y * y)
-        num = _ERFC_P[5] * z
-        den = z
-        for i in range(4):
-            num = (num + _ERFC_P[i]) * z
-            den = (den + _ERFC_Q[i]) * z
-        r = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-        result = math.exp(-y * y) / y * (_INV_SQRT_PI - r)
-    return result if x > 0 else 2.0 - result
-
-
 _SQRT2 = math.sqrt(2.0)
 
 
 def normal_cdf(x: float) -> float:
     """Standard normal distribution function."""
-    return 0.5 * erfc(-x / _SQRT2)
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def normal_two_sided_p(t: float) -> float:
     """Two-sided tail probability 2 (1 - Phi(|t|)) of a standard normal."""
-    return erfc(abs(t) / _SQRT2)
-
-
-# PPND16 coefficients (central region, |p - 1/2| <= 0.425).
-_PPND_A = (
-    3.3871328727963666080e0,
-    1.3314166789178437745e2,
-    1.9715909503065514427e3,
-    1.3731693765509461125e4,
-    4.5921953931549871457e4,
-    6.7265770927008700853e4,
-    3.3430575583588128105e4,
-    2.5090809287301226727e3,
-)
-_PPND_B = (
-    1.0,
-    4.2313330701600911252e1,
-    6.8718700749205790830e2,
-    5.3941960214247511077e3,
-    2.1213794301586595867e4,
-    3.9307895800092710610e4,
-    2.8729085735721942674e4,
-    5.2264952788528545610e3,
-)
-# Intermediate tail, r = sqrt(-log(min(p, 1-p))) in (1.6, 5].
-_PPND_C = (
-    1.42343711074968357734e0,
-    4.63033784615654529590e0,
-    5.76949722146069140550e0,
-    3.64784832476320460504e0,
-    1.27045825245236838258e0,
-    2.41780725177450611770e-1,
-    2.27238449892691845833e-2,
-    7.74545014278341407640e-4,
-)
-_PPND_D = (
-    1.0,
-    2.05319162663775882187e0,
-    1.67638483018380384940e0,
-    6.89767334985100004550e-1,
-    1.48103976427480074590e-1,
-    1.51986665636164571966e-2,
-    5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-)
-# Far tail, r > 5.
-_PPND_E = (
-    6.65790464350110377720e0,
-    5.46378491116411436990e0,
-    1.78482653991729133580e0,
-    2.96560571828504891230e-1,
-    2.65321895265761230930e-2,
-    1.24266094738807843860e-3,
-    2.71155556874348757815e-5,
-    2.01033439929228813265e-7,
-)
-_PPND_F = (
-    1.0,
-    5.99832206555887937690e-1,
-    1.36929880922735805310e-1,
-    1.48753612908506148525e-2,
-    7.86869131145613259100e-4,
-    1.84631831751005468180e-5,
-    1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _poly(coeffs, r: float) -> float:
-    acc = coeffs[7]
-    for c in reversed(coeffs[:7]):
-        acc = acc * r + c
-    return acc
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile (PPND16), valid for 0 < p < 1."""
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"quantile level must lie in (0, 1), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-    r = math.sqrt(-math.log(min(p, 1.0 - p)))
-    if r <= 5.0:
-        r -= 1.6
-        val = _poly(_PPND_C, r) / _poly(_PPND_D, r)
-    else:
-        r -= 5.0
-        val = _poly(_PPND_E, r) / _poly(_PPND_F, r)
-    return -val if q < 0 else val
+    return math.erfc(abs(t) / _SQRT2)
 
 
 def _gamma_series(a: float, x: float) -> float:

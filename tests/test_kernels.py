@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sicheck import ConfigError, DataError, KernelId, kernel_weight, quartic_kernel
-from sicheck.kernels import kernel_function
+from sicheck import ConfigError, DataError, loo_matrix, quartic_kernel
 
 from helpers import simpson
 
@@ -32,6 +31,12 @@ def test_quartic_rejects_non_finite():
 def test_quartic_vectorized():
     out = quartic_kernel(np.array([0.0, 0.5, 2.0]))
     assert out == pytest.approx([0.9375, 0.52734375, 0.0])
+
+
+def kernel_weight(u, c, h):
+    """Scaled kernel weight K((u - c) / h) / h: entry (0, 1) of the
+    leave-one-out matrix for the two ranks (c, u), where n - 1 = 1."""
+    return loo_matrix([c, u], h)[0, 1]
 
 
 def test_kernel_weight_zero_offset():
@@ -78,10 +83,8 @@ def test_quartic_nonincreasing_on_positive_axis():
 
 @pytest.mark.parametrize("h", [0.1, 0.5, 1.0])
 def test_kernel_weight_integrates_to_one(h):
+    # one leave-one-out matrix row holds the weights of c against the whole
+    # quadrature grid; 400 intervals keep that matrix small
     c = 0.2
-    total = simpson(lambda x: kernel_weight(x, c, h), c - h, c + h, 4000)
+    total = simpson(lambda x: loo_matrix(np.append(c, x), h)[0, 1:] * x.size, c - h, c + h, 400)
     assert abs(total - 1.0) < 1e-8
-
-
-def test_kernel_function_dispatch():
-    assert kernel_function(KernelId.QUARTIC) is quartic_kernel

@@ -9,16 +9,17 @@ from sicheck import (
     GammaGrid,
     SmootherConfig,
     bootstrap_critical_value,
-    bootstrap_replicate,
     cf_process,
+    fit_from_direction,
     fit_index_ols,
     gamma_grid,
     omnibus_test,
     standardize_columns,
-    sup_statistic,
 )
+from sicheck.omnibus import SUP_INTERIOR_MARGIN
+from sicheck.smoother import residual_core
 
-from helpers import brute_cf, brute_multiplier_sup
+from helpers import brute_cf, brute_multiplier_sup, brute_residuals, brute_smoothed
 
 
 def pipeline_data(rng, n=40, p=2):
@@ -102,28 +103,45 @@ def test_cf_process_shape_mismatch(rng):
         cf_process(np.ones(3), np.ones((4, 2)), np.ones(2))
 
 
-def test_sup_statistic_zero_residuals():
-    grid = gamma_grid(2)
-    assert sup_statistic(np.zeros(5), np.ones((5, 2)), grid) == 0.0
+def zero_response_report(rng):
+    x = rng.standard_normal((20, 2))
+    data = Dataset(x=x, y=np.zeros(20))
+    fit = fit_from_direction(data, np.ones(2))
+    return omnibus_test(data, fit, SmootherConfig(h=0.1), BootstrapConfig(m=100, seed=3))
+
+
+def test_sup_statistic_zero_residuals(rng):
+    assert zero_response_report(rng).t_tilde == 0.0
 
 
 def test_sup_statistic_origin_grid(rng):
-    eps = rng.standard_normal(6)
-    x = rng.standard_normal((6, 2))
+    # at gamma = 0 the weights are 1, centered by their own smooth
+    data, fit = pipeline_data(rng, n=30)
+    h = 0.1
     grid = GammaGrid(points=np.zeros((1, 2)), bound=1.0, per_axis=2)
-    assert sup_statistic(eps, x, grid) == pytest.approx(abs(eps.sum()) / np.sqrt(6))
+    rep = omnibus_test(data, fit, SmootherConfig(h=h), BootstrapConfig(m=100), grid)
+    u = fit.ranks_u
+    eps = brute_residuals(data.y, u, h)
+    centered = 1.0 - brute_smoothed(np.ones(30), u, h)
+    keep = (u > 3 * h) & (u <= 1 - 3 * h + 1e-12)
+    expected = abs((eps * centered)[keep].sum()) / np.sqrt(keep.sum())
+    assert rep.t_tilde == pytest.approx(expected, rel=1e-12)
 
 
 def test_sup_statistic_half_grid_lossless(rng):
-    eps = rng.standard_normal(12)
-    x = rng.standard_normal((12, 2))
+    # T(-gamma) is the conjugate of T(gamma), so half the grid attains the sup
+    data, fit = pipeline_data(rng)
+    cfg = SmootherConfig(h=0.1)
     grid = gamma_grid(2)
-    full = sup_statistic(eps, x, grid)
+    full = omnibus_test(data, fit, cfg, BootstrapConfig(m=100), grid).t_tilde
     pts = grid.points
     first_axis = pts[:, 0] + 1e-9 * pts[:, 1]  # lexicographic sign
     half = pts[first_axis >= 0.0]
-    vals = np.abs(eps @ np.exp(1j * (x @ half.T))) / np.sqrt(12)
-    assert float(vals.max()) == pytest.approx(full)
+    core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
+    w = np.exp(1j * (standardize_columns(data.x) @ half.T))
+    eps = core.eps[core.keep]
+    vals = np.abs(eps @ core.centered(w)) / np.sqrt(eps.size)
+    assert float(vals.max()) == pytest.approx(full, rel=1e-12)
 
 
 def test_sup_bounded_by_absolute_residual_sum(rng):
@@ -136,28 +154,58 @@ def test_sup_bounded_by_absolute_residual_sum(rng):
 
 
 def test_bootstrap_replicate_zero_cases(rng):
-    centered = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    eps = rng.standard_normal(6)
-    assert bootstrap_replicate(eps, centered, np.zeros(6)) == 0.0
-    assert bootstrap_replicate(np.zeros(6), centered, rng.standard_normal(6)) == 0.0
+    # vanishing residuals make every replicate zero as well
+    rep = zero_response_report(rng)
+    assert rep.critical_value == 0.0
+    assert rep.p_value == 1.0
 
 
-def test_bootstrap_replicate_matches_brute(rng):
-    for _ in range(30):
-        n, g = int(rng.integers(2, 6)), int(rng.integers(1, 5))
-        eps = rng.standard_normal(n)
-        centered = rng.standard_normal((n, g)) + 1j * rng.standard_normal((n, g))
-        e = rng.standard_normal(n)
-        assert bootstrap_replicate(eps, centered, e) == pytest.approx(
-            brute_multiplier_sup(eps, centered, e), rel=1e-12
+def brute_omnibus(data, fit, h, grid, boot):
+    """(t_tilde, n_interior, critical value, p-value) from the explicit loops."""
+    u = fit.ranks_u
+    eps = brute_residuals(data.y, u, h)
+    z = (data.x - data.x.mean(axis=0)) / data.x.std(axis=0)
+    w = np.exp(1j * (z @ grid.points.T))
+    centered = np.column_stack(
+        [w[:, k] - brute_smoothed(w[:, k], u, h) for k in range(grid.size)]
+    )
+    keep = [j for j in range(data.n) if 3 * h < u[j] <= 1 - 3 * h + 1e-12]
+    if len(keep) < 5:
+        keep = list(range(data.n))
+    eps, centered = eps[keep], centered[keep]
+    t_tilde = brute_multiplier_sup(eps, centered, np.ones(len(keep)))
+    reps = sorted(
+        brute_multiplier_sup(
+            eps, centered, np.random.default_rng([boot.seed, r]).standard_normal(len(keep))
         )
+        for r in range(boot.m)
+    )
+    critical = reps[int((1 - boot.alpha) * boot.m) - 1]
+    p_value = (1 + sum(v >= t_tilde for v in reps)) / (boot.m + 1)
+    return t_tilde, len(keep), critical, p_value
+
+
+def test_omnibus_matches_brute_force(rng):
+    grid = gamma_grid(2)
+    # (n, h, interior count); the first falls back to all observations
+    for n, h, n_interior in ((20, 0.16, 20), (30, 0.1, 12), (40, 0.05, 28)):
+        data, fit = pipeline_data(rng, n=n)
+        boot = BootstrapConfig(m=100, alpha=0.05, seed=n)
+        rep = omnibus_test(data, fit, SmootherConfig(h=h), boot, grid)
+        t_tilde, n_int, critical, p_value = brute_omnibus(data, fit, h, grid, boot)
+        assert n_int == n_interior
+        assert rep.diagnostics["n_interior"] == n_int
+        assert rep.t_tilde == pytest.approx(t_tilde, rel=1e-12)
+        assert rep.critical_value == pytest.approx(critical, rel=1e-12)
+        assert rep.p_value == pytest.approx(p_value, rel=1e-12)
 
 
 def test_bootstrap_replicate_two_point_hand_case():
-    # one frequency; centered weights i and 1; multipliers (1, -1)
+    # the multiplier-sup oracle above, on one frequency; centered weights i
+    # and 1; multipliers (1, -1)
     eps = np.array([1.0, 2.0])
     centered = np.array([[1j], [1.0 + 0.0j]])
-    out = bootstrap_replicate(eps, centered, np.array([1.0, -1.0]))
+    out = brute_multiplier_sup(eps, centered, np.array([1.0, -1.0]))
     # |1*1*i + (-1)*2*1| / sqrt(2) = |(-2 + i)| / sqrt(2)
     assert out == pytest.approx(np.sqrt(5.0) / np.sqrt(2.0))
 

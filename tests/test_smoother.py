@@ -7,15 +7,13 @@ from sicheck import (
     Dataset,
     InsufficientDataError,
     SmootherConfig,
-    empty_window_count,
     fit_from_direction,
     interior_mask,
-    loo_fit_all,
     loo_matrix,
-    loo_smooth,
     residuals,
     smoothed_weights,
 )
+from sicheck.smoother import residual_core
 
 from helpers import brute_residuals, brute_smoothed, random_small_case
 
@@ -38,32 +36,43 @@ def test_config_validates_bandwidth():
     SmootherConfig(h=1.0)
 
 
+def triple_fit():
+    data = Dataset(x=np.array([[1.0], [2.0], [3.0]]), y=np.array([1.0, 2.0, 3.0]))
+    return data, fit_from_direction(data, np.array([1.0]))
+
+
 def test_loo_smooth_empty_window():
-    cfg = SmootherConfig(h=0.05)
-    out = loo_smooth([1.0, 2.0, 3.0], [0.2, 0.5, 0.9], 1, 0.5, cfg)
-    assert out == 0.0
+    # ranks 1/3 apart, h = 0.05: every window holds only its own point
+    _, fit = triple_fit()
+    out = smoothed_weights([1.0, 2.0, 3.0], fit, SmootherConfig(h=0.05))
+    assert out.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_loo_smooth_two_points():
-    # excluding the first point, fitting at the second one's rank: 2 K(0)
-    cfg = SmootherConfig(h=1.0)
-    out = loo_smooth([7.0, 2.0], [0.5, 1.0], 0, 1.0, cfg)
-    assert out == pytest.approx(1.875)
+    # two tied ranks: each fit sees the other point at distance 0, weight K(0)
+    s = loo_matrix([1.0, 1.0], 1.0)
+    assert np.array([7.0, 2.0]) @ s == pytest.approx([1.875, 6.5625])
 
 
 def test_loo_smooth_zero_values():
-    cfg = SmootherConfig(h=0.5)
-    assert loo_smooth(np.zeros(4), [0.25, 0.5, 0.75, 1.0], 2, 0.6, cfg) == 0.0
+    _, fit = triple_fit()
+    out = smoothed_weights(np.zeros((3, 2)), fit, SmootherConfig(h=0.5))
+    assert out.shape == (3, 2)
+    assert np.all(out == 0.0)
 
 
 def test_loo_smooth_rejects_single_point():
     with pytest.raises(InsufficientDataError):
-        loo_smooth([1.0], [1.0], 0, 1.0, SmootherConfig(h=0.5))
+        loo_matrix([1.0], 0.5)
 
 
 def test_loo_smooth_rejects_bad_index():
+    # values must have one entry (or row) per ranked observation
+    _, fit = triple_fit()
     with pytest.raises(DataError):
-        loo_smooth([1.0, 2.0], [0.5, 1.0], 5, 0.5, SmootherConfig(h=0.5))
+        smoothed_weights(np.ones(5), fit, SmootherConfig(h=0.5))
+    with pytest.raises(DataError):
+        smoothed_weights(np.ones((2, 3)), fit, SmootherConfig(h=0.5))
 
 
 def test_residuals_zero_response(rng):
@@ -80,7 +89,8 @@ def test_residuals_tiny_bandwidth_returns_response():
     fit = fit_from_direction(data, np.array([1.0]))
     out = residuals(data, fit, SmootherConfig(h=0.2))
     assert out == pytest.approx(data.y)
-    assert empty_window_count(fit.ranks_u, SmootherConfig(h=0.2)) == 3
+    core = residual_core(data, fit, SmootherConfig(h=0.2))
+    assert core.diagnostics["empty_windows"] == 3
 
 
 def test_residuals_frozen_triple():
@@ -179,25 +189,29 @@ def test_constant_reproduction_interior():
     data = Dataset(x=x, y=np.full(n, 2.0))
     fit = fit_from_direction(data, np.array([1.0]))
     h = n ** (-1 / 3)
-    fits = loo_fit_all(data.y, fit.ranks_u, SmootherConfig(h=h))
+    fits = smoothed_weights(data.y, fit, SmootherConfig(h=h))
     inner = (fit.ranks_u > 2 * h) & (fit.ranks_u <= 1 - 2 * h)
     assert np.max(np.abs(fits[inner] - 2.0)) < 0.05
 
 
 def test_loo_fit_all_handles_columns_and_complex(rng):
+    # smoothed_weights smooths an (n, d) stack and complex values column by column
     x = rng.standard_normal((10, 2))
     data = Dataset(x=x, y=rng.standard_normal(10))
     fit = fit_from_direction(data, np.ones(2))
     cfg = SmootherConfig(h=0.5)
     mat = rng.standard_normal((10, 3))
-    cols = loo_fit_all(mat, fit.ranks_u, cfg)
+    cols = smoothed_weights(mat, fit, cfg)
     for k in range(3):
-        assert cols[:, k] == pytest.approx(loo_fit_all(mat[:, k], fit.ranks_u, cfg))
+        assert cols[:, k] == pytest.approx(smoothed_weights(mat[:, k], fit, cfg))
     z = mat[:, 0] + 1j * mat[:, 1]
-    zf = loo_fit_all(z, fit.ranks_u, cfg)
+    zf = smoothed_weights(z, fit, cfg)
     assert zf == pytest.approx(
-        loo_fit_all(mat[:, 0], fit.ranks_u, cfg) + 1j * loo_fit_all(mat[:, 1], fit.ranks_u, cfg)
+        smoothed_weights(mat[:, 0], fit, cfg) + 1j * smoothed_weights(mat[:, 1], fit, cfg)
     )
+    zcols = smoothed_weights(np.column_stack([z, 2.0 * z]), fit, cfg)
+    assert zcols[:, 0] == pytest.approx(zf)
+    assert zcols[:, 1] == pytest.approx(2.0 * zf)
 
 
 def test_loo_matrix_allows_large_bandwidth():

@@ -8,10 +8,7 @@ from sicheck.special import (
     chisq_cdf,
     chisq_quantile,
     chisq_sf,
-    erf,
-    erfc,
     normal_cdf,
-    normal_quantile,
     normal_two_sided_p,
     reg_gamma_p,
     reg_gamma_q,
@@ -20,21 +17,26 @@ from sicheck.special import (
 from helpers import chisq_cdf_quadrature, normal_cdf_quadrature, simpson
 
 
+# erf and erfc come from the stdlib; these check the normal functions'
+# scaling through erf(x) = 2 Phi(x sqrt 2) - 1 and erfc(x) = 2 (1 - Phi(x sqrt 2)).
+SQRT2 = math.sqrt(2.0)
+
+
 @pytest.mark.parametrize("x", [0.05, 0.3, 0.5, 1.0, 1.7, 2.5, 4.0, 5.0])
 def test_erf_against_quadrature(x):
     oracle = simpson(lambda t: 2.0 / math.sqrt(math.pi) * np.exp(-t * t), 0.0, x, 40000)
-    assert abs(erf(x) - oracle) < 1e-12
-    assert abs(erf(-x) + oracle) < 1e-12
+    assert abs(2.0 * normal_cdf(x * SQRT2) - 1.0 - oracle) < 1e-12
+    assert abs(2.0 * normal_cdf(-x * SQRT2) - 1.0 + oracle) < 1e-12
 
 
 def test_erf_matches_stdlib():
     for x in np.linspace(-6, 6, 121):
-        assert abs(erf(float(x)) - math.erf(float(x))) < 5e-16
+        assert abs(2.0 * normal_cdf(float(x) * SQRT2) - 1.0 - math.erf(float(x))) < 5e-16
 
 
 def test_erfc_matches_stdlib():
     for x in np.linspace(0.01, 20, 200):
-        rel = abs(erfc(float(x)) - math.erfc(float(x))) / math.erfc(float(x))
+        rel = abs(normal_two_sided_p(float(x) * SQRT2) - math.erfc(float(x))) / math.erfc(float(x))
         assert rel < 1e-13
 
 
@@ -43,27 +45,27 @@ def test_normal_cdf_against_quadrature(x):
     assert abs(normal_cdf(x) - normal_cdf_quadrature(x)) < 1e-10
 
 
-def test_normal_quantile_half():
-    assert normal_quantile(0.5) == 0.0
+# The normal quantile z_(1 - a/2) is the root of the chi-square(1) quantile
+# at 1 - a: the score test's critical value is the d = 1 maximin one.
 
 
 def test_normal_quantile_two_sided_critical_value():
     # the alpha = 0.05 two-sided critical value
-    lam = normal_quantile(0.975)
+    lam = math.sqrt(chisq_quantile(0.95, 1))
     assert lam == pytest.approx(1.9600, abs=5e-5)
     assert lam == pytest.approx(1.959963985, abs=1e-8)
 
 
 def test_normal_quantile_round_trip():
     for p in np.linspace(0.0005, 0.9995, 201):
-        assert abs(normal_cdf(normal_quantile(float(p))) - p) < 1e-12
+        assert abs(normal_two_sided_p(math.sqrt(chisq_quantile(float(p), 1))) - (1.0 - p)) < 1e-12
 
 
 def test_normal_quantile_domain():
     with pytest.raises(ConfigError):
-        normal_quantile(0.0)
+        chisq_quantile(0.0, 1)
     with pytest.raises(ConfigError):
-        normal_quantile(1.0)
+        chisq_quantile(1.0, 1)
 
 
 def test_two_sided_p_values():
