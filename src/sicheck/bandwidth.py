@@ -32,8 +32,9 @@ def mise(data: Dataset, fit: IndexFit, w_values, h: float) -> float:
     return float(np.sum(resid**2 * w**2))
 
 
-def default_bandwidth_grid(n: int, size: int = 30, lo: float = 0.3, hi: float = 3.0) -> np.ndarray:
-    """Log-spaced pilot candidates around the n^(-1/5) rate, capped at 1.
+def default_bandwidth_grid(n: int) -> np.ndarray:
+    """30 log-spaced pilot candidates from 0.3 to 3 times the n^(-1/5)
+    rate, capped at 1.
 
     The cap keeps every candidate inside the (0, 1] range that the rank
     scale supports.  The floor keeps kernel windows wide enough that the
@@ -43,12 +44,10 @@ def default_bandwidth_grid(n: int, size: int = 30, lo: float = 0.3, hi: float = 
     """
     if n < 2:
         raise ConfigError("bandwidth grid needs n >= 2")
-    if size < 1 or lo <= 0 or hi < lo:
-        raise ConfigError("invalid grid parameters")
     scale = n ** (-0.2)
-    upper = min(hi * scale, 1.0)
-    lower = min(lo * scale, upper)
-    return np.geomspace(lower, upper, size)
+    upper = min(3.0 * scale, 1.0)
+    lower = min(0.3 * scale, upper)
+    return np.geomspace(lower, upper, 30)
 
 
 def select_bandwidth(data: Dataset, fit: IndexFit, w_values, grid=None) -> tuple[float, float]:

@@ -11,68 +11,76 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import __version__
-from .bandwidth import default_bandwidth_grid, select_bandwidth
 from .dataset import load_dataset
 from .exceptions import ConfigError, SicheckError
-from .index import fit_index_ols
-from .omnibus import BootstrapConfig, gamma_grid, omnibus_test
-from .score_test import maximin_test, standardized_test
 from .simulate import (
     MaximinCheck,
     ModelKind,
     OmnibusCheck,
     Scenario,
     ScoreCheck,
-    generate,
-    mise_weight_values,
+    apply_check,
     monte_carlo,
-    scenario_to_dict,
+    validate_run,
 )
-from .smoother import SmootherConfig
 from .weights import WeightSpec
 
-_WEIGHT_NAMES = ("sumabs", "sumsq", "cf")
+_WEIGHTS = {"sumabs": WeightSpec.sum_abs, "sumsq": WeightSpec.sum_squares}
 _TEST_NAMES = ("score", "maximin", "omnibus")
+
+
+def _weight_spec(name: str) -> WeightSpec:
+    if name not in _WEIGHTS:
+        raise ConfigError(f"unknown weight {name!r}; choose from {tuple(_WEIGHTS)}")
+    return _WEIGHTS[name]()
+
+
+def build_check(test: str, weights, h, boot_m, grid_bound, grid_per_axis):
+    """The check named by ``test``; the check validates its own values.
+
+    Score takes exactly one weight name, maximin a family; omnibus ignores
+    ``weights``, and score and maximin ignore the bootstrap and grid values.
+    """
+    if test == "score":
+        if len(weights) != 1:
+            raise ConfigError("the score test takes exactly one weight")
+        return ScoreCheck(weight=_weight_spec(weights[0]), h=h)
+    if test == "maximin":
+        return MaximinCheck(weights=tuple(_weight_spec(w) for w in weights), h=h)
+    if test == "omnibus":
+        return OmnibusCheck(
+            boot_m=boot_m, grid_bound=grid_bound, grid_per_axis=grid_per_axis, h=h
+        )
+    raise ConfigError(f"unknown test {test!r}; choose from {_TEST_NAMES}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved configuration for a single check run."""
+    """Resolved configuration for a single check run, echoed in its report.
+
+    The check is built, and every value validated, when the config is made.
+    """
 
     test: str
     weights: tuple[str, ...]
+    input_path: str
     alpha: float = 0.05
     h: float | None = None  # None means the data-driven selector
-    bw_lo: float = 0.3  # pilot grid bounds, as multiples of n^(-1/5)
-    bw_hi: float = 3.0
-    bw_size: int = 30
     grid_bound: float = 3.0
     grid_per_axis: int = 7
     boot_m: int = 500
     seed: int = 0
-    input_path: str | None = None
-    scenario: Scenario | None = None
-    out: str | None = None
+    check: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.input_path is None) == (self.scenario is None):
-            raise ConfigError("exactly one of input path or scenario must be given")
-        if self.test not in _TEST_NAMES:
-            raise ConfigError(f"unknown test {self.test!r}; choose from {_TEST_NAMES}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.h is not None and not 0.0 < self.h <= 1.0:
-            raise ConfigError(f"fixed bandwidth must lie in (0, 1], got {self.h}")
-        if self.bw_size < 1 or self.bw_lo <= 0 or self.bw_hi < self.bw_lo:
-            raise ConfigError("invalid pilot bandwidth grid parameters")
-        for name in self.weights:
-            if name not in _WEIGHT_NAMES:
-                raise ConfigError(
-                    f"unknown weight {name!r}; choose from {_WEIGHT_NAMES}"
-                )
+        check = build_check(
+            self.test, self.weights, self.h, self.boot_m, self.grid_bound, self.grid_per_axis
+        )
+        validate_run(check, self.alpha, seed=self.seed)
+        object.__setattr__(self, "check", check)
 
     def to_json_dict(self) -> dict:
         return {
@@ -80,71 +88,25 @@ class RunConfig:
             "weights": list(self.weights),
             "alpha": self.alpha,
             "h": "auto" if self.h is None else self.h,
-            "bw_lo": self.bw_lo,
-            "bw_hi": self.bw_hi,
-            "bw_size": self.bw_size,
             "grid_bound": self.grid_bound,
             "grid_per_axis": self.grid_per_axis,
             "boot_m": self.boot_m,
             "seed": self.seed,
             "input": self.input_path,
-            "scenario": None if self.scenario is None else scenario_to_dict(self.scenario),
+            "scenario": None,  # reports keep their key set; input is always a CSV
         }
-
-
-def _weight_spec(name: str) -> WeightSpec:
-    if name == "sumabs":
-        return WeightSpec.sum_abs()
-    if name == "sumsq":
-        return WeightSpec.sum_squares()
-    raise ConfigError(
-        "the 'cf' weight family is complex valued and belongs to the omnibus "
-        "test; score and maximin need 'sumabs' or 'sumsq'"
-    )
-
-
-def _build_check(cfg: RunConfig):
-    if cfg.test == "score":
-        if len(cfg.weights) != 1:
-            raise ConfigError("the score test takes exactly one --weight")
-        return ScoreCheck(weight=_weight_spec(cfg.weights[0]))
-    if cfg.test == "maximin":
-        return MaximinCheck(weights=tuple(_weight_spec(w) for w in cfg.weights))
-    return OmnibusCheck(
-        boot_m=cfg.boot_m, grid_bound=cfg.grid_bound, grid_per_axis=cfg.grid_per_axis
-    )
 
 
 def run_check(cfg: RunConfig) -> dict:
     """Execute the full pipeline for one dataset and build the JSON report."""
-    if cfg.input_path is not None:
-        data = load_dataset(cfg.input_path)
-    else:
-        data = generate(cfg.scenario)
-    check = _build_check(cfg)
-    fit = fit_index_ols(data)
-    h1 = None
-    if cfg.h is None:
-        grid = default_bandwidth_grid(data.n, size=cfg.bw_size, lo=cfg.bw_lo, hi=cfg.bw_hi)
-        h1, h = select_bandwidth(data, fit, mise_weight_values(check, data.x), grid=grid)
-    else:
-        h = cfg.h
-    smoother = SmootherConfig(h=h)
-    if isinstance(check, ScoreCheck):
-        report = standardized_test(data, fit, check.weight, smoother, cfg.alpha)
-    elif isinstance(check, MaximinCheck):
-        report = maximin_test(data, fit, check.weights, smoother, cfg.alpha)
-    else:
-        boot = BootstrapConfig(m=cfg.boot_m, alpha=cfg.alpha, seed=cfg.seed)
-        grid = gamma_grid(data.p, cfg.grid_bound, cfg.grid_per_axis)
-        report = omnibus_test(data, fit, smoother, boot, grid)
+    data = load_dataset(cfg.input_path)
+    report, h1 = apply_check(data, cfg.check, cfg.alpha, cfg.seed)
     out = {
         "artifact_version": __version__,
         "config": cfg.to_json_dict(),
         "n": data.n,
         "p": data.p,
         "seed": cfg.seed,
-        "h": h,
         "h1": h1,
     }
     out.update(report.to_json_dict())
@@ -175,25 +137,21 @@ def _parse_batch_entry(entry: dict):
         seed=int(entry.get("seed", 0)),
     )
     test = entry.get("test")
-    fixed_h = float(entry["h"]) if "h" in entry else None
     if test == "score":
-        check = ScoreCheck(weight=_weight_spec(entry.get("weight", "sumabs")), h=fixed_h)
-    elif test == "maximin":
-        names = entry.get("weights", ["sumabs", "sumsq"])
-        check = MaximinCheck(
-            weights=tuple(_weight_spec(w) for w in names), h=fixed_h
-        )
-    elif test == "omnibus":
-        check = OmnibusCheck(
-            boot_m=int(entry.get("boot_m", 500)),
-            grid_bound=float(entry.get("grid_bound", 3.0)),
-            grid_per_axis=int(entry.get("grid_per_axis", 7)),
-            h=fixed_h,
-        )
+        weights = (entry.get("weight", "sumabs"),)
     else:
-        raise ConfigError(f"unknown test {test!r}; choose from {_TEST_NAMES}")
+        weights = tuple(entry.get("weights", ("sumabs", "sumsq")))
+    check = build_check(
+        test,
+        weights,
+        h=float(entry["h"]) if "h" in entry else None,
+        boot_m=int(entry.get("boot_m", 500)),
+        grid_bound=float(entry.get("grid_bound", 3.0)),
+        grid_per_axis=int(entry.get("grid_per_axis", 7)),
+    )
     reps = int(entry.get("reps", 100))
     alpha = float(entry.get("alpha", 0.05))
+    validate_run(check, alpha, reps)
     return scn, check, reps, alpha
 
 
@@ -204,8 +162,11 @@ _CSV_COLUMNS = (
 
 
 def run_simulation(batch_path, out_path, threads: int = 1) -> int:
-    """Run every batch entry and write one CSV row per (scenario, test)."""
-    results = []
+    """Run every batch entry and write one CSV row per (scenario, test).
+
+    Every line is parsed and validated before the first replicate runs.
+    """
+    entries = []
     with open(batch_path) as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
@@ -216,10 +177,13 @@ def run_simulation(batch_path, out_path, threads: int = 1) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{batch_path}: line {line_no}: invalid JSON: {exc}") from None
             try:
-                scn, check, reps, alpha = _parse_batch_entry(entry)
+                entries.append(_parse_batch_entry(entry))
             except (KeyError, TypeError, ValueError, ConfigError) as exc:
                 raise ConfigError(f"{batch_path}: line {line_no}: {exc}") from None
-            results.append(monte_carlo(scn, check, reps, alpha, threads=threads))
+    results = [
+        monte_carlo(scn, check, reps, alpha, threads=threads)
+        for scn, check, reps, alpha in entries
+    ]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
@@ -253,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--input", required=True, help="CSV file with a 'y' column")
     check.add_argument("--test", required=True, choices=_TEST_NAMES)
     check.add_argument(
-        "--weight", action="append", choices=_WEIGHT_NAMES,
+        "--weight", action="append", choices=tuple(_WEIGHTS),
         help="weight function; repeat for a maximin family",
     )
     check.add_argument("--alpha", type=float, default=0.05)
@@ -261,15 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--h", default="auto",
         help="bandwidth: 'auto' for the data-driven selector or a fixed value",
     )
-    check.add_argument(
-        "--bw-lo", type=float, default=0.3,
-        help="pilot grid lower bound, as a multiple of n^(-1/5)",
-    )
-    check.add_argument(
-        "--bw-hi", type=float, default=3.0,
-        help="pilot grid upper bound, as a multiple of n^(-1/5)",
-    )
-    check.add_argument("--bw-size", type=int, default=30, help="pilot grid size")
     check.add_argument("--grid-bound", type=float, default=3.0)
     check.add_argument("--grid-per-axis", type=int, default=7)
     check.add_argument("--boot-m", type=int, default=500)
@@ -305,15 +260,11 @@ def main(argv=None) -> int:
                 weights=tuple(args.weight) if args.weight else _default_weights(args.test),
                 alpha=args.alpha,
                 h=_parse_h(args.h),
-                bw_lo=args.bw_lo,
-                bw_hi=args.bw_hi,
-                bw_size=args.bw_size,
                 grid_bound=args.grid_bound,
                 grid_per_axis=args.grid_per_axis,
                 boot_m=args.boot_m,
                 seed=args.seed,
                 input_path=args.input,
-                out=args.out,
             )
             report = run_check(cfg)
             decision = "reject" if report["reject"] else "no rejection"
@@ -323,8 +274,8 @@ def main(argv=None) -> int:
                 f"(h={report['h']:.6g}, n={report['n']}, p={report['p']})"
             )
             text = json.dumps(report, indent=2, sort_keys=True)
-            if cfg.out:
-                with open(cfg.out, "w") as fh:
+            if args.out:
+                with open(args.out, "w") as fh:
                     fh.write(text + "\n")
             else:
                 print(text)

@@ -160,16 +160,6 @@ def maximin_statistic(t_vec, sigma_mat) -> float:
     return float(z @ z)
 
 
-def _real_weight_values(weight: WeightSpec, x: np.ndarray) -> np.ndarray:
-    values = weight.evaluate(x)
-    if np.iscomplexobj(values):
-        raise ConfigError(
-            f"weight {weight.label} is complex valued; use the omnibus "
-            "characteristic-function test instead"
-        )
-    return values
-
-
 def _score_vector(core: ResidualCore, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior score vector and its covariance for an (n, d) weight stack."""
     smoothed = core.smooth(values)
@@ -191,7 +181,7 @@ def standardized_test(
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     core = residual_core(data, fit, cfg)
-    t_vec, sigma = _score_vector(core, _real_weight_values(weight, data.x)[:, None])
+    t_vec, sigma = _score_vector(core, weight.evaluate(data.x)[:, None])
     t_hat, sigma2 = float(t_vec[0]), float(sigma[0, 0])
     if sigma2 <= 0.0:
         raise DegenerateVarianceError(
@@ -237,7 +227,7 @@ def maximin_test(
         raise ConfigError("maximin test needs at least one weight function")
     core = residual_core(data, fit, cfg)
     labels = tuple(w.label for w in weights)
-    values = np.column_stack([_real_weight_values(w, data.x) for w in weights])
+    values = np.column_stack([w.evaluate(data.x) for w in weights])
     t_vec, sigma = _score_vector(core, values)
     diag = np.diag(sigma)
     if np.any(diag <= 0.0):

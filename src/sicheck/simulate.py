@@ -8,9 +8,10 @@ model holds exactly when c = 0):
     interaction  y = (b'x)^3 + c1|x1 x2| + c2|x1 x3| + c3|x2 x3| + e   (p = 3)
     bump         y = x1 + x2 + 4 exp(-(x1+x2)^2) + c sqrt(x1^2+x2^2) + e   (p = 2)
 
-The harness runs a full check pipeline per replicate (generate, fit the
-direction, pick the bandwidth, run the test) and reports the rejection
-fraction with its binomial standard error.  Replicate r draws from the
+The harness generates each replicate and runs ``apply_check`` on it (fit
+the direction, pick the bandwidth, run the test), the same pipeline that
+``sicheck check`` runs on a CSV, and reports the rejection fraction with
+its binomial standard error.  Replicate r draws from the
 stream (seed, r), so results are identical under any thread count.
 """
 
@@ -199,6 +200,11 @@ def generate(scn: Scenario, *, rng=None, zero_noise: bool = False) -> Dataset:
     return _GENERATORS[scn.model](scn, rng=rng, zero_noise=zero_noise)
 
 
+def _validate_h(h: float | None) -> None:
+    if h is not None and not 0.0 < h <= 1.0:
+        raise ConfigError(f"fixed bandwidth must lie in (0, 1], got {h}")
+
+
 @dataclass(frozen=True)
 class ScoreCheck:
     """Run the scalar standardized score test with one weight.
@@ -209,6 +215,9 @@ class ScoreCheck:
 
     weight: WeightSpec
     h: float | None = None
+
+    def __post_init__(self):
+        _validate_h(self.h)
 
     @property
     def label(self) -> str:
@@ -226,6 +235,7 @@ class MaximinCheck:
         object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights:
             raise ConfigError("maximin check needs at least one weight")
+        _validate_h(self.h)
 
     @property
     def label(self) -> str:
@@ -241,25 +251,14 @@ class OmnibusCheck:
     grid_per_axis: int = 7
     h: float | None = None
 
+    def __post_init__(self):
+        _validate_h(self.h)
+        BootstrapConfig(m=self.boot_m)  # raises on a replicate count below 100
+        gamma_grid(1, self.grid_bound, self.grid_per_axis)  # raises on bad grid values
+
     @property
     def label(self) -> str:
         return f"omnibus[m={self.boot_m}]"
-
-
-def scenario_to_dict(scn: Scenario) -> dict:
-    """Plain-JSON encoding of a scenario."""
-    return {
-        "model": scn.model.value,
-        "n": scn.n,
-        "p": scn.p,
-        "beta": None if scn.beta is None else list(scn.beta),
-        "c": scn.c,
-        "c_interaction": (
-            None if scn.c_interaction is None else list(scn.c_interaction)
-        ),
-        "sigma_eps": scn.sigma_eps,
-        "seed": scn.seed,
-    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,52 +270,65 @@ class MCResult:
     test_label: str
     alpha: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rejection_rate": self.rejection_rate,
-            "replications": self.replications,
-            "mc_stderr": self.mc_stderr,
-            "scenario": scenario_to_dict(self.scenario),
-            "test": self.test_label,
-            "alpha": self.alpha,
-        }
-
 
 def mise_weight_values(check, x) -> np.ndarray:
-    """Weight values driving the bandwidth search for a given check.
+    """Weight values W(x_i) that drive the bandwidth search for a check.
 
-    The scalar test uses its own weight; checks without a single real
-    weight (maximin families, the omnibus test, custom callables) default
-    to the even quadratic weight sum x_l^2.
+    A score check searches with its own weight; every other check (a
+    maximin family, the omnibus test, a callable) with sum_l x_l^2.
     """
-    if isinstance(check, ScoreCheck) and not check.weight.is_complex:
+    if isinstance(check, ScoreCheck):
         return check.weight.evaluate(x)
     return WeightSpec.sum_squares().evaluate(x)
+
+
+def validate_run(check, alpha: float, reps: int = 1, seed: int = 0) -> None:
+    """Raise ConfigError for a level, replicate count or bootstrap seed the
+    check cannot run with; touches no data, so a front end can call it
+    before any work."""
+    if reps < 1:
+        raise ConfigError(f"replications must be >= 1, got {reps}")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    if isinstance(check, OmnibusCheck):
+        BootstrapConfig(m=check.boot_m, alpha=alpha, seed=seed)
+
+
+def apply_check(data: Dataset, check, alpha: float, seed: int = 0, rng=None):
+    """Run one check on one dataset and return ``(report, h1)``.
+
+    Fits the least-squares index, picks the bandwidth by the MISE search
+    unless the check fixes ``h`` (then ``h1`` is None), and runs the test;
+    ``seed`` seeds the omnibus multiplier bootstrap.  A callable check is
+    called as ``check(data, fit, smoother_config, alpha, rng)`` and returns
+    its decision in place of a report.
+    """
+    fit = fit_index_ols(data)
+    h1, h = None, getattr(check, "h", None)
+    if h is None:
+        h1, h = select_bandwidth(data, fit, mise_weight_values(check, data.x))
+    cfg = SmootherConfig(h=h)
+    if isinstance(check, ScoreCheck):
+        report = standardized_test(data, fit, check.weight, cfg, alpha)
+    elif isinstance(check, MaximinCheck):
+        report = maximin_test(data, fit, check.weights, cfg, alpha)
+    elif isinstance(check, OmnibusCheck):
+        boot = BootstrapConfig(m=check.boot_m, alpha=alpha, seed=seed)
+        grid = gamma_grid(data.p, check.grid_bound, check.grid_per_axis)
+        report = omnibus_test(data, fit, cfg, boot, grid)
+    elif callable(check):
+        report = check(data, fit, cfg, alpha, rng)
+    else:
+        raise ConfigError(f"unknown test configuration {check!r}")
+    return report, h1
 
 
 def _replicate_reject(scn: Scenario, check, alpha: float, r: int) -> bool:
     rng = np.random.default_rng([scn.seed, r])
     data = generate(scn, rng=rng)
-    fit = fit_index_ols(data)
-    fixed_h = getattr(check, "h", None)
-    if fixed_h is None:
-        _, h = select_bandwidth(data, fit, mise_weight_values(check, data.x))
-    else:
-        h = fixed_h
-    cfg = SmootherConfig(h=h)
-    if isinstance(check, ScoreCheck):
-        return standardized_test(data, fit, check.weight, cfg, alpha).reject
-    if isinstance(check, MaximinCheck):
-        return maximin_test(data, fit, check.weights, cfg, alpha).reject
-    if isinstance(check, OmnibusCheck):
-        boot = BootstrapConfig(
-            m=check.boot_m, alpha=alpha, seed=int(rng.integers(2**63))
-        )
-        grid = gamma_grid(data.p, check.grid_bound, check.grid_per_axis)
-        return omnibus_test(data, fit, cfg, boot, grid).reject
-    if callable(check):
-        return bool(check(data, fit, cfg, alpha, rng))
-    raise ConfigError(f"unknown test configuration {check!r}")
+    # The bootstrap seed is the stream's first draw after the data.
+    report, _ = apply_check(data, check, alpha, int(rng.integers(2**63)), rng)
+    return bool(getattr(report, "reject", report))
 
 
 def monte_carlo(
@@ -327,10 +339,7 @@ def monte_carlo(
     Any replicate-level failure aborts the run with the replicate index
     and scenario attached.
     """
-    if reps < 1:
-        raise ConfigError(f"replications must be >= 1, got {reps}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    validate_run(check, alpha, reps)
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
 

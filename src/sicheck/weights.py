@@ -5,7 +5,6 @@ evaluated row-wise on an (n, p) matrix.  The built-in kinds:
 
     sumabs     W(x) = sum_l |x_l|
     sumsq      W(x) = sum_l x_l^2
-    cf         W(x) = exp(i gamma' x)     (complex valued)
     pointwise  user-supplied value per observation
     combo      linear combination of other specs
 """
@@ -23,7 +22,6 @@ from .exceptions import ConfigError, DataError
 class WeightKind(enum.Enum):
     SUM_ABS = "sumabs"
     SUM_SQUARES = "sumsq"
-    CHAR_FN = "cf"
     POINTWISE = "pointwise"
     LINEAR_COMBO = "combo"
 
@@ -31,7 +29,6 @@ class WeightKind(enum.Enum):
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
     kind: WeightKind
-    gamma: tuple[float, ...] | None = None
     values: tuple[float, ...] | None = None
     terms: tuple[tuple[float, "WeightSpec"], ...] | None = None
 
@@ -42,13 +39,6 @@ class WeightSpec:
     @staticmethod
     def sum_squares() -> "WeightSpec":
         return WeightSpec(WeightKind.SUM_SQUARES)
-
-    @staticmethod
-    def char_fn(gamma) -> "WeightSpec":
-        gamma = tuple(float(g) for g in gamma)
-        if not gamma:
-            raise ConfigError("characteristic-function weight needs a frequency vector")
-        return WeightSpec(WeightKind.CHAR_FN, gamma=gamma)
 
     @staticmethod
     def pointwise(values) -> "WeightSpec":
@@ -65,14 +55,6 @@ class WeightSpec:
         return WeightSpec(WeightKind.LINEAR_COMBO, terms=terms)
 
     @property
-    def is_complex(self) -> bool:
-        if self.kind is WeightKind.CHAR_FN:
-            return True
-        if self.kind is WeightKind.LINEAR_COMBO:
-            return any(spec.is_complex for _, spec in self.terms)
-        return False
-
-    @property
     def label(self) -> str:
         if self.kind is WeightKind.LINEAR_COMBO:
             inner = "+".join(spec.label for _, spec in self.terms)
@@ -85,8 +67,7 @@ class WeightSpec:
         if x.ndim != 2:
             raise DataError("weight evaluation needs an (n, p) matrix")
         out = self._evaluate(x)
-        if not np.all(np.isfinite(out) if not np.iscomplexobj(out) else
-                      np.isfinite(out.real) & np.isfinite(out.imag)):
+        if not np.all(np.isfinite(out)):
             raise DataError(f"weight {self.label} produced non-finite values")
         return out
 
@@ -95,13 +76,6 @@ class WeightSpec:
             return np.abs(x).sum(axis=1)
         if self.kind is WeightKind.SUM_SQUARES:
             return (x**2).sum(axis=1)
-        if self.kind is WeightKind.CHAR_FN:
-            gamma = np.asarray(self.gamma, dtype=float)
-            if gamma.shape != (x.shape[1],):
-                raise DataError(
-                    f"frequency vector has dimension {gamma.size}, covariates have p={x.shape[1]}"
-                )
-            return np.exp(1j * (x @ gamma))
         if self.kind is WeightKind.POINTWISE:
             values = np.asarray(self.values, dtype=float)
             if values.shape != (x.shape[0],):

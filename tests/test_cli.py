@@ -3,8 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from sicheck import ConfigError, ModelKind, Scenario, generate, save_dataset
+from sicheck import (
+    ConfigError,
+    MaximinCheck,
+    ModelKind,
+    OmnibusCheck,
+    Scenario,
+    ScoreCheck,
+    WeightSpec,
+    generate,
+    save_dataset,
+)
 from sicheck.cli import RunConfig, main, run_check, run_simulation
+from sicheck.simulate import _replicate_reject
 
 
 @pytest.fixture
@@ -16,15 +27,8 @@ def csv_path(tmp_path):
 
 
 def test_run_config_needs_exactly_one_source():
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):
         RunConfig(test="score", weights=("sumabs",))
-    with pytest.raises(ConfigError):
-        RunConfig(
-            test="score",
-            weights=("sumabs",),
-            input_path="a.csv",
-            scenario=Scenario(model=ModelKind.CUBIC, n=20, p=2),
-        )
 
 
 def test_run_config_validation():
@@ -36,6 +40,13 @@ def test_run_config_validation():
         RunConfig(test="score", weights=("nope",), input_path="a.csv")
     with pytest.raises(ConfigError):
         RunConfig(test="score", weights=("sumabs",), input_path="a.csv", h=2.0)
+    with pytest.raises(ConfigError):
+        RunConfig(test="score", weights=("sumabs", "sumsq"), input_path="a.csv")
+    # omnibus values fail before the dataset is read
+    for bad in ({"boot_m": 50}, {"grid_per_axis": 1}, {"grid_bound": 0.0},
+                {"boot_m": 100, "alpha": 0.005}, {"seed": -1}):
+        with pytest.raises(ConfigError):
+            RunConfig(test="omnibus", weights=("sumabs",), input_path="a.csv", **bad)
 
 
 def test_run_check_score_fixed_bandwidth(csv_path):
@@ -70,23 +81,48 @@ def test_run_check_maximin(csv_path):
     assert report["calibration"] == "chi-square"
 
 
-def test_run_check_omnibus_scenario_fixed_seed():
+def test_run_check_omnibus_scenario_fixed_seed(tmp_path):
     scn = Scenario(model=ModelKind.CUBIC, n=60, p=2, c=0.0, seed=12345)
+    path = tmp_path / "scenario.csv"
+    save_dataset(generate(scn), path)
     cfg = RunConfig(
-        test="omnibus", weights=("sumsq",), alpha=0.05, boot_m=300, seed=7, scenario=scn
+        test="omnibus", weights=("sumsq",), alpha=0.05, boot_m=300, seed=7,
+        input_path=str(path),
     )
     report = run_check(cfg)
     # frozen from a direct run of this configuration: the null is retained
     assert report["reject"] is False
     assert report["p_value"] > 0.05
     assert report["calibration"] == "bootstrap-m=300"
-    assert report["config"]["scenario"]["model"] == "cubic"
+    assert report["config"]["input"] == str(path)
 
 
 def test_run_check_rejects_cf_for_score(csv_path):
-    cfg = RunConfig(test="score", weights=("cf",), input_path=str(csv_path))
-    with pytest.raises(ConfigError):
-        run_check(cfg)
+    with pytest.raises(ConfigError, match="unknown weight 'cf'"):
+        RunConfig(test="score", weights=("cf",), input_path=str(csv_path))
+
+
+# rejects on some of replicates 0-3 and not on others, for each test
+AGREE_SCN = Scenario(model=ModelKind.CUBIC, n=60, p=2, c=0.3, seed=809)
+
+
+@pytest.mark.parametrize("test, check", [
+    ("score", ScoreCheck(weight=WeightSpec.sum_abs())),
+    ("maximin", MaximinCheck(weights=(WeightSpec.sum_abs(), WeightSpec.sum_squares()))),
+    ("omnibus", OmnibusCheck()),
+])
+def test_check_agrees_with_simulate_replicates(tmp_path, test, check):
+    """`check` on replicate r's data decides as replicate r of `simulate` does."""
+    for r in range(4):
+        rng = np.random.default_rng([AGREE_SCN.seed, r])
+        path, out = tmp_path / f"rep{r}.csv", tmp_path / f"rep{r}.json"
+        save_dataset(generate(AGREE_SCN, rng=rng), path)
+        boot_seed = int(rng.integers(2**63))  # the replicate's bootstrap seed
+        code = main(["check", "--input", str(path), "--test", test,
+                     "--seed", str(boot_seed), "--out", str(out)])
+        assert code == 0
+        reject = json.loads(out.read_text())["reject"]
+        assert reject == _replicate_reject(AGREE_SCN, check, 0.05, r)
 
 
 def test_main_score_writes_report(tmp_path, csv_path, capsys):
@@ -167,6 +203,21 @@ def test_run_simulation_reports_bad_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         run_simulation(batch, out)
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [
+    {"h": 2.0}, {"boot_m": 50}, {"grid_per_axis": 1}, {"reps": 0}, {"alpha": 1.5},
+    {"boot_m": 100, "alpha": 0.005},
+])
+def test_run_simulation_validates_every_line_first(tmp_path, bad):
+    line = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "test": "omnibus",
+            "boot_m": 120, "reps": 2}
+    batch = tmp_path / "bad.jsonl"
+    batch.write_text(json.dumps(line) + "\n" + json.dumps(dict(line, **bad)) + "\n")
+    out = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match="line 2"):
+        run_simulation(batch, out)
+    assert not out.exists()
 
 
 def test_run_simulation_reports_unknown_model(tmp_path):

@@ -132,12 +132,6 @@ def test_standardized_test_degenerate_variance(rng):
         standardized_test(data, fit, WeightSpec.sum_abs(), SmootherConfig(h=0.3))
 
 
-def test_standardized_test_rejects_complex_weight(rng):
-    data, fit = pipeline_data(rng)
-    with pytest.raises(ConfigError):
-        standardized_test(data, fit, WeightSpec.char_fn([1.0, 0.0]), SmootherConfig(h=0.3))
-
-
 def test_standardized_test_rejects_bad_alpha(rng):
     data, fit = pipeline_data(rng)
     with pytest.raises(ConfigError):

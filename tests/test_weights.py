@@ -14,19 +14,6 @@ def test_sum_squares():
     assert WeightSpec.sum_squares().evaluate(X) == pytest.approx([5.0, 0.5, 9.0])
 
 
-def test_char_fn_modulus_one():
-    spec = WeightSpec.char_fn([0.7, -1.2])
-    vals = spec.evaluate(X)
-    assert np.iscomplexobj(vals)
-    assert np.abs(vals) == pytest.approx(np.ones(3))
-    assert vals == pytest.approx(np.exp(1j * (X @ np.array([0.7, -1.2]))))
-
-
-def test_char_fn_dimension_mismatch():
-    with pytest.raises(DataError):
-        WeightSpec.char_fn([1.0]).evaluate(X)
-
-
 def test_pointwise():
     spec = WeightSpec.pointwise([1.0, 2.0, 3.0])
     assert spec.evaluate(X) == pytest.approx([1.0, 2.0, 3.0])
@@ -44,21 +31,11 @@ def test_linear_combo():
 def test_labels():
     assert WeightSpec.sum_abs().label == "sumabs"
     assert WeightSpec.sum_squares().label == "sumsq"
-    assert WeightSpec.char_fn([1.0]).label == "cf"
     combo = WeightSpec.linear_combo([(1.0, WeightSpec.sum_abs())])
     assert combo.label == "combo(sumabs)"
 
 
-def test_is_complex_flag():
-    assert WeightSpec.char_fn([1.0, 0.0]).is_complex
-    assert not WeightSpec.sum_abs().is_complex
-    nested = WeightSpec.linear_combo([(1.0, WeightSpec.char_fn([1.0, 0.0]))])
-    assert nested.is_complex
-
-
 def test_empty_specs_rejected():
-    with pytest.raises(ConfigError):
-        WeightSpec.char_fn([])
     with pytest.raises(ConfigError):
         WeightSpec.pointwise([])
     with pytest.raises(ConfigError):
@@ -72,4 +49,4 @@ def test_evaluate_needs_matrix():
 
 def test_kind_values():
     assert WeightKind.SUM_ABS.value == "sumabs"
-    assert WeightKind.CHAR_FN.value == "cf"
+    assert [kind.value for kind in WeightKind] == ["sumabs", "sumsq", "pointwise", "combo"]
