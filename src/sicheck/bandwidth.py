@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError
 from .index import IndexFit
-from .smoother import loo_matrix
+from .smoother import LatticeSmoother
 
 UNDERSMOOTH_EXPONENT = -2.0 / 15.0  # -1/3 + 1/5
 
@@ -27,8 +27,7 @@ def mise(data: Dataset, fit: IndexFit, w_values, h: float) -> float:
     w = np.asarray(w_values, dtype=float)
     if w.shape != (data.n,):
         raise ConfigError("weight values must be one per observation")
-    s = loo_matrix(fit.ranks_u, h)
-    resid = data.y - data.y @ s
+    resid = data.y - LatticeSmoother(fit.slots, h).smooth(data.y)
     return float(np.sum(resid**2 * w**2))
 
 

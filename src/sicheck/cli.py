@@ -114,11 +114,20 @@ def run_check(cfg: RunConfig) -> dict:
 
 
 _MODEL_BY_NAME = {kind.value: kind for kind in ModelKind}
+_BATCH_KEYS = (
+    "model", "n", "p", "beta", "c", "c_interaction", "sigma_eps", "seed", "test",
+    "weight", "weights", "h", "boot_m", "grid_bound", "grid_per_axis", "reps", "alpha",
+)
 
 
 def _parse_batch_entry(entry: dict):
     if not isinstance(entry, dict):
         raise ConfigError("batch entry must be a JSON object")
+    unknown = [key for key in entry if key not in _BATCH_KEYS]
+    if unknown:
+        raise ConfigError(
+            f"unknown batch key {unknown[0]!r}; choose from {_BATCH_KEYS}"
+        )
     model_name = entry.get("model")
     if model_name not in _MODEL_BY_NAME:
         raise ConfigError(
@@ -158,7 +167,16 @@ def _parse_batch_entry(entry: dict):
 _CSV_COLUMNS = (
     "model", "n", "p", "beta", "c", "sigma_eps", "seed",
     "test", "alpha", "reps", "rejection_rate", "mc_stderr",
+    "h", "grid_bound", "grid_per_axis",
 )
+
+
+def _fixed_values(check) -> list:
+    """The line's fixed ``h`` and omnibus grid, empty where they do not apply."""
+    h = "" if check.h is None else repr(float(check.h))
+    if not isinstance(check, OmnibusCheck):
+        return [h, "", ""]
+    return [h, repr(float(check.grid_bound)), check.grid_per_axis]
 
 
 def run_simulation(batch_path, out_path, threads: int = 1) -> int:
@@ -187,7 +205,7 @@ def run_simulation(batch_path, out_path, threads: int = 1) -> int:
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
-        for res in results:
+        for (_, check, _, _), res in zip(entries, results):
             scn = res.scenario
             writer.writerow([
                 scn.model.value,
@@ -202,6 +220,7 @@ def run_simulation(batch_path, out_path, threads: int = 1) -> int:
                 res.replications,
                 repr(res.rejection_rate),
                 repr(res.mc_stderr),
+                *_fixed_values(check),
             ])
     return len(results)
 

@@ -6,12 +6,14 @@ covariates beta' x_i, and their normalized ranks
     U_i = #{j : t_j <= t_i} / n,
 
 the empirical-distribution values of the projections.  Ties take the
-maximal rank, which is what the counting definition forces.
+maximal rank, which is what the counting definition forces.  The ranks
+therefore sit on the lattice k/n, and the fit carries the integer rank
+slots k = n U_i that the smoother bins on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +31,7 @@ class IndexFit:
     beta_hat: np.ndarray  # unit-norm direction, shape (p,)
     projections: np.ndarray  # beta_hat . x_i, shape (n,)
     ranks_u: np.ndarray  # empirical-cdf values of the projections, in (0, 1]
+    slots: np.ndarray = field(init=False, repr=False)  # integer ranks n * U_i, in 1..n
 
     def __post_init__(self):
         beta = np.asarray(self.beta_hat, dtype=float)
@@ -44,9 +47,13 @@ class IndexFit:
             raise DataError("empty index fit")
         if ranks.min() <= 0.0 or ranks.max() > 1.0:
             raise DataError("ranks_u must lie in (0, 1]")
+        slots = np.rint(ranks * ranks.size)
+        if np.max(np.abs(ranks * ranks.size - slots)) > 1e-6:
+            raise DataError("ranks_u must lie on the lattice k/n, k = 1..n")
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "projections", proj)
         object.__setattr__(self, "ranks_u", ranks)
+        object.__setattr__(self, "slots", slots.astype(np.intp))
 
     @property
     def n(self) -> int:

@@ -19,7 +19,7 @@ def quartic_kernel(u):
     Values at exactly |u| = 1 are 0, matching the closed form.
     """
     arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DataError("kernel argument must be finite")
-    out = np.where(np.abs(arr) < 1.0, (15.0 / 16.0) * (1.0 - arr * arr) ** 2, 0.0)
+    out = (15.0 / 16.0) * np.square(np.maximum(1.0 - arr * arr, 0.0))
     return out if out.ndim else float(out)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -226,6 +227,45 @@ def test_run_simulation_reports_unknown_model(tmp_path):
     with pytest.raises(ConfigError) as err:
         run_simulation(batch, tmp_path / "out.csv")
     assert "line 1" in str(err.value)
+
+
+@pytest.mark.parametrize("misspelt", ["bootm", "rep"])
+def test_main_simulate_rejects_unknown_key(tmp_path, capsys, misspelt):
+    line = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "test": "omnibus",
+            "boot_m": 120, "reps": 2}
+    batch = tmp_path / "bad.jsonl"
+    batch.write_text(json.dumps(line) + "\n" + json.dumps(dict(line, **{misspelt: 50})) + "\n")
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--batch", str(batch), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2" in err and repr(misspelt) in err
+    assert not out.exists()
+
+
+def test_run_simulation_rows_record_fixed_values(tmp_path):
+    base = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "reps": 2}
+    lines = [
+        dict(base, test="score", h=0.3),
+        dict(base, test="score", h=0.5),
+        dict(base, test="maximin"),
+        dict(base, test="omnibus", boot_m=100, grid_bound=2.0, grid_per_axis=5),
+        dict(base, test="omnibus", boot_m=100, h=0.4),
+    ]
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "out.csv"
+    run_simulation(batch, out)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    fixed = [(row["h"], row["grid_bound"], row["grid_per_axis"]) for row in rows]
+    assert fixed == [
+        ("0.3", "", ""),
+        ("0.5", "", ""),
+        ("", "", ""),
+        ("", "2.0", "5"),
+        ("0.4", "3.0", "7"),
+    ]
 
 
 def test_main_simulate_roundtrip(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from sicheck import (
     DataError,
@@ -98,6 +98,9 @@ def test_rank_transform_rejects_bad_input():
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=30), st.floats(0.1, 20))
 def test_rank_scale_invariance(values, c):
     t = np.array(values)
+    # Rounded multiplication is only weakly monotone: it can merge distinct
+    # values (0.5 * 5e-324 == 0.0), and then the ranks rightly tie.
+    assume(np.unique(c * t).size == np.unique(t).size)
     assert np.array_equal(rank_transform(c * t), rank_transform(t))
 
 

@@ -1,0 +1,181 @@
+"""The exact rank-lattice smoother against the dense reference, and guards
+that keep every n x n array off the production path."""
+
+import dataclasses
+import math
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from sicheck import (
+    DataError,
+    Dataset,
+    IndexFit,
+    MaximinCheck,
+    OmnibusCheck,
+    ScoreCheck,
+    WeightSpec,
+    loo_matrix,
+    rank_transform,
+)
+from sicheck.simulate import apply_check
+from sicheck.smoother import DIRECT_MAX_TAPS, LatticeSmoother
+
+RADIUS = DIRECT_MAX_TAPS // 2  # widest window |d| <= RADIUS the direct branch takes
+
+
+@st.composite
+def lattice_cases(draw, branch):
+    """Ranks (tied when the projections are rounded) and a bandwidth;
+    ``branch`` picks n and h on one side of the direct/FFT switch for real
+    values (complex values always take the FFT)."""
+    if branch == "direct":
+        n = draw(st.integers(2, 400))
+        h = draw(st.floats(1.0 / (2 * n), min(2.0, (RADIUS + 0.5) / n)))
+    else:
+        n = draw(st.integers(RADIUS + 2, 400))
+        h = draw(st.floats((RADIUS + 1.5) / n, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.standard_normal(n)
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    if decimals is not None:
+        t = np.round(t, decimals)
+    return rank_transform(t), h, rng
+
+
+def _values(rng, n, kind):
+    if kind == "vector":
+        return rng.uniform(-10.0, 10.0, n)
+    if kind == "stack":
+        return rng.uniform(-10.0, 10.0, (n, 3))
+    return rng.uniform(-10.0, 10.0, (n, 2)) + 1j * rng.uniform(-10.0, 10.0, (n, 2))
+
+
+def _dense(values, u, h):
+    s = loo_matrix(u, h)
+    return (values @ s if values.ndim == 1 else s.T @ values), s.sum(axis=0) == 0.0
+
+
+def _on_window_edge(n, h):
+    # A rank distance within round-off of h: the dense reference's float
+    # differences k_j/n - k_i/n disagree among themselves about membership.
+    nh = n * h
+    return abs(nh - round(nh)) <= 1e-9 * nh
+
+
+def _check_case(case, kind, branch):
+    u, h, rng = case
+    n = u.size
+    taps = 2 * min(math.ceil(n * h), n) - 1
+    assert (taps <= DIRECT_MAX_TAPS) == (branch == "direct")
+    values = _values(rng, n, kind)
+    ref, dense_empty = _dense(values, u, h)
+    smoother = LatticeSmoother(np.rint(u * n).astype(np.intp), h)
+    out = smoother.smooth(values)
+    assert out.shape == values.shape and out.dtype == ref.dtype
+    assert out == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    if not _on_window_edge(n, h):
+        assert np.array_equal(smoother.empty, dense_empty)
+        assert np.all(out[dense_empty] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["vector", "stack", "complex"])
+@given(case=lattice_cases("direct"))
+def test_lattice_matches_dense_narrow_windows(case, kind):
+    _check_case(case, kind, "direct")
+
+
+@pytest.mark.parametrize("kind", ["vector", "stack", "complex"])
+@given(case=lattice_cases("fft"))
+def test_lattice_matches_dense_wide_windows(case, kind):
+    _check_case(case, kind, "fft")
+
+
+@pytest.mark.parametrize("kind", ["vector", "stack", "complex"])
+def test_every_window_empty_at_half_a_slot(kind):
+    rng = np.random.default_rng(3)
+    n = 300
+    u = rank_transform(rng.standard_normal(n))
+    smoother = LatticeSmoother(np.rint(u * n).astype(np.intp), 1.0 / (2 * n))
+    assert np.all(smoother.smooth(_values(rng, n, kind)) == 0.0)
+    assert smoother.empty.all()
+
+
+@pytest.mark.parametrize("h", [0.5, 0.01])
+@pytest.mark.parametrize("kind", ["vector", "stack", "complex"])
+def test_isolated_observation_fits_exactly_zero(kind, h):
+    # 399 observations tied at the top rank and one alone at rank 1/n: its
+    # window is empty, and FFT round-off must not leak into its fit
+    n = 400
+    ranks = np.ones(n)
+    ranks[0] = 1.0 / n
+    values = _values(np.random.default_rng(4), n, kind)
+    smoother = LatticeSmoother(np.rint(ranks * n).astype(np.intp), h)
+    out = smoother.smooth(values)
+    assert np.all(out[0] == 0.0)
+    assert out[1:] == pytest.approx(_dense(values, ranks, h)[0][1:], rel=1e-12, abs=1e-12)
+    assert smoother.empty.tolist() == [True] + [False] * (n - 1)
+
+
+@given(
+    n=st.integers(2, 200),
+    shift=st.floats(1e-3, 0.999),
+    which=st.integers(0, 199),
+)
+def test_index_fit_rejects_off_lattice_ranks(n, shift, which):
+    ranks = np.arange(1, n + 1) / n
+    ranks[which % n] = (which % n + shift) / n  # strictly between k/n and (k+1)/n
+    with pytest.raises(DataError, match="lattice"):
+        IndexFit(beta_hat=np.array([1.0]), projections=np.arange(n, dtype=float), ranks_u=ranks)
+
+
+def test_index_fit_slots_are_integer_ranks():
+    t = np.array([0.3, -1.0, 0.3, 2.0, 0.1])
+    fit = IndexFit(beta_hat=np.array([1.0]), projections=t, ranks_u=rank_transform(t))
+    assert fit.slots.tolist() == [4, 1, 4, 5, 2]
+    assert fit.slots.dtype == np.intp
+
+
+def _sample(n, seed=5):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2))
+    y = (x @ np.array([0.6, -0.8])) ** 3 + rng.standard_normal(n)
+    return Dataset(x=x, y=y)
+
+
+CHECKS = [
+    ScoreCheck(weight=WeightSpec.sum_abs()),
+    MaximinCheck(weights=(WeightSpec.sum_abs(), WeightSpec.sum_squares())),
+    OmnibusCheck(boot_m=100),
+]
+
+
+@pytest.mark.parametrize("h", [None, 0.2])
+@pytest.mark.parametrize("check", CHECKS, ids=["score", "maximin", "omnibus"])
+def test_pipeline_never_builds_the_dense_matrix(monkeypatch, check, h):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense leave-one-out matrix built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sicheck" and getattr(module, "loo_matrix", None) is loo_matrix:
+            monkeypatch.setattr(module, "loo_matrix", forbidden)
+    check = dataclasses.replace(check, h=h)
+    report, h1 = apply_check(_sample(300), check, 0.05, seed=1)
+    assert (h1 is None) == (h is not None)
+    assert report.diagnostics["n_interior"] > 0
+
+
+@pytest.mark.parametrize("check", CHECKS[:2], ids=["score", "maximin"])
+def test_large_n_check_memory_is_linear(check):
+    data = _sample(100_000, seed=6)
+    tracemalloc.start()
+    try:
+        report, _ = apply_check(data, check, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(report.p_value)
+    assert peak < 64 * 2**20
