@@ -21,6 +21,21 @@ statistic and reference distribution share one functional.  Covariate
 columns are standardized (zero mean, unit variance) before any frequency
 evaluation so the grid box is scale-meaningful; every report records the
 grid convention.
+
+Evaluation.  Replicate r draws its multipliers from its own stream
+``default_rng([seed, r])``; the m draws form the rows of one (m, n_int)
+matrix E, and every replicate of a block of frequencies comes out of one
+matrix product with E (the multiplier-bootstrap maxima of Chernozhukov,
+Chetverikov and Kato, 2013).  Only one frequency of each +/-gamma pair is
+evaluated, plus the origin: the residuals, the multipliers and the
+smoothing weights are real, so the summands at -gamma are the complex
+conjugates of those at gamma and T(-gamma), T_r(-gamma) have the same
+modulus as T(gamma), T_r(gamma).  The sup over half the grid is the sup
+over all of it.  The half grid is walked in blocks of columns sized so
+that a block's complex weights, their FFT workspace and their replicate
+products fit in CHUNK_BYTES, keeping a running max of the statistic and
+of each replicate.  Memory is then 8 m n_int bytes for E plus
+CHUNK_BYTES, whatever the grid size.
 """
 
 from __future__ import annotations
@@ -41,6 +56,10 @@ MAX_DENSE_POINTS = 2401
 
 #: Interior margin for the sup statistic, in units of the bandwidth.
 SUP_INTERIOR_MARGIN = 3.0
+
+#: Bytes one block of frequency columns may hold: its complex weights, their
+#: FFT workspace and the replicate products.
+CHUNK_BYTES = 64 << 20
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
            61, 67, 71, 73, 79, 83, 89, 97)
@@ -73,6 +92,14 @@ class GammaGrid:
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def half_points(self) -> np.ndarray:
+        """One point of each +/-gamma pair, the one whose first nonzero
+        coordinate is positive, plus the origin."""
+        pts = self.points
+        lead = pts[np.arange(pts.shape[0]), np.argmax(pts != 0.0, axis=1)]
+        return pts[lead >= 0.0]  # lead is +/-0.0 only at the origin
 
     @property
     def p(self) -> int:
@@ -243,15 +270,28 @@ def omnibus_test(
     core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
     eps = core.eps[core.keep]
     n_int = eps.size
-    summands = core.centered(np.exp(1j * (z @ grid.points.T)))
-    summands *= eps[:, None]
+    half = grid.half_points
+    # per complex column: the weights, their slot-binned copy and gathered
+    # fits (n each), the spectrum and its inverse (fft_size each), and the
+    # replicate products (m)
+    column_bytes = 16 * (3 * data.n + 2 * core.smoother.fft_size + boot.m)
+    width = max(1, CHUNK_BYTES // column_bytes)
+    t_max = 0.0
+    reps = np.zeros(boot.m)
+    e = None
+    for start in range(0, half.shape[0], width):
+        summands = core.centered(np.exp(1j * (z @ half[start:start + width].T)))
+        summands *= eps[:, None]
+        t_max = max(t_max, float(np.abs(summands.sum(axis=0)).max()))
+        if e is None:  # drawn once the first block's FFT workspace is freed
+            e = np.empty((boot.m, n_int))
+            for r in range(boot.m):
+                np.random.default_rng([boot.seed, r]).standard_normal(out=e[r])
+        prod = e @ summands.view(float)  # real and imaginary parts interleaved
+        np.maximum(reps, np.hypot(prod[:, 0::2], prod[:, 1::2]).max(axis=1), out=reps)
     scale = math.sqrt(n_int)
-    t_tilde = float(np.abs(summands.sum(axis=0)).max()) / scale
-    reps = np.empty(boot.m)
-    for r in range(boot.m):
-        rng = np.random.default_rng([boot.seed, r])
-        e = rng.standard_normal(n_int)
-        reps[r] = np.abs(e @ summands).max() / scale
+    t_tilde = t_max / scale
+    reps /= scale
     critical = bootstrap_critical_value(reps, boot.alpha)
     p_value = (1 + int(np.count_nonzero(reps >= t_tilde))) / (boot.m + 1)
     return OmnibusReport(

@@ -68,6 +68,20 @@ def loo_matrix(u_ranks, h: float) -> np.ndarray:
 DIRECT_MAX_TAPS = 255
 
 
+def fft_length(k: int) -> int:
+    """Smallest 2^a 3^b 5^c >= k, a length numpy's FFT transforms about as
+    fast as a power of two."""
+    best = 1 << (k - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:  # odd = 3^b 5^c; pad it with the fewest factors of 2
+            best = min(best, odd << (-(-k // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 class LatticeSmoother:
     """Leave-one-out smoothing at bandwidth ``h`` on the integer rank slots
     k_i = n U_i of one index fit.
@@ -98,6 +112,12 @@ class LatticeSmoother:
         self._k = self.slots - 1
         self._counts = np.bincount(self._k, minlength=n)
         self._tied = bool(self._counts.max() > 1)
+
+    @property
+    def fft_size(self) -> int:
+        """Padded length of the FFT branch: n + r slots keep the circular
+        wrap out."""
+        return fft_length(self._k.size + self._table.size - 1)
 
     @functools.cached_property
     def empty(self) -> np.ndarray:
@@ -130,7 +150,7 @@ class LatticeSmoother:
             for c in range(real.shape[1]):
                 out[:, c] = np.convolve(binned[:, c], self._taps)[k + r]
         else:
-            size = 1 << (n + r - 1).bit_length()  # n + r slots keep the circular wrap out
+            size = self.fft_size
             circ = np.zeros(size)
             circ[: r + 1] = self._taps[r:]
             circ[size - r:] = self._taps[:r]

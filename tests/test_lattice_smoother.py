@@ -22,7 +22,7 @@ from sicheck import (
     rank_transform,
 )
 from sicheck.simulate import apply_check
-from sicheck.smoother import DIRECT_MAX_TAPS, LatticeSmoother
+from sicheck.smoother import DIRECT_MAX_TAPS, LatticeSmoother, fft_length
 
 RADIUS = DIRECT_MAX_TAPS // 2  # widest window |d| <= RADIUS the direct branch takes
 
@@ -92,6 +92,15 @@ def test_lattice_matches_dense_narrow_windows(case, kind):
 @given(case=lattice_cases("fft"))
 def test_lattice_matches_dense_wide_windows(case, kind):
     _check_case(case, kind, "fft")
+
+
+def test_fft_length_is_smallest_5_smooth_at_least_k():
+    smooth = sorted(
+        2**a * 3**b * 5**c for a in range(15) for b in range(10) for c in range(7)
+        if 2**a * 3**b * 5**c <= 10_000
+    )
+    for k in range(1, 5001):
+        assert fft_length(k) == next(v for v in smooth if v >= k)
 
 
 @pytest.mark.parametrize("kind", ["vector", "stack", "complex"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from sicheck import (
     omnibus_test,
     standardize_columns,
 )
+from sicheck import omnibus
 from sicheck.omnibus import SUP_INTERIOR_MARGIN
 from sicheck.smoother import residual_core
 
@@ -24,7 +27,7 @@ from helpers import brute_cf, brute_multiplier_sup, brute_residuals, brute_smoot
 
 def pipeline_data(rng, n=40, p=2):
     x = rng.standard_normal((n, p))
-    y = (x @ np.array([1.0, -1.0]) / np.sqrt(2)) ** 3 + rng.standard_normal(n)
+    y = (x @ np.resize([1.0, -1.0], p) / np.sqrt(p)) ** 3 + rng.standard_normal(n)
     data = Dataset(x=x, y=y)
     return data, fit_index_ols(data)
 
@@ -128,20 +131,76 @@ def test_sup_statistic_origin_grid(rng):
     assert rep.t_tilde == pytest.approx(expected, rel=1e-12)
 
 
+def _sorted_rows(pts):
+    return pts[np.lexsort(pts.T)]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [gamma_grid(p) for p in (1, 2, 3, 4, 5)]
+    + [GammaGrid(points=np.array([[0.0, 0.0], [1.0, -2.0], [-1.0, 2.0], [0.0, -0.5],
+                                  [0.0, 0.5], [-3.0, 0.0], [3.0, 0.0]]),
+                 bound=3.0, per_axis=3)],
+    ids=["p1", "p2", "p3", "p4", "p5-halton", "hand-built"],
+)
+def test_half_points_pair_every_frequency_with_its_negation(grid):
+    # the p = 5 Halton grid holds 0.0 in half its pairs and -0.0 in the other
+    half = grid.half_points
+    assert 2 * half.shape[0] - 1 == grid.size
+    origin = np.all(half == 0.0, axis=1)
+    assert origin.sum() == 1
+    both = np.vstack([half, -half[~origin]])
+    assert np.array_equal(_sorted_rows(both), _sorted_rows(grid.points))
+
+
 def test_sup_statistic_half_grid_lossless(rng):
-    # T(-gamma) is the conjugate of T(gamma), so half the grid attains the sup
-    data, fit = pipeline_data(rng)
+    # the sup and every replicate sup over the full grid, from the library
+    # smoother, against omnibus_test, which evaluates half the grid
+    data, fit = pipeline_data(rng, n=200, p=3)
     cfg = SmootherConfig(h=0.1)
-    grid = gamma_grid(2)
-    full = omnibus_test(data, fit, cfg, BootstrapConfig(m=100), grid).t_tilde
-    pts = grid.points
-    first_axis = pts[:, 0] + 1e-9 * pts[:, 1]  # lexicographic sign
-    half = pts[first_axis >= 0.0]
+    boot = BootstrapConfig(m=100, seed=4)
+    grid = gamma_grid(3)
+    rep = omnibus_test(data, fit, cfg, boot, grid)
     core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
-    w = np.exp(1j * (standardize_columns(data.x) @ half.T))
     eps = core.eps[core.keep]
-    vals = np.abs(eps @ core.centered(w)) / np.sqrt(eps.size)
-    assert float(vals.max()) == pytest.approx(full, rel=1e-12)
+    summands = eps[:, None] * core.centered(np.exp(1j * (standardize_columns(data.x) @ grid.points.T)))
+    scale = np.sqrt(eps.size)
+    assert rep.t_tilde == pytest.approx(np.abs(summands.sum(axis=0)).max() / scale, rel=1e-12)
+    reps = [
+        np.abs(np.random.default_rng([4, r]).standard_normal(eps.size) @ summands).max() / scale
+        for r in range(boot.m)
+    ]
+    assert rep.critical_value == pytest.approx(bootstrap_critical_value(reps, 0.05), rel=1e-12)
+    assert rep.p_value == (1 + sum(v >= rep.t_tilde for v in reps)) / (boot.m + 1)
+
+
+def test_one_column_chunks_match_one_chunk(rng, monkeypatch):
+    data, fit = pipeline_data(rng, n=300, p=3)
+    args = (data, fit, SmootherConfig(h=0.1), BootstrapConfig(m=200, seed=8))
+    whole = omnibus_test(*args)
+    monkeypatch.setattr(omnibus, "CHUNK_BYTES", 1)
+    split = omnibus_test(*args)
+    assert split.t_tilde == pytest.approx(whole.t_tilde, rel=1e-12)
+    assert split.critical_value == pytest.approx(whole.critical_value, rel=1e-12)
+    assert (split.p_value, split.reject) == (whole.p_value, whole.reject)
+    assert split.diagnostics == whole.diagnostics
+
+
+def test_dense_p4_grid_memory_is_bounded():
+    # the full 10^4 x 2401 complex frequency stack alone would be 384 MB
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((10_000, 4))
+    data = Dataset(x=x, y=np.sin(x.sum(axis=1)) + rng.standard_normal(10_000))
+    fit = fit_index_ols(data)
+    tracemalloc.start()
+    try:
+        rep = omnibus_test(data, fit, SmootherConfig(h=0.05), BootstrapConfig(m=100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.grid["size"] == 2401
+    assert np.isfinite(rep.p_value)
+    assert peak < 256 * 2**20
 
 
 def test_sup_bounded_by_absolute_residual_sum(rng):
