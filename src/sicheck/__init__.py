@@ -54,10 +54,6 @@ from .simulate import (
     bump_mean,
     cubic_mean,
     default_beta,
-    gen_binary,
-    gen_bump,
-    gen_continuous,
-    gen_interaction,
     generate,
     interaction_mean,
     monte_carlo,
@@ -108,10 +104,6 @@ __all__ = [
     "fit_from_direction",
     "fit_index_ols",
     "gamma_grid",
-    "gen_binary",
-    "gen_bump",
-    "gen_continuous",
-    "gen_interaction",
     "generate",
     "interaction_mean",
     "interior_mask",

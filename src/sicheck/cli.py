@@ -69,9 +69,9 @@ class RunConfig:
     input_path: str
     alpha: float = 0.05
     h: float | None = None  # None means the data-driven selector
-    grid_bound: float = 3.0
-    grid_per_axis: int = 7
-    boot_m: int = 500
+    grid_bound: float = OmnibusCheck.grid_bound
+    grid_per_axis: int = OmnibusCheck.grid_per_axis
+    boot_m: int = OmnibusCheck.boot_m
     seed: int = 0
     check: object = field(init=False, repr=False, compare=False)
 
@@ -154,9 +154,9 @@ def _parse_batch_entry(entry: dict):
         test,
         weights,
         h=float(entry["h"]) if "h" in entry else None,
-        boot_m=int(entry.get("boot_m", 500)),
-        grid_bound=float(entry.get("grid_bound", 3.0)),
-        grid_per_axis=int(entry.get("grid_per_axis", 7)),
+        boot_m=int(entry.get("boot_m", OmnibusCheck.boot_m)),
+        grid_bound=float(entry.get("grid_bound", OmnibusCheck.grid_bound)),
+        grid_per_axis=int(entry.get("grid_per_axis", OmnibusCheck.grid_per_axis)),
     )
     reps = int(entry.get("reps", 100))
     alpha = float(entry.get("alpha", 0.05))
@@ -244,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--h", default="auto",
         help="bandwidth: 'auto' for the data-driven selector or a fixed value",
     )
-    check.add_argument("--grid-bound", type=float, default=3.0)
-    check.add_argument("--grid-per-axis", type=int, default=7)
-    check.add_argument("--boot-m", type=int, default=500)
+    check.add_argument("--grid-bound", type=float, default=OmnibusCheck.grid_bound)
+    check.add_argument("--grid-per-axis", type=int, default=OmnibusCheck.grid_per_axis)
+    check.add_argument("--boot-m", type=int, default=OmnibusCheck.boot_m)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--out", help="write the JSON report here instead of stdout")
 

@@ -3,10 +3,13 @@
 Four generator families, each indexed by a departure size c (the null
 model holds exactly when c = 0):
 
-    cubic        y = (b'x)^3 + c sum|x_l| + e,        x ~ N(0, I), e ~ N(0, 1)
+    cubic        y = (b'x)^3 + c sum|x_l| + e
     binary       y ~ Bernoulli(pi), pi = logistic(-b'x + c sum|x_l|)
     interaction  y = (b'x)^3 + c1|x1 x2| + c2|x1 x3| + c3|x2 x3| + e   (p = 3)
     bump         y = x1 + x2 + 4 exp(-(x1+x2)^2) + c sqrt(x1^2+x2^2) + e   (p = 2)
+
+with x ~ N(0, I) and e ~ N(0, sigma_eps^2) independent of x; the binary
+model has no additive noise and refuses a sigma_eps other than 1.
 
 The harness generates each replicate and runs ``apply_check`` on it (fit
 the direction, pick the bandwidth, run the test), the same pipeline that
@@ -71,6 +74,8 @@ class Scenario:
             raise ConfigError("bump model requires p = 2")
         if not self.sigma_eps > 0:
             raise ConfigError(f"noise scale must be positive, got {self.sigma_eps}")
+        if self.model is ModelKind.BINARY and self.sigma_eps != 1.0:
+            raise ConfigError("binary model has no additive noise; sigma_eps does not apply")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.model is ModelKind.BUMP:
@@ -133,76 +138,27 @@ def bump_mean(x, c: float) -> np.ndarray:
     return t + 4.0 * np.exp(-(t**2)) + c * np.sqrt((x**2).sum(axis=1))
 
 
-def _rng_for(scn: Scenario, rng) -> np.random.Generator:
-    return rng if rng is not None else np.random.default_rng(scn.seed)
-
-
-def gen_continuous(scn: Scenario, *, rng=None, zero_noise: bool = False) -> Dataset:
-    """Cubic-link model with an absolute-sum departure of size c."""
-    if scn.model is not ModelKind.CUBIC:
-        raise ConfigError(f"scenario model is {scn.model.value}, not cubic")
-    rng = _rng_for(scn, rng)
-    x = rng.standard_normal((scn.n, scn.p))
-    y = cubic_mean(x, scn.beta_vec, scn.c)
-    if not zero_noise:
-        y = y + rng.standard_normal(scn.n)
-    return Dataset(x=x, y=y)
-
-
-def gen_binary(scn: Scenario, *, rng=None, zero_noise: bool = False) -> Dataset:
-    """Logistic binary-response model; zero_noise returns the conditional
-    success probability as the response (the e = 0 analogue)."""
-    if scn.model is not ModelKind.BINARY:
-        raise ConfigError(f"scenario model is {scn.model.value}, not binary")
-    rng = _rng_for(scn, rng)
-    x = rng.standard_normal((scn.n, scn.p))
-    pi = binary_success_prob(x, scn.beta_vec, scn.c)
-    if zero_noise:
-        return Dataset(x=x, y=pi)
-    y = (rng.random(scn.n) < pi).astype(float)
-    return Dataset(x=x, y=y)
-
-
-def gen_interaction(scn: Scenario, *, rng=None, zero_noise: bool = False) -> Dataset:
-    """Cubic-link model with pairwise interaction departures (p = 3)."""
-    if scn.model is not ModelKind.INTERACTION:
-        raise ConfigError(f"scenario model is {scn.model.value}, not interaction")
-    rng = _rng_for(scn, rng)
-    x = rng.standard_normal((scn.n, 3))
-    y = interaction_mean(x, scn.beta_vec, scn.c_triple)
-    if not zero_noise:
-        y = y + rng.standard_normal(scn.n)
-    return Dataset(x=x, y=y)
-
-
-def gen_bump(scn: Scenario, *, rng=None, zero_noise: bool = False) -> Dataset:
-    """Linear link with a Gaussian bump and a radial departure (p = 2)."""
-    if scn.model is not ModelKind.BUMP:
-        raise ConfigError(f"scenario model is {scn.model.value}, not bump")
-    rng = _rng_for(scn, rng)
-    x = rng.standard_normal((scn.n, 2))
-    y = bump_mean(x, scn.c)
-    if not zero_noise:
-        y = y + scn.sigma_eps * rng.standard_normal(scn.n)
-    return Dataset(x=x, y=y)
-
-
-_GENERATORS = {
-    ModelKind.CUBIC: gen_continuous,
-    ModelKind.BINARY: gen_binary,
-    ModelKind.INTERACTION: gen_interaction,
-    ModelKind.BUMP: gen_bump,
-}
-
-
 def generate(scn: Scenario, *, rng=None, zero_noise: bool = False) -> Dataset:
-    """Dispatch to the scenario's generator; deterministic given the seed."""
-    return _GENERATORS[scn.model](scn, rng=rng, zero_noise=zero_noise)
+    """Draw x ~ N(0, I), then the response; deterministic given the seed.
 
-
-def _validate_h(h: float | None) -> None:
-    if h is not None and not 0.0 < h <= 1.0:
-        raise ConfigError(f"fixed bandwidth must lie in (0, 1], got {h}")
+    ``rng`` defaults to ``default_rng(scn.seed)``.  ``zero_noise`` returns
+    the model's mean as the response: the success probability for binary.
+    """
+    rng = rng if rng is not None else np.random.default_rng(scn.seed)
+    x = rng.standard_normal((scn.n, scn.p))
+    if scn.model is ModelKind.CUBIC:
+        mean = cubic_mean(x, scn.beta_vec, scn.c)
+    elif scn.model is ModelKind.BINARY:
+        mean = binary_success_prob(x, scn.beta_vec, scn.c)
+    elif scn.model is ModelKind.INTERACTION:
+        mean = interaction_mean(x, scn.beta_vec, scn.c_triple)
+    else:
+        mean = bump_mean(x, scn.c)
+    if zero_noise:
+        return Dataset(x=x, y=mean)
+    if scn.model is ModelKind.BINARY:
+        return Dataset(x=x, y=(rng.random(scn.n) < mean).astype(float))
+    return Dataset(x=x, y=mean + scn.sigma_eps * rng.standard_normal(scn.n))
 
 
 @dataclass(frozen=True)
@@ -217,7 +173,8 @@ class ScoreCheck:
     h: float | None = None
 
     def __post_init__(self):
-        _validate_h(self.h)
+        if self.h is not None:
+            SmootherConfig(h=self.h)  # raises outside (0, 1]
 
     @property
     def label(self) -> str:
@@ -235,7 +192,8 @@ class MaximinCheck:
         object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights:
             raise ConfigError("maximin check needs at least one weight")
-        _validate_h(self.h)
+        if self.h is not None:
+            SmootherConfig(h=self.h)  # raises outside (0, 1]
 
     @property
     def label(self) -> str:
@@ -252,7 +210,8 @@ class OmnibusCheck:
     h: float | None = None
 
     def __post_init__(self):
-        _validate_h(self.h)
+        if self.h is not None:
+            SmootherConfig(h=self.h)  # raises outside (0, 1]
         BootstrapConfig(m=self.boot_m)  # raises on a replicate count below 100
         gamma_grid(1, self.grid_bound, self.grid_per_axis)  # raises on bad grid values
 

@@ -243,6 +243,18 @@ def test_main_simulate_rejects_unknown_key(tmp_path, capsys, misspelt):
     assert not out.exists()
 
 
+def test_main_simulate_rejects_binary_noise_scale(tmp_path, capsys):
+    line = {"model": "binary", "n": 40, "p": 2, "seed": 5, "test": "score", "reps": 2}
+    batch = tmp_path / "bad.jsonl"
+    batch.write_text(json.dumps(line) + "\n" + json.dumps(dict(line, sigma_eps=2)) + "\n")
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--batch", str(batch), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2" in err and "sigma_eps" in err
+    assert not out.exists()
+
+
 def test_run_simulation_rows_record_fixed_values(tmp_path):
     base = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "reps": 2}
     lines = [

@@ -13,10 +13,6 @@ from sicheck import (
     bump_mean,
     cubic_mean,
     default_beta,
-    gen_binary,
-    gen_bump,
-    gen_continuous,
-    gen_interaction,
     generate,
     interaction_mean,
     monte_carlo,
@@ -44,6 +40,9 @@ def test_scenario_validation():
         Scenario(model=ModelKind.BUMP, n=50, p=2, beta=(1.0, 0.0))
     with pytest.raises(ConfigError):
         Scenario(model=ModelKind.BUMP, n=50, p=2, sigma_eps=0.0)
+    with pytest.raises(ConfigError, match="sigma_eps"):
+        Scenario(model=ModelKind.BINARY, n=50, p=2, sigma_eps=2.0)
+    Scenario(model=ModelKind.BINARY, n=50, p=2, sigma_eps=1.0)
 
 
 def test_generate_deterministic():
@@ -56,27 +55,27 @@ def test_generate_deterministic():
 
 def test_cubic_zero_noise_hook():
     scn = Scenario(model=ModelKind.CUBIC, n=25, p=2, c=0.0, seed=3)
-    data = gen_continuous(scn, zero_noise=True)
+    data = generate(scn, zero_noise=True)
     proj = data.x @ scn.beta_vec
     assert data.y == pytest.approx(proj**3)
 
 
 def test_cubic_projection_variance_unit():
     scn = Scenario(model=ModelKind.CUBIC, n=5000, p=2, c=0.0, seed=11)
-    data = gen_continuous(scn)
+    data = generate(scn)
     proj = data.x @ scn.beta_vec
     assert abs(proj.var() - 1.0) < 0.06
 
 
 def test_cubic_mean_of_response_near_zero():
     scn = Scenario(model=ModelKind.CUBIC, n=10000, p=2, c=0.0, seed=13)
-    data = gen_continuous(scn)
+    data = generate(scn)
     assert abs(data.y.mean()) < 4 / np.sqrt(10000) * np.sqrt(16.0)
 
 
 def test_binary_values_and_probability():
     scn = Scenario(model=ModelKind.BINARY, n=2000, p=2, c=0.0, seed=5)
-    data = gen_binary(scn)
+    data = generate(scn)
     assert set(np.unique(data.y)) <= {0.0, 1.0}
     # origin covariates give success probability one half
     assert binary_success_prob(np.zeros((1, 2)), scn.beta_vec, 0.0)[0] == pytest.approx(0.5)
@@ -84,22 +83,22 @@ def test_binary_values_and_probability():
 
 def test_binary_matches_conditional_probability():
     scn = Scenario(model=ModelKind.BINARY, n=10000, p=2, c=0.5, seed=7)
-    data = gen_binary(scn)
+    data = generate(scn)
     pi = binary_success_prob(data.x, scn.beta_vec, scn.c)
     assert abs(data.y.mean() - pi.mean()) < 0.02
 
 
 def test_binary_zero_noise_returns_probability():
     scn = Scenario(model=ModelKind.BINARY, n=50, p=2, c=0.0, seed=9)
-    data = gen_binary(scn, zero_noise=True)
+    data = generate(scn, zero_noise=True)
     assert data.y == pytest.approx(binary_success_prob(data.x, scn.beta_vec, 0.0))
 
 
 def test_interaction_reduces_to_cubic():
     scn_i = Scenario(model=ModelKind.INTERACTION, n=40, p=3, c=0.0, seed=21)
     scn_c = Scenario(model=ModelKind.CUBIC, n=40, p=3, c=0.0, seed=21)
-    a = gen_interaction(scn_i, zero_noise=True)
-    b = gen_continuous(scn_c, zero_noise=True)
+    a = generate(scn_i, zero_noise=True)
+    b = generate(scn_c, zero_noise=True)
     assert np.array_equal(a.x, b.x)
     assert a.y == pytest.approx(b.y)
 
@@ -135,15 +134,37 @@ def test_bump_is_single_index_at_null():
 
 def test_bump_noise_scale():
     scn = Scenario(model=ModelKind.BUMP, n=20000, p=2, c=0.0, sigma_eps=0.3, seed=17)
-    data = gen_bump(scn)
+    data = generate(scn)
     noise = data.y - bump_mean(data.x, 0.0)
     assert abs(noise.std() - 0.3) < 0.01
 
 
-def test_generator_model_mismatch():
-    scn = Scenario(model=ModelKind.CUBIC, n=20, p=2)
-    with pytest.raises(ConfigError):
-        gen_binary(scn)
+@pytest.mark.parametrize("model, p, mean", [
+    (ModelKind.CUBIC, 2, lambda x, s: cubic_mean(x, s.beta_vec, s.c)),
+    (ModelKind.INTERACTION, 3, lambda x, s: interaction_mean(x, s.beta_vec, s.c_triple)),
+    (ModelKind.BUMP, 2, lambda x, s: bump_mean(x, s.c)),
+], ids=["cubic", "interaction", "bump"])
+@pytest.mark.parametrize("seed", [0, 19])
+def test_generate_stream_contract(model, p, mean, seed):
+    # x first, then the noise scaled by sigma_eps, from default_rng(seed)
+    scn = Scenario(model=model, n=40, p=p, c=0.7, sigma_eps=0.3, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((40, p))
+    z = rng.standard_normal(40)
+    data = generate(scn)
+    assert np.array_equal(data.x, x)
+    assert np.array_equal(data.y, mean(x, scn) + 0.3 * z)
+
+
+@pytest.mark.parametrize("seed", [0, 19])
+def test_generate_stream_contract_binary(seed):
+    scn = Scenario(model=ModelKind.BINARY, n=40, p=2, c=0.7, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((40, 2))
+    u = rng.random(40)
+    data = generate(scn)
+    assert np.array_equal(data.x, x)
+    assert np.array_equal(data.y, (u < binary_success_prob(x, scn.beta_vec, 0.7)).astype(float))
 
 
 def test_cubic_mean_helper(rng):

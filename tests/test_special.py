@@ -10,8 +10,6 @@ from sicheck.special import (
     chisq_sf,
     normal_cdf,
     normal_two_sided_p,
-    reg_gamma_p,
-    reg_gamma_q,
 )
 
 from helpers import chisq_cdf_quadrature, normal_cdf_quadrature, simpson
@@ -111,14 +109,12 @@ def test_chisq_edge_values():
         chisq_quantile(1.2, 2)
 
 
-def test_reg_gamma_complement():
-    for a in (0.5, 1.0, 2.5, 10.0):
-        for x in (0.1, 1.0, 4.0, 20.0):
-            assert reg_gamma_p(a, x) + reg_gamma_q(a, x) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_reg_gamma_domain():
-    with pytest.raises(ConfigError):
-        reg_gamma_p(0.0, 1.0)
-    with pytest.raises(ConfigError):
-        reg_gamma_q(1.0, -1.0)
+@pytest.mark.parametrize("df", range(1, 9))
+@pytest.mark.parametrize("x", [30.0, 80.0, 200.0, 600.0])
+def test_chisq_sf_relative_tail(df, x):
+    # a far tail is tiny, so an absolute tolerance would pass any value;
+    # the density beyond x + 200 adds less than e^-99 of the tail
+    const = math.log(2.0) * df / 2.0 + math.lgamma(df / 2.0)
+    density = lambda t: np.exp((df / 2.0 - 1.0) * np.log(t) - t / 2.0 - const)
+    oracle = simpson(density, x, x + 200.0, 40000)
+    assert chisq_sf(x, df) == pytest.approx(oracle, rel=1e-11, abs=0.0)
