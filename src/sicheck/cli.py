@@ -26,6 +26,7 @@ from .simulate import (
     monte_carlo,
     validate_run,
 )
+from .smoother import DEFAULT_ALPHA
 from .weights import WeightSpec
 
 _WEIGHTS = {"sumabs": WeightSpec.sum_abs, "sumsq": WeightSpec.sum_squares}
@@ -67,7 +68,7 @@ class RunConfig:
     test: str
     weights: tuple[str, ...]
     input_path: str
-    alpha: float = 0.05
+    alpha: float = DEFAULT_ALPHA
     h: float | None = None  # None means the data-driven selector
     grid_bound: float = OmnibusCheck.grid_bound
     grid_per_axis: int = OmnibusCheck.grid_per_axis
@@ -159,7 +160,7 @@ def _parse_batch_entry(entry: dict):
         grid_per_axis=int(entry.get("grid_per_axis", OmnibusCheck.grid_per_axis)),
     )
     reps = int(entry.get("reps", 100))
-    alpha = float(entry.get("alpha", 0.05))
+    alpha = float(entry.get("alpha", DEFAULT_ALPHA))
     validate_run(check, alpha, reps)
     return scn, check, reps, alpha
 
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--weight", action="append", choices=tuple(_WEIGHTS),
         help="weight function; repeat for a maximin family",
     )
-    check.add_argument("--alpha", type=float, default=0.05)
+    check.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     check.add_argument(
         "--h", default="auto",
         help="bandwidth: 'auto' for the data-driven selector or a fixed value",

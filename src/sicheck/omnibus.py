@@ -24,18 +24,21 @@ grid convention.
 
 Evaluation.  Replicate r draws its multipliers from its own stream
 ``default_rng([seed, r])``; the m draws form the rows of one (m, n_int)
-matrix E, and every replicate of a block of frequencies comes out of one
-matrix product with E (the multiplier-bootstrap maxima of Chernozhukov,
-Chetverikov and Kato, 2013).  Only one frequency of each +/-gamma pair is
-evaluated, plus the origin: the residuals, the multipliers and the
-smoothing weights are real, so the summands at -gamma are the complex
-conjugates of those at gamma and T(-gamma), T_r(-gamma) have the same
-modulus as T(gamma), T_r(gamma).  The sup over half the grid is the sup
-over all of it.  The half grid is walked in blocks of columns sized so
-that a block's complex weights, their FFT workspace and their replicate
-products fit in CHUNK_BYTES, keeping a running max of the statistic and
-of each replicate.  Memory is then 8 m n_int bytes for E plus
-CHUNK_BYTES, whatever the grid size.
+matrix E.  The m streams are seeded in one vectorised pass: NumPy's
+``SeedSequence`` hash runs over arrays holding every r at once, and each
+stream's PCG64 is seeded from its row of words, so E is bit for bit what
+the m ``default_rng`` calls would draw.  Every replicate of a block of
+frequencies comes out of one matrix product with E (the
+multiplier-bootstrap maxima of Chernozhukov, Chetverikov and Kato, 2013).
+Only one frequency of each +/-gamma pair is evaluated, plus the origin:
+the residuals, the multipliers and the smoothing weights are real, so the
+summands at -gamma are the complex conjugates of those at gamma and
+T(-gamma), T_r(-gamma) have the same modulus as T(gamma), T_r(gamma).
+The sup over half the grid is the sup over all of it.  The half grid is
+walked in blocks of columns sized so that a block's complex weights, their
+FFT workspace and their replicate products fit in CHUNK_BYTES, keeping a
+running max of the statistic and of each replicate.  Memory is then
+8 m n_int bytes for E plus CHUNK_BYTES, whatever the grid size.
 """
 
 from __future__ import annotations
@@ -48,11 +51,17 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError, DataError
 from .index import IndexFit
-from .smoother import SmootherConfig, residual_core
+from .smoother import DEFAULT_ALPHA, SmootherConfig, residual_core
 
 #: Largest dense frequency grid; beyond this the grid falls back to
 #: quasi-random symmetric points.
 MAX_DENSE_POINTS = 2401
+
+#: Default frequency box [-bound, bound]^p, points per axis and bootstrap
+#: replicate count.
+DEFAULT_GRID_BOUND = 3.0
+DEFAULT_GRID_PER_AXIS = 7
+DEFAULT_BOOT_M = 500
 
 #: Interior margin for the sup statistic, in units of the bandwidth.
 SUP_INTERIOR_MARGIN = 3.0
@@ -60,6 +69,14 @@ SUP_INTERIOR_MARGIN = 3.0
 #: Bytes one block of frequency columns may hold: its complex weights, their
 #: FFT workspace and the replicate products.
 CHUNK_BYTES = 64 << 20
+
+#: NumPy's ``SeedSequence`` constants: the entropy pool size in 32-bit
+#: words and the hash and mix multipliers (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
            61, 67, 71, 73, 79, 83, 89, 97)
@@ -123,7 +140,9 @@ def _halton(index: int, base: int) -> float:
     return r
 
 
-def gamma_grid(p: int, bound: float = 3.0, per_axis: int = 7) -> GammaGrid:
+def gamma_grid(
+    p: int, bound: float = DEFAULT_GRID_BOUND, per_axis: int = DEFAULT_GRID_PER_AXIS
+) -> GammaGrid:
     """Default frequency grid on [-bound, bound]^p.
 
     The axis holds the origin plus floor(per_axis / 2) equispaced points
@@ -158,13 +177,15 @@ def gamma_grid(p: int, bound: float = 3.0, per_axis: int = 7) -> GammaGrid:
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    m: int = 500
-    alpha: float = 0.05
+    m: int = DEFAULT_BOOT_M
+    alpha: float = DEFAULT_ALPHA
     seed: int = 0
 
     def __post_init__(self):
         if self.m < 100:
             raise ConfigError(f"bootstrap needs at least 100 replicates, got {self.m}")
+        if self.m > 2**32:  # replicate r seeds its stream with one 32-bit word
+            raise ConfigError(f"bootstrap takes at most 2^32 replicates, got {self.m}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.m * self.alpha < 1.0:
@@ -246,6 +267,66 @@ def bootstrap_critical_value(replicate_values, alpha: float) -> float:
     return float(values[k - 1])
 
 
+def _multipliers(seed: int, m: int, n_int: int) -> np.ndarray:
+    """Rows r = 0..m-1 of ``default_rng([seed, r]).standard_normal(n_int)``,
+    bit for bit, as one (m, n_int) matrix.
+
+    Building m ``SeedSequence`` objects costs more than drawing from them:
+    NumPy exposes its seed hash one Python object per stream.  This runs the
+    same published algorithm (hash the entropy words [seed words..., r] into
+    a pool of four, mix the pool, hash it out to four 64-bit words) over
+    uint32 arrays holding every r at once; a test pins it bit for bit to
+    NumPy.  The seed takes at most two words and r one, so the entropy never
+    overflows the pool.  PCG64's own code then seeds each stream from its
+    words.
+    """
+    # numpy.random loads on first use here, which keeps ``import sicheck`` light
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    seed, const = int(seed), _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    entropy = [np.full(m, seed >> shift & _MASK32, dtype=np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(m, dtype=np.uint32))
+    entropy += [np.zeros(m, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    words = np.empty((m, 2 * _POOL_SIZE), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        words[:, i] = value ^ (value >> np.uint32(16))
+    words = words.astype("<u4").view("<u8").astype(np.uint64)  # (m, 4)
+    e = np.empty((m, n_int))
+    for r in range(m):
+        Generator(PCG64(PresetWords(words[r]))).standard_normal(out=e[r])
+    return e
+
+
 def omnibus_test(
     data: Dataset,
     fit: IndexFit,
@@ -284,9 +365,7 @@ def omnibus_test(
         summands *= eps[:, None]
         t_max = max(t_max, float(np.abs(summands.sum(axis=0)).max()))
         if e is None:  # drawn once the first block's FFT workspace is freed
-            e = np.empty((boot.m, n_int))
-            for r in range(boot.m):
-                np.random.default_rng([boot.seed, r]).standard_normal(out=e[r])
+            e = _multipliers(boot.seed, boot.m, n_int)
         prod = e @ summands.view(float)  # real and imaginary parts interleaved
         np.maximum(reps, np.hypot(prod[:, 0::2], prod[:, 1::2]).max(axis=1), out=reps)
     scale = math.sqrt(n_int)

@@ -37,7 +37,7 @@ from .exceptions import (
     NearSingularCovarianceError,
 )
 from .index import IndexFit
-from .smoother import ResidualCore, SmootherConfig, residual_core
+from .smoother import DEFAULT_ALPHA, ResidualCore, SmootherConfig, residual_core
 from .special import chisq_quantile, chisq_sf, normal_two_sided_p
 from .weights import WeightSpec
 
@@ -174,7 +174,7 @@ def standardized_test(
     fit: IndexFit,
     weight: WeightSpec,
     cfg: SmootherConfig,
-    alpha: float = 0.05,
+    alpha: float = DEFAULT_ALPHA,
 ) -> ScoreReport:
     """Two-sided standardized score test against the normal quantiles: the
     d = 1 case of the maximin test."""
@@ -217,7 +217,7 @@ def maximin_test(
     fit: IndexFit,
     weights,
     cfg: SmootherConfig,
-    alpha: float = 0.05,
+    alpha: float = DEFAULT_ALPHA,
 ) -> MaximinReport:
     """Chi-square test on the vector of score statistics for d weights."""
     if not 0.0 < alpha < 1.0:

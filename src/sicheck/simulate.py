@@ -31,9 +31,16 @@ from .bandwidth import select_bandwidth
 from .dataset import Dataset
 from .exceptions import ConfigError
 from .index import fit_index_ols
-from .omnibus import BootstrapConfig, gamma_grid, omnibus_test
+from .omnibus import (
+    DEFAULT_BOOT_M,
+    DEFAULT_GRID_BOUND,
+    DEFAULT_GRID_PER_AXIS,
+    BootstrapConfig,
+    gamma_grid,
+    omnibus_test,
+)
 from .score_test import maximin_test, standardized_test
-from .smoother import SmootherConfig
+from .smoother import DEFAULT_ALPHA, SmootherConfig
 from .weights import WeightSpec
 
 
@@ -204,9 +211,9 @@ class MaximinCheck:
 class OmnibusCheck:
     """Run the bootstrap-calibrated sup-statistic test."""
 
-    boot_m: int = 500
-    grid_bound: float = 3.0
-    grid_per_axis: int = 7
+    boot_m: int = DEFAULT_BOOT_M
+    grid_bound: float = DEFAULT_GRID_BOUND
+    grid_per_axis: int = DEFAULT_GRID_PER_AXIS
     h: float | None = None
 
     def __post_init__(self):
@@ -291,7 +298,7 @@ def _replicate_reject(scn: Scenario, check, alpha: float, r: int) -> bool:
 
 
 def monte_carlo(
-    scn: Scenario, check, reps: int, alpha: float = 0.05, threads: int = 1
+    scn: Scenario, check, reps: int, alpha: float = DEFAULT_ALPHA, threads: int = 1
 ) -> MCResult:
     """Rejection rate of a check over seeded replicates.
 

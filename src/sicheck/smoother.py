@@ -221,6 +221,9 @@ def smoothed_weights(w_values, fit: IndexFit, cfg: SmootherConfig) -> np.ndarray
     return LatticeSmoother(fit.slots, cfg.h).smooth(w_values)
 
 
+#: Default level of the score, maximin and omnibus tests.
+DEFAULT_ALPHA = 0.05
+
 #: Smallest interior subsample a test statistic may run on; below this the
 #: interior restriction is abandoned and all observations enter the sums.
 MIN_INTERIOR = 5

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sicheck import (
     ConfigError,
+    DataError,
     Dataset,
+    IndexFit,
     default_bandwidth_grid,
     fit_from_direction,
     mise,
+    rank_transform,
     select_bandwidth,
 )
+from sicheck import bandwidth
+from sicheck.bandwidth import mise_curve
+from sicheck.smoother import LatticeSmoother
 
 from helpers import brute_residuals
 
@@ -117,3 +124,79 @@ def test_mise_is_continuous_in_h(rng):
     for h in np.linspace(0.2, 0.95, 12):
         a, b = mise(data, fit, w, h), mise(data, fit, w, h + delta)
         assert abs(a - b) < 0.02 * (1.0 + abs(a))
+
+
+def _mise_by_smoother(data, fit, w, h):
+    resid = data.y - LatticeSmoother(fit.slots, h).smooth(data.y)
+    return float(np.sum(resid**2 * w**2))
+
+
+@st.composite
+def search_cases(draw):
+    """Data whose ranks tie when the projections are rounded, weights, and
+    a grid of free bandwidths, bandwidths with n h a whole number of slots,
+    windows narrower than one slot (every window empty) and, for n <= 243,
+    the default grid capped at h = 1."""
+    n = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.standard_normal(n)
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    if decimals is not None:
+        t = np.round(t, decimals)
+    data = Dataset(x=t[:, None], y=rng.uniform(-10.0, 10.0, n))
+    fit = IndexFit(beta_hat=np.array([1.0]), projections=t, ranks_u=rank_transform(t))
+    grid = draw(st.lists(st.floats(1.0 / (4 * n), 1.0), min_size=1, max_size=8))
+    grid += [d / n for d in draw(st.lists(st.integers(1, n), max_size=4))]
+    grid += draw(st.sampled_from([[], [1.0 / (2 * n)], [1.0], list(default_bandwidth_grid(n))]))
+    return data, fit, rng.uniform(0.0, 3.0, n), np.array(grid)
+
+
+@given(case=search_cases())
+def test_mise_curve_matches_per_bandwidth_smooths(case):
+    data, fit, w, grid = case
+    ref = np.array([_mise_by_smoother(data, fit, w, h) for h in grid])
+    assert mise_curve(data, fit, w, grid) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    # the search picks the reference's argmin, or a candidate that only
+    # round-off separates from it
+    curve = ref[np.argsort(grid, kind="stable")]
+    h1, _ = select_bandwidth(data, fit, w, grid=grid)
+    assert h1 in np.sort(grid)[np.isclose(curve, curve.min(), rtol=1e-12, atol=1e-12)]
+
+
+def test_mise_curve_one_row_blocks_match_one_block(monkeypatch, rng):
+    x = rng.standard_normal((300, 2))
+    data = Dataset(x=x, y=(x @ np.array([0.6, -0.8])) ** 3 + rng.standard_normal(300))
+    fit = fit_from_direction(data, np.array([0.6, -0.8]))
+    w = np.abs(x).sum(axis=1)
+    grid = rng.permutation(default_bandwidth_grid(300))
+    whole = mise_curve(data, fit, w, grid)
+    monkeypatch.setattr(bandwidth, "BLOCK_BYTES", 1)
+    rows = mise_curve(data, fit, w, grid)
+    assert rows == pytest.approx(whole, rel=1e-12, abs=1e-12)
+    assert rows == pytest.approx([_mise_by_smoother(data, fit, w, h) for h in grid], rel=1e-12)
+
+
+def test_mise_curve_empty_window_fits_exactly_zero(rng):
+    # 399 observations tied at the top rank and one alone at rank 1/n: its
+    # window is empty at both bandwidths, and with all the weight on it the
+    # MISE is exactly y^2 w^2 only if FFT round-off stays out of its fit
+    n = 400
+    t = np.ones(n)
+    t[0] = 0.0
+    y = rng.uniform(-10.0, 10.0, n)
+    y[0] = 1.0
+    data = Dataset(x=t[:, None], y=y)
+    fit = IndexFit(beta_hat=np.array([1.0]), projections=t, ranks_u=rank_transform(t))
+    w = np.zeros(n)
+    w[0] = 2.0
+    assert mise_curve(data, fit, w, [0.5, 0.01]).tolist() == [4.0, 4.0]
+
+
+def test_mise_curve_rejects_bad_inputs():
+    data, fit = triple()
+    with pytest.raises(ConfigError):
+        mise_curve(data, fit, np.ones(3), [0.5, -0.1])
+    with pytest.raises(ConfigError):
+        mise_curve(data, fit, np.ones(2), [0.5])
+    with pytest.raises(DataError):
+        mise_curve(Dataset(x=data.x[:2], y=data.y[:2]), fit, np.ones(2), [0.5])

@@ -288,3 +288,33 @@ def test_main_simulate_roundtrip(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "wrote 1 result rows" in capsys.readouterr().out
+
+
+PINNED_BATCH = """\
+{"model": "cubic", "p": 2, "c": 0.0, "test": "score", "weight": "sumabs", "n": 50, "seed": 11, "reps": 300}
+{"model": "binary", "p": 2, "c": 0.0, "test": "score", "weight": "sumabs", "n": 50, "seed": 12, "reps": 300}
+{"model": "cubic", "p": 2, "c": 0.0, "test": "omnibus", "boot_m": 500, "n": 50, "seed": 13, "reps": 100}
+{"model": "bump", "p": 2, "c": 0.5, "sigma_eps": 0.3, "test": "score", "weight": "sumabs", "n": 50, "seed": 14, "reps": 300}
+{"model": "interaction", "p": 3, "c": 1.0, "test": "maximin", "n": 50, "seed": 15, "reps": 300}
+{"model": "cubic", "p": 2, "c": 1.0, "test": "omnibus", "n": 200, "seed": 16, "reps": 50}
+"""
+
+
+def test_main_simulate_reproduces_pinned_rejection_rates(tmp_path):
+    # Rates of the reference implementation, with one MISE evaluation per
+    # bandwidth and one default_rng per bootstrap stream: a flipped
+    # bandwidth argmin or a drifted stream changes them.
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(PINNED_BATCH)
+    out = tmp_path / "mc.csv"
+    assert main(["simulate", "--batch", str(batch), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rates = [row["rejection_rate"] for row in csv.DictReader(fh)]
+    assert rates == [
+        "0.043333333333333335",
+        "0.04666666666666667",
+        "0.08",
+        "0.5066666666666667",
+        "0.85",
+        "0.98",
+    ]

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sicheck import (
     BootstrapConfig,
@@ -285,6 +286,30 @@ def test_bootstrap_config_validation():
         BootstrapConfig(m=200, alpha=1.2)
     with pytest.raises(ConfigError):
         BootstrapConfig(m=200, seed=-1)
+
+
+def test_bootstrap_config_refuses_more_streams_than_one_seed_word():
+    BootstrapConfig(m=2**32)
+    with pytest.raises(ConfigError):
+        BootstrapConfig(m=2**32 + 1)
+
+
+def _stream_rows(seed, m, n):
+    return np.stack([np.random.default_rng([seed, r]).standard_normal(n) for r in range(m)])
+
+
+@pytest.mark.parametrize("m", [1, 100, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1])
+def test_multipliers_are_the_default_rng_streams(seed, m):
+    e = omnibus._multipliers(seed, m, 5)
+    assert e.shape == (m, 5)
+    assert e.tobytes() == _stream_rows(seed, m, 5).tobytes()
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**64 - 1), m=st.sampled_from([1, 100, 1000]))
+def test_multipliers_are_the_default_rng_streams_for_any_seed(seed, m):
+    assert omnibus._multipliers(seed, m, 3).tobytes() == _stream_rows(seed, m, 3).tobytes()
 
 
 def test_standardize_columns(rng):
