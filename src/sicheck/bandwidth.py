@@ -9,26 +9,22 @@ over a grid, then undersmooth to h = h1 * n^(-2/15).  The pilot rate is
 n^(-1/5); the extra factor takes the final bandwidth to the n^(-1/3)
 order that keeps smoothing bias out of the test statistics.
 
-The search is one batched pass per block of the sorted grid, in
-``mise_curve``.  The responses are binned into the n rank slots once.  A
-block's kernel tables K(d / (n h)) are transformed together by one rfft at
-the FFT length of its widest table, multiplied by the transform of the
-binned responses and transformed back by one irfft: each row is then the
-exact lattice convolution that ``LatticeSmoother`` computes at that h.  A
-block holds at most BLOCK_BYTES of workspace, so memory stays O(n).
+The search sorts the grid and walks it in blocks of bandwidths under a
+workspace budget of BLOCK_BYTES.  ``LatticeSmoother``, built once for the
+whole grid, fits each block in one batched FFT pass, so memory stays O(n)
+and every fit is the exact lattice convolution of a single smooth.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
 from .dataset import Dataset
-from .exceptions import ConfigError, DataError, InsufficientDataError
+from .exceptions import ConfigError, DataError
 from .index import IndexFit
-from .kernels import quartic_kernel
-from .smoother import fft_length
+from .smoother import LatticeSmoother
 
 UNDERSMOOTH_EXPONENT = -2.0 / 15.0  # -1/3 + 1/5
 
@@ -44,50 +40,15 @@ def mise_curve(data: Dataset, fit: IndexFit, w_values, grid) -> np.ndarray:
     w2 = np.asarray(w_values, dtype=float) ** 2
     if w2.shape != (data.n,):
         raise ConfigError("weight values must be one per observation")
-    hs = np.asarray(grid, dtype=float)
-    bad = hs[~(hs > 0)]
-    if bad.size:
-        raise ConfigError(f"bandwidth must be positive, got {bad[0]}")
     if fit.n != data.n:
         raise DataError("index fit and dataset sizes differ")
-    n, y, k = data.n, data.y, fit.slots - 1
-    if n < 2:
-        raise InsufficientDataError("leave-one-out smoothing needs n >= 2")
-    binned = np.bincount(k, weights=y, minlength=n)
-    counts = np.bincount(k, minlength=n)
-    # tied slots: their other members sit at distance 0
-    tied = quartic_kernel(0.0) * (binned[k] - y) if counts.max() > 1 else None
-    # a window |d| <= r at least as wide as the widest gap between occupied
-    # slots holds another observation, so only narrower ones can be empty
-    widest = int(np.diff(np.flatnonzero(counts)).max(initial=0))
+    hs = np.asarray(grid, dtype=float)
     by_h = np.argsort(hs, kind="stable")
-    hs = hs[by_h]
-    r_top = min(math.ceil(n * hs[-1]), n) - 1 if hs.size else 0
-    rows = max(1, BLOCK_BYTES // (48 * (n + r_top)))
+    smoother = LatticeSmoother(fit.slots, hs[by_h])
+    rows = max(1, BLOCK_BYTES // (48 * (data.n + int(smoother.radius[-1]))))
     curve = np.empty(hs.size)
-    for lo in range(0, hs.size, rows):
-        h = hs[lo:lo + rows]
-        nh = n * h
-        # K(d / (n h)) for d = 0..r, r < n, as LatticeSmoother keeps them (K > 0)
-        table = quartic_kernel(np.arange(min(math.ceil(nh[-1]), n)) / nh[:, None])
-        r = np.count_nonzero(table, axis=1) - 1
-        top = int(r[-1])
-        table = table[:, : top + 1]
-        size = fft_length(n + top)
-        circ = np.zeros((h.size, size))
-        circ[:, 1 : top + 1] = table[:, 1:]
-        circ[:, size - top:] = table[:, :0:-1]
-        spectrum = np.fft.rfft(circ, axis=1)
-        spectrum *= np.fft.rfft(binned, size)
-        fits = np.take(np.fft.irfft(spectrum, size, axis=1), k, axis=1)
-        if r[0] < widest:  # empty windows, from integer prefix counts
-            cum = np.concatenate(([0], np.cumsum(counts)))
-            rc = r[:, None]
-            fits[cum[np.minimum(k + rc + 1, n)] - cum[np.maximum(k - rc, 0)] == 1] = 0.0
-        if tied is not None:
-            fits += tied
-        fits /= ((n - 1) * h)[:, None]
-        np.subtract(y, fits, out=fits)
+    for lo, fits in zip(range(0, hs.size, rows), smoother.blocks(data.y, rows)):
+        np.subtract(data.y, fits, out=fits)
         curve[by_h[lo:lo + rows]] = np.square(fits, out=fits) @ w2
     return curve
 
@@ -97,6 +58,7 @@ def mise(data: Dataset, fit: IndexFit, w_values, h: float) -> float:
     return float(mise_curve(data, fit, w_values, [h])[0])
 
 
+@functools.lru_cache(maxsize=64)
 def default_bandwidth_grid(n: int) -> np.ndarray:
     """30 log-spaced pilot candidates from 0.3 to 3 times the n^(-1/5)
     rate, capped at 1.
@@ -105,14 +67,16 @@ def default_bandwidth_grid(n: int) -> np.ndarray:
     scale supports.  The floor keeps kernel windows wide enough that the
     leave-one-out sums retain most of their mass; an unconstrained search
     rewards near-interpolation for steep link functions and destabilizes
-    the downstream tests.
+    the downstream tests.  The grid is cached per n and read-only.
     """
     if n < 2:
         raise ConfigError("bandwidth grid needs n >= 2")
     scale = n ** (-0.2)
     upper = min(3.0 * scale, 1.0)
     lower = min(0.3 * scale, upper)
-    return np.geomspace(lower, upper, 30)
+    grid = np.geomspace(lower, upper, 30)
+    grid.setflags(write=False)
+    return grid
 
 
 def select_bandwidth(data: Dataset, fit: IndexFit, w_values, grid=None) -> tuple[float, float]:

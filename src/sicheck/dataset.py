@@ -66,8 +66,8 @@ def load_dataset(path) -> Dataset:
             header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
-        if "y" not in header:
-            raise DataError(f"{path}: header {header} has no column named 'y'")
+        if header.count("y") != 1:
+            raise DataError(f"{path}: header {header} must name exactly one column 'y'")
         if len(header) < 2:
             raise DataError(f"{path}: no covariate columns besides 'y'")
         y_col = header.index("y")

@@ -115,7 +115,8 @@ class MaximinReport:
 
 
 def score_statistic(eps_hat, w_values) -> float:
-    """n^(-1/2) times the weighted residual sum."""
+    """n^(-1/2) times the weighted residual sum over all n observations:
+    the uncentered reference form, not the interior, centered test sum."""
     eps = np.asarray(eps_hat)
     w = np.asarray(w_values)
     if eps.ndim != 1 or eps.shape != w.shape:
@@ -126,7 +127,8 @@ def score_statistic(eps_hat, w_values) -> float:
 
 
 def variance_estimate(eps_hat, w_values, w_smoothed) -> float:
-    """Plug-in variance: mean of eps^2 (W - Wbar)^2."""
+    """Plug-in variance: mean of eps^2 (W - Wbar)^2 over all n observations,
+    the reference form; the tests average over interior observations."""
     eps = np.asarray(eps_hat)
     w = np.asarray(w_values)
     wbar = np.asarray(w_smoothed)
@@ -162,7 +164,7 @@ def maximin_statistic(t_vec, sigma_mat) -> float:
 
 def _score_vector(core: ResidualCore, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior score vector and its covariance for an (n, d) weight stack."""
-    smoothed = core.smooth(values)
+    smoothed = core.smoother.smooth(values)
     keep = core.keep
     eps = core.eps[keep]
     t_vec = (values - smoothed)[keep].T @ eps / math.sqrt(eps.size)

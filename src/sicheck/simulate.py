@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -308,6 +309,7 @@ def monte_carlo(
     validate_run(check, alpha, reps)
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
+    threads = min(threads, reps, os.cpu_count() or 1)  # never more workers than CPUs
 
     def one(r: int) -> bool:
         try:

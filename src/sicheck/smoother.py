@@ -14,9 +14,10 @@ The ranks sit on the lattice U_i = k_i / n, so every rank distance is a
 whole number of slots and the sum is an exact convolution of the values,
 binned into n integer slots, with the table K(d / (n h)), |d| < n h
 (binned kernel smoothing, Silverman 1982; Fan and Marron 1994, here with
-no binning error).  ``LatticeSmoother`` computes it in O(n log n) time and
-O(n) memory per column; no n x n matrix is built.  ``loo_matrix`` keeps the
-dense O(n^2) form as the reference the tests compare against.
+no binning error).  ``LatticeSmoother`` alone computes it, for the tests
+and the pilot search, in O(n log n) time and O(n) memory per column; no
+n x n matrix is built.  ``loo_matrix`` keeps the dense O(n^2) form as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -82,55 +83,84 @@ def fft_length(k: int) -> int:
     return best
 
 
+def kernel_table(n: int, h) -> np.ndarray:
+    """K(d / (n h)), d = 0, 1, ..., one row per bandwidth of the 1-D block
+    ``h``, each positive up to its radius and 0 beyond."""
+    return quartic_kernel(np.arange(min(math.ceil(n * h.max()), n)) / (n * h)[:, None])
+
+
 class LatticeSmoother:
-    """Leave-one-out smoothing at bandwidth ``h`` on the integer rank slots
-    k_i = n U_i of one index fit.
+    """Leave-one-out smoothing on the integer rank slots k_i = n U_i of one
+    index fit, at a bandwidth ``h`` or, one row of fits each, at every
+    bandwidth of a 1-D block ``h``.
 
     Every rank distance is a multiple of 1/n, so the smooth is an exact
     convolution on n slots: scatter the values into their slots (tied ranks
-    add up), convolve with the kernel table K(d / (n h)), |d| < n h, whose
-    centre is zeroed, gather each observation's slot and add back K(0)
-    times the tied values that share it.  Real values with a short table
-    are convolved directly, column by column, which leaves an empty window
-    exactly 0; otherwise an FFT along the slots does it, and the fits of
-    empty windows, counted from integer prefix sums of slot occupancy, are
-    set to 0.
+    add up), convolve with the table K(d / (n h)), |d| < n h, centre zeroed,
+    gather each observation's slot and add back K(0) times the tied values
+    that share it.  Real values at one bandwidth with a short table are
+    convolved directly, which leaves an empty window exactly 0; otherwise
+    one FFT serves a block, and the fits of empty windows, found from prefix
+    sums of slot occupancy unless every window spans the widest gap between
+    occupied slots, are set to 0.
     """
 
-    def __init__(self, slots, h: float):
-        if not h > 0:
-            raise ConfigError(f"bandwidth must be positive, got {h}")
-        self.slots = np.asarray(slots, dtype=np.intp)
+    def __init__(self, slots, h):
+        hs = np.asarray(h, dtype=float)
+        if not (hs.ndim <= 1 and hs.size and hs.min() > 0):
+            raise ConfigError(f"bandwidth must be positive (a number or a 1-D block), got {h}")
         self.h = h
-        n = self.slots.size
+        self._shape, self._hs = hs.shape, hs.reshape(-1)  # shape () at one bandwidth
+        self._k = np.asarray(slots, dtype=np.intp) - 1
+        n = self._k.size
         if n < 2:
             raise InsufficientDataError("leave-one-out smoothing needs n >= 2")
-        nh = n * h
-        table = quartic_kernel(np.arange(min(math.ceil(nh), n)) / nh)
-        self._table = table[table > 0.0]  # K(d / (n h)) for d = 0..r, r < n
-        self._taps = np.concatenate((self._table[:0:-1], [0.0], self._table[1:]))
-        self._k = self.slots - 1
         self._counts = np.bincount(self._k, minlength=n)
         self._tied = bool(self._counts.max() > 1)
+        self._widest = 1  # widest gap between occupied slots: untied, they are 1..n
+        if self._tied:
+            self._widest = int(np.diff(np.flatnonzero(self._counts)).max(initial=0))
+        if not self._shape:  # one table serves every smooth
+            self._table = kernel_table(n, self._hs)
+            self._taps = np.concatenate((self._table[0, :0:-1], [0.0], self._table[0, 1:]))
+
+    @functools.cached_property
+    def radius(self) -> np.ndarray:
+        """Window radius r = min(ceil(n h), n) - 1 in slots, a 1-D array with
+        one per bandwidth: K(d / (n h)) > 0 exactly for |d| <= r."""
+        n = self._k.size
+        return np.minimum(np.ceil(n * self._hs), n).astype(np.intp) - 1
 
     @property
     def fft_size(self) -> int:
-        """Padded length of the FFT branch: n + r slots keep the circular
-        wrap out."""
-        return fft_length(self._k.size + self._table.size - 1)
+        """Padded FFT length: n + r slots keep the circular wrap out."""
+        return fft_length(self._k.size + int(self.radius.max()))
+
+    def _empty(self, rows=slice(None)) -> np.ndarray:
+        """Mask, one row per bandwidth in ``rows``, of observations whose
+        window |k_i - k_j| <= r holds no other observation."""
+        k, n, r = self._k, self._k.size, self.radius[rows, None]
+        if r.min() >= self._widest:
+            return np.zeros((r.size, n), dtype=bool)
+        cum = np.concatenate(([0], np.cumsum(self._counts)))
+        return cum[np.minimum(k + r + 1, n)] - cum[np.maximum(k - r, 0)] == 1
 
     @functools.cached_property
     def empty(self) -> np.ndarray:
         """Mask of observations whose window |k_i - k_j| < n h holds no other
-        observation."""
-        k, r = self._k, self._table.size - 1
-        cum = np.concatenate(([0], np.cumsum(self._counts)))
-        return cum[np.minimum(k + r + 1, k.size)] - cum[np.maximum(k - r, 0)] == 1
+        observation; one row per bandwidth of a block."""
+        return self._empty().reshape(self._shape + self._k.shape)
 
     def smooth(self, values) -> np.ndarray:
         """Fits 1/((n-1) h) sum_{i != j} v_i K((U_j - U_i) / h) at every j,
-        for a vector or an (n, d) column stack, real or complex."""
-        k, n, r = self._k, self._k.size, self._table.size - 1
+        for a vector or an (n, d) column stack, real or complex; one row of
+        them per bandwidth of a block."""
+        return next(self.blocks(values, self._hs.size)).reshape(self._shape + np.shape(values))
+
+    def blocks(self, values, rows: int):
+        """Yield the fits at h[0:rows], h[rows:2 rows], ... in turn, shape
+        (bandwidths,) + values.shape, from values binned once."""
+        k, n = self._k, self._k.size
         v = np.asarray(values)
         if v.ndim not in (1, 2) or v.shape[0] != n:
             raise DataError("values and ranks must have equal length")
@@ -142,25 +172,30 @@ class LatticeSmoother:
             binned = np.bincount(
                 (k[:, None] * m + np.arange(m)).ravel(), weights=real.ravel(), minlength=n * m
             ).reshape(n, m)
+            tied = quartic_kernel(0.0) * (binned[k] - real)  # slot mates, at distance 0
         else:  # the slots are a permutation of 1..n
             binned = np.empty(real.shape)
             binned[k] = real
-        if not cplx and self._taps.size <= DIRECT_MAX_TAPS:
-            out = np.empty(real.shape)
-            for c in range(real.shape[1]):
-                out[:, c] = np.convolve(binned[:, c], self._taps)[k + r]
-        else:
-            size = self.fft_size
-            circ = np.zeros(size)
-            circ[: r + 1] = self._taps[r:]
-            circ[size - r:] = self._taps[:r]
-            spectrum = np.fft.rfft(binned, size, axis=0) * np.fft.rfft(circ)[:, None]
-            out = np.fft.irfft(spectrum, size, axis=0)[k]
-            out[self.empty] = 0.0
-        if self._tied:  # tied slots: their other members sit at distance 0
-            out += self._table[0] * (binned[k] - real)
-        out /= (n - 1) * self.h
-        return (out.view(complex) if cplx else out).reshape(v.shape)
+        for lo in range(0, self._hs.size, rows):
+            h = self._hs[lo:lo + rows]
+            table = kernel_table(n, h) if self._shape else self._table
+            top = table.shape[1] - 1
+            if not (self._shape or cplx) and self._taps.size <= DIRECT_MAX_TAPS:
+                out = np.empty((1,) + real.shape)
+                for c in range(real.shape[1]):
+                    out[0, :, c] = np.convolve(binned[:, c], self._taps)[k + top]
+            else:
+                size = fft_length(n + top)
+                circ = np.zeros((h.size, size))
+                circ[:, 1:top + 1] = table[:, 1:]
+                circ[:, size - top:] = table[:, :0:-1]
+                spectrum = np.fft.rfft(binned, size, axis=0) * np.fft.rfft(circ)[..., None]
+                out = np.take(np.fft.irfft(spectrum, size, axis=1), k, axis=1)
+                out[self._empty(slice(lo, lo + rows))] = 0.0
+            if self._tied:
+                out += tied
+            out /= ((n - 1) * h)[:, None, None]
+            yield (out.view(complex) if cplx else out).reshape(h.shape + v.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,15 +209,10 @@ class ResidualCore:
     eps: np.ndarray
     keep: np.ndarray
 
-    def smooth(self, values) -> np.ndarray:
-        """Leave-one-out fits of a vector or an (n, d) column stack, real or
-        complex, at each observation's own rank."""
-        return self.smoother.smooth(values)
-
     def centered(self, values) -> np.ndarray:
         """Interior rows of ``values`` minus their leave-one-out smooth."""
         v = np.asarray(values)
-        return (v - self.smooth(v))[self.keep]
+        return (v - self.smoother.smooth(v))[self.keep]
 
     @property
     def diagnostics(self) -> dict:

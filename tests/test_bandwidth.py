@@ -110,6 +110,18 @@ def test_default_grid_shape():
     assert default_bandwidth_grid(100000)[-1] == pytest.approx(3 * 100000 ** (-0.2))
 
 
+@pytest.mark.parametrize("n", [2, 50, 243, 100000])
+def test_default_grid_is_cached_read_only_geomspace(n):
+    scale = n ** (-0.2)
+    upper = min(3.0 * scale, 1.0)
+    fresh = np.geomspace(min(0.3 * scale, upper), upper, 30)
+    grid = default_bandwidth_grid(n)
+    assert grid.tobytes() == fresh.tobytes()
+    assert default_bandwidth_grid(n) is grid
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+
+
 def test_default_grid_rejects_tiny_n():
     with pytest.raises(ConfigError):
         default_bandwidth_grid(1)

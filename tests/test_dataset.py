@@ -56,6 +56,15 @@ def test_load_requires_y_column(tmp_path):
     assert "'y'" in str(err.value)
 
 
+def test_load_rejects_duplicate_y_column(tmp_path):
+    rows = "\n".join(f"{i},2,3" for i in range(1, 11))
+    path = write(tmp_path, "y,x1,y\n" + rows + "\n")
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    msg = str(err.value)
+    assert "exactly one column 'y'" in msg and "['y', 'x1', 'y']" in msg
+
+
 def test_load_rejects_ragged_rows(tmp_path):
     body = "\n".join("1,2,3" for _ in range(9))
     path = write(tmp_path, "x1,x2,y\n" + body + "\n1,2\n")

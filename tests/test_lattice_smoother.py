@@ -29,9 +29,12 @@ RADIUS = DIRECT_MAX_TAPS // 2  # widest window |d| <= RADIUS the direct branch t
 
 @st.composite
 def lattice_cases(draw, branch):
-    """Ranks (tied when the projections are rounded) and a bandwidth;
-    ``branch`` picks n and h on one side of the direct/FFT switch for real
-    values (complex values always take the FFT)."""
+    """Ranks (tied when the projections are rounded), a bandwidth and a few
+    more for a block; ``branch`` picks n and h on one side of the
+    direct/FFT switch for real values at one bandwidth (complex values and
+    blocks always take the FFT).  The block may hold a window narrower than
+    one slot; without one, untied ranks leave no window empty and the
+    smoother skips its empty-window count."""
     if branch == "direct":
         n = draw(st.integers(2, 400))
         h = draw(st.floats(1.0 / (2 * n), min(2.0, (RADIUS + 0.5) / n)))
@@ -43,7 +46,10 @@ def lattice_cases(draw, branch):
     decimals = draw(st.sampled_from([None, 1, 0]))
     if decimals is not None:
         t = np.round(t, decimals)
-    return rank_transform(t), h, rng
+    block = [h] + draw(st.lists(st.floats(1.0 / n, 2.0), max_size=3))
+    if draw(st.booleans()):
+        block.append(1.0 / (2 * n))
+    return rank_transform(t), h, rng, rng.permutation(block)
 
 
 def _values(rng, n, kind):
@@ -67,19 +73,30 @@ def _on_window_edge(n, h):
 
 
 def _check_case(case, kind, branch):
-    u, h, rng = case
+    u, h, rng, block = case
     n = u.size
     taps = 2 * min(math.ceil(n * h), n) - 1
     assert (taps <= DIRECT_MAX_TAPS) == (branch == "direct")
     values = _values(rng, n, kind)
     ref, dense_empty = _dense(values, u, h)
-    smoother = LatticeSmoother(np.rint(u * n).astype(np.intp), h)
+    slots = np.rint(u * n).astype(np.intp)
+    smoother = LatticeSmoother(slots, h)
     out = smoother.smooth(values)
     assert out.shape == values.shape and out.dtype == ref.dtype
     assert out == pytest.approx(ref, rel=1e-12, abs=1e-12)
     if not _on_window_edge(n, h):
         assert np.array_equal(smoother.empty, dense_empty)
         assert np.all(out[dense_empty] == 0.0)
+    # a block of bandwidths: one row per bandwidth, each the single smooth
+    rows = LatticeSmoother(slots, block)
+    fits = rows.smooth(values)
+    assert fits.shape == (block.size,) + values.shape and fits.dtype == ref.dtype
+    assert rows.empty.shape == (block.size, n)
+    for row, empty, hb in zip(fits, rows.empty, block):
+        single = LatticeSmoother(slots, hb)
+        assert row == pytest.approx(single.smooth(values), rel=1e-12, abs=1e-12)
+        assert np.array_equal(empty, single.empty)
+        assert np.all(row[empty] == 0.0)
 
 
 @pytest.mark.parametrize("kind", ["vector", "stack", "complex"])
@@ -108,12 +125,14 @@ def test_every_window_empty_at_half_a_slot(kind):
     rng = np.random.default_rng(3)
     n = 300
     u = rank_transform(rng.standard_normal(n))
-    smoother = LatticeSmoother(np.rint(u * n).astype(np.intp), 1.0 / (2 * n))
-    assert np.all(smoother.smooth(_values(rng, n, kind)) == 0.0)
-    assert smoother.empty.all()
+    values = _values(rng, n, kind)
+    for h in (1.0 / (2 * n), [1.0 / (2 * n), 1.0 / (3 * n)]):
+        smoother = LatticeSmoother(np.rint(u * n).astype(np.intp), h)
+        assert np.all(smoother.smooth(values) == 0.0)
+        assert smoother.empty.all()
 
 
-@pytest.mark.parametrize("h", [0.5, 0.01])
+@pytest.mark.parametrize("h", [0.5, 0.01, [0.5, 0.01]])
 @pytest.mark.parametrize("kind", ["vector", "stack", "complex"])
 def test_isolated_observation_fits_exactly_zero(kind, h):
     # 399 observations tied at the top rank and one alone at rank 1/n: its
@@ -123,10 +142,11 @@ def test_isolated_observation_fits_exactly_zero(kind, h):
     ranks[0] = 1.0 / n
     values = _values(np.random.default_rng(4), n, kind)
     smoother = LatticeSmoother(np.rint(ranks * n).astype(np.intp), h)
-    out = smoother.smooth(values)
-    assert np.all(out[0] == 0.0)
-    assert out[1:] == pytest.approx(_dense(values, ranks, h)[0][1:], rel=1e-12, abs=1e-12)
-    assert smoother.empty.tolist() == [True] + [False] * (n - 1)
+    fits = smoother.smooth(values).reshape((-1,) + values.shape)
+    for out, hb in zip(fits, np.ravel(h)):
+        assert np.all(out[0] == 0.0)
+        assert out[1:] == pytest.approx(_dense(values, ranks, hb)[0][1:], rel=1e-12, abs=1e-12)
+    assert smoother.empty.reshape(-1, n).tolist() == [[True] + [False] * (n - 1)] * fits.shape[0]
 
 
 @given(

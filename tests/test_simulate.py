@@ -17,6 +17,7 @@ from sicheck import (
     interaction_mean,
     monte_carlo,
 )
+from sicheck import simulate
 from sicheck.simulate import mise_weight_values
 
 
@@ -195,6 +196,38 @@ def test_monte_carlo_deterministic_across_threads():
     b = monte_carlo(scn, check, reps=40, threads=3)
     assert a.rejection_rate == b.rejection_rate
     assert a.mc_stderr == b.mc_stderr
+
+
+@pytest.mark.parametrize(
+    "cpus, threads, reps, workers",
+    [(3, 100_000, 10, [3]), (3, 100_000, 2, [2]), (8, 4, 10, [4]), (None, 100_000, 10, [])],
+)
+def test_monte_carlo_never_starts_more_workers_than_cpus(monkeypatch, cpus, threads, reps, workers):
+    # a stand-in executor records the pool size and runs serially, so no
+    # thread is ever started whatever size is asked for
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    scn = Scenario(model=ModelKind.CUBIC, n=30, p=2, seed=5)
+    flip = lambda data, fit, cfg, alpha, rng: rng.random() < 0.5
+    serial = monte_carlo(scn, flip, reps=reps)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+    capped = monte_carlo(scn, flip, reps=reps, threads=threads)
+    assert capped.rejection_rate == serial.rejection_rate
+    assert started == workers
 
 
 def test_monte_carlo_wraps_replicate_errors():
