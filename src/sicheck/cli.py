@@ -2,7 +2,9 @@
 
 Two commands: ``check`` runs one lack-of-fit test on a CSV file and emits
 a JSON report; ``simulate`` drives a batch of Monte Carlo size/power runs
-described by a JSON-lines file and emits one CSV row per entry.
+described by a JSON-lines file and emits one CSV row per entry.  Both
+read a test's settings through one function, ``build_check``: ``check``
+passes its flags, and a ``simulate`` line its keys.
 """
 
 from __future__ import annotations
@@ -10,10 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import dataclass, field
 
-from . import __version__
+from . import __version__, smoother
 from .dataset import load_dataset
 from .exceptions import ConfigError, SicheckError
 from .simulate import (
@@ -26,143 +28,111 @@ from .simulate import (
     monte_carlo,
     validate_run,
 )
-from .smoother import DEFAULT_ALPHA
 from .weights import WeightSpec
 
 _WEIGHTS = {"sumabs": WeightSpec.sum_abs, "sumsq": WeightSpec.sum_squares}
-_TEST_NAMES = ("score", "maximin", "omnibus")
+#: Each test's weight names when none are given (omnibus reports echo them).
+_DEFAULT_WEIGHTS = {"score": ("sumabs",), "maximin": ("sumabs", "sumsq"), "omnibus": ("sumabs",)}
+#: A test's other settings: name -> (JSON type, default); h None is the selector.
+_SETTINGS = {
+    "alpha": (float, smoother.DEFAULT_ALPHA),
+    "h": (float, None),
+    "boot_m": (int, OmnibusCheck.boot_m),
+    "grid_bound": (float, OmnibusCheck.grid_bound),
+    "grid_per_axis": (int, OmnibusCheck.grid_per_axis),
+}
 
 
-def _weight_spec(name: str) -> WeightSpec:
-    if name not in _WEIGHTS:
-        raise ConfigError(f"unknown weight {name!r}; choose from {tuple(_WEIGHTS)}")
-    return _WEIGHTS[name]()
+def _value(key: str, value, kind):
+    """``value`` as ``kind`` (int, float, or list: a tuple of floats), else a ConfigError."""
+    if kind is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+        return tuple(_value(f"each entry of {key}", v, float) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return kind(value)
 
 
-def build_check(test: str, weights, h, boot_m, grid_bound, grid_per_axis):
-    """The check named by ``test``; the check validates its own values.
+def build_check(test: str, weights=None, **given):
+    """The check named by ``test`` and its settings, resolved as reports echo them.
 
-    Score takes exactly one weight name, maximin a family; omnibus ignores
-    ``weights``, and score and maximin ignore the bootstrap and grid values.
+    ``weights`` lists weight names, None for the test's defaults.  A setting
+    of ``_SETTINGS`` not in ``given``, or None there, takes its default.
     """
+    if test not in _DEFAULT_WEIGHTS:
+        raise ConfigError(f"unknown test {test!r}; choose from {tuple(_DEFAULT_WEIGHTS)}")
+    if not set(given) <= set(_SETTINGS):
+        raise TypeError(f"unknown settings {sorted(set(given) - set(_SETTINGS))}")
+    weights = _DEFAULT_WEIGHTS[test] if weights is None else weights
+    if not isinstance(weights, (list, tuple)):
+        raise ConfigError(f"weights must be a list of names, got {weights!r}")
+    for name in weights:
+        if not isinstance(name, str) or name not in _WEIGHTS:
+            raise ConfigError(f"unknown weight {name!r}; choose from {tuple(_WEIGHTS)}")
+    specs = tuple(_WEIGHTS[name]() for name in weights)
+    settings = {"test": test, "weights": list(weights)}
+    for key, (kind, default) in _SETTINGS.items():
+        settings[key] = default if given.get(key) is None else _value(key, given[key], kind)
+    h = settings["h"]
     if test == "score":
-        if len(weights) != 1:
+        if len(specs) != 1:
             raise ConfigError("the score test takes exactly one weight")
-        return ScoreCheck(weight=_weight_spec(weights[0]), h=h)
+        return ScoreCheck(weight=specs[0], h=h), settings
     if test == "maximin":
-        return MaximinCheck(weights=tuple(_weight_spec(w) for w in weights), h=h)
-    if test == "omnibus":
-        return OmnibusCheck(
-            boot_m=boot_m, grid_bound=grid_bound, grid_per_axis=grid_per_axis, h=h
-        )
-    raise ConfigError(f"unknown test {test!r}; choose from {_TEST_NAMES}")
+        return MaximinCheck(weights=specs, h=h), settings
+    grid = {key: settings[key] for key in ("boot_m", "grid_bound", "grid_per_axis")}
+    return OmnibusCheck(**grid, h=h), settings
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration for a single check run, echoed in its report.
-
-    The check is built, and every value validated, when the config is made.
-    """
-
-    test: str
-    weights: tuple[str, ...]
-    input_path: str
-    alpha: float = DEFAULT_ALPHA
-    h: float | None = None  # None means the data-driven selector
-    grid_bound: float = OmnibusCheck.grid_bound
-    grid_per_axis: int = OmnibusCheck.grid_per_axis
-    boot_m: int = OmnibusCheck.boot_m
-    seed: int = 0
-    check: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        check = build_check(
-            self.test, self.weights, self.h, self.boot_m, self.grid_bound, self.grid_per_axis
-        )
-        validate_run(check, self.alpha, seed=self.seed)
-        object.__setattr__(self, "check", check)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "weights": list(self.weights),
-            "alpha": self.alpha,
-            "h": "auto" if self.h is None else self.h,
-            "grid_bound": self.grid_bound,
-            "grid_per_axis": self.grid_per_axis,
-            "boot_m": self.boot_m,
-            "seed": self.seed,
-            "input": self.input_path,
-            "scenario": None,  # reports keep their key set; input is always a CSV
-        }
+def run_check(input_path, check, settings: dict, seed: int = 0) -> dict:
+    """Run ``check`` on a CSV file and build the JSON report, whose config
+    echoes ``settings``; the level and the seed are checked before the read."""
+    validate_run(check, settings["alpha"], seed=seed)
+    data = load_dataset(input_path)
+    report, h1 = apply_check(data, check, settings["alpha"], seed)
+    config = dict(settings, h="auto" if settings["h"] is None else settings["h"], seed=seed,
+                  input=input_path, scenario=None)  # input is always a CSV
+    return {"artifact_version": __version__, "config": config, "n": data.n, "p": data.p,
+            "seed": seed, "h1": h1, **report.to_json_dict()}
 
 
-def run_check(cfg: RunConfig) -> dict:
-    """Execute the full pipeline for one dataset and build the JSON report."""
-    data = load_dataset(cfg.input_path)
-    report, h1 = apply_check(data, cfg.check, cfg.alpha, cfg.seed)
-    out = {
-        "artifact_version": __version__,
-        "config": cfg.to_json_dict(),
-        "n": data.n,
-        "p": data.p,
-        "seed": cfg.seed,
-        "h1": h1,
-    }
-    out.update(report.to_json_dict())
-    return out
-
-
-_MODEL_BY_NAME = {kind.value: kind for kind in ModelKind}
-_BATCH_KEYS = (
-    "model", "n", "p", "beta", "c", "c_interaction", "sigma_eps", "seed", "test",
-    "weight", "weights", "h", "boot_m", "grid_bound", "grid_per_axis", "reps", "alpha",
-)
+#: Scenario's fields besides ``model``, with JSON types; one left out takes its default.
+_SCENARIO_KEYS = {"n": int, "p": int, "beta": list, "c": float, "c_interaction": list,
+                  "sigma_eps": float, "seed": int}
+#: The batch key naming a test's weights; an omnibus line takes neither.
+_WEIGHT_KEY = {"score": "weight", "maximin": "weights"}
+_MODELS = [kind.value for kind in ModelKind]
+_BATCH_KEYS = ("model", *_SCENARIO_KEYS, "test", "weight", "weights", "reps", *_SETTINGS)
 
 
 def _parse_batch_entry(entry: dict):
     if not isinstance(entry, dict):
         raise ConfigError("batch entry must be a JSON object")
-    unknown = [key for key in entry if key not in _BATCH_KEYS]
-    if unknown:
-        raise ConfigError(
-            f"unknown batch key {unknown[0]!r}; choose from {_BATCH_KEYS}"
-        )
-    model_name = entry.get("model")
-    if model_name not in _MODEL_BY_NAME:
-        raise ConfigError(
-            f"unknown model {model_name!r}; choose from {sorted(_MODEL_BY_NAME)}"
-        )
-    scn = Scenario(
-        model=_MODEL_BY_NAME[model_name],
-        n=int(entry["n"]),
-        p=int(entry["p"]),
-        beta=tuple(entry["beta"]) if "beta" in entry else None,
-        c=float(entry.get("c", 0.0)),
-        c_interaction=(
-            tuple(entry["c_interaction"]) if "c_interaction" in entry else None
-        ),
-        sigma_eps=float(entry.get("sigma_eps", 1.0)),
-        seed=int(entry.get("seed", 0)),
-    )
+    for key, value in entry.items():
+        if key not in _BATCH_KEYS:
+            raise ConfigError(f"unknown batch key {key!r}; choose from {_BATCH_KEYS}")
+        if value is None:
+            raise ConfigError(f"batch key {key!r} is null; leave it out for its default")
+    if entry.get("model") not in _MODELS:
+        raise ConfigError(f"unknown model {entry.get('model')!r}; choose from {_MODELS}")
+    scn = Scenario(model=ModelKind(entry["model"]), **{
+        key: _value(key, entry[key], kind) for key, kind in _SCENARIO_KEYS.items() if key in entry
+    })
     test = entry.get("test")
-    if test == "score":
-        weights = (entry.get("weight", "sumabs"),)
-    else:
-        weights = tuple(entry.get("weights", ("sumabs", "sumsq")))
-    check = build_check(
-        test,
-        weights,
-        h=float(entry["h"]) if "h" in entry else None,
-        boot_m=int(entry.get("boot_m", OmnibusCheck.boot_m)),
-        grid_bound=float(entry.get("grid_bound", OmnibusCheck.grid_bound)),
-        grid_per_axis=int(entry.get("grid_per_axis", OmnibusCheck.grid_per_axis)),
-    )
-    reps = int(entry.get("reps", 100))
-    alpha = float(entry.get("alpha", DEFAULT_ALPHA))
-    validate_run(check, alpha, reps)
-    return scn, check, reps, alpha
+    weights = entry.get(_WEIGHT_KEY.get(test))
+    if test == "score" and weights is not None:
+        weights = [weights]
+    check, settings = build_check(test, weights, **{k: entry[k] for k in _SETTINGS if k in entry})
+    for key in ("weight", "weights"):
+        if key in entry and key != _WEIGHT_KEY.get(test):
+            raise ConfigError(f"{test} lines take no {key!r}; score takes 'weight', "
+                              "maximin 'weights'")
+    reps = _value("reps", entry.get("reps", 100), int)
+    validate_run(check, settings["alpha"], reps)
+    return scn, check, reps, settings["alpha"]
 
 
 _CSV_COLUMNS = (
@@ -197,7 +167,7 @@ def run_simulation(batch_path, out_path, threads: int = 1) -> int:
                 raise ConfigError(f"{batch_path}: line {line_no}: invalid JSON: {exc}") from None
             try:
                 entries.append(_parse_batch_entry(entry))
-            except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            except (TypeError, ValueError, OverflowError, ConfigError) as exc:
                 raise ConfigError(f"{batch_path}: line {line_no}: {exc}") from None
     results = [
         monte_carlo(scn, check, reps, alpha, threads=threads)
@@ -235,19 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run one test on a CSV dataset")
     check.add_argument("--input", required=True, help="CSV file with a 'y' column")
-    check.add_argument("--test", required=True, choices=_TEST_NAMES)
+    check.add_argument("--test", required=True, choices=tuple(_DEFAULT_WEIGHTS))
     check.add_argument(
         "--weight", action="append", choices=tuple(_WEIGHTS),
         help="weight function; repeat for a maximin family",
     )
-    check.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    # Settings left out stay None: build_check fills them from _SETTINGS.
+    check.add_argument("--alpha", type=float)
     check.add_argument(
         "--h", default="auto",
         help="bandwidth: 'auto' for the data-driven selector or a fixed value",
     )
-    check.add_argument("--grid-bound", type=float, default=OmnibusCheck.grid_bound)
-    check.add_argument("--grid-per-axis", type=int, default=OmnibusCheck.grid_per_axis)
-    check.add_argument("--boot-m", type=int, default=OmnibusCheck.boot_m)
+    check.add_argument("--grid-bound", type=float)
+    check.add_argument("--grid-per-axis", type=int)
+    check.add_argument("--boot-m", type=int)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -267,26 +238,15 @@ def _parse_h(text: str) -> float | None:
         raise ConfigError(f"--h must be 'auto' or a number, got {text!r}") from None
 
 
-def _default_weights(test: str) -> tuple[str, ...]:
-    return ("sumabs", "sumsq") if test == "maximin" else ("sumabs",)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "check":
-            cfg = RunConfig(
-                test=args.test,
-                weights=tuple(args.weight) if args.weight else _default_weights(args.test),
-                alpha=args.alpha,
-                h=_parse_h(args.h),
-                grid_bound=args.grid_bound,
-                grid_per_axis=args.grid_per_axis,
-                boot_m=args.boot_m,
-                seed=args.seed,
-                input_path=args.input,
+            flags = dict(vars(args), h=_parse_h(args.h))  # one flag per setting
+            check, settings = build_check(
+                args.test, args.weight, **{key: flags[key] for key in _SETTINGS}
             )
-            report = run_check(cfg)
+            report = run_check(args.input, check, settings, args.seed)
             decision = "reject" if report["reject"] else "no rejection"
             print(
                 f"{decision}: p_value={report['p_value']:.6g} "

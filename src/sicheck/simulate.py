@@ -72,10 +72,10 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"sample size must be >= 1, got {self.n}")
         if self.p < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.p}")
+        if self.n <= self.p + 1:  # what fit_index_ols needs, for every check
+            raise ConfigError(f"need n > p + 1 to fit the index, got n={self.n}, p={self.p}")
         if self.model is ModelKind.INTERACTION and self.p != 3:
             raise ConfigError("interaction model requires p = 3")
         if self.model is ModelKind.BUMP and self.p != 2:

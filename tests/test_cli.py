@@ -15,8 +15,9 @@ from sicheck import (
     generate,
     save_dataset,
 )
-from sicheck.cli import RunConfig, main, run_check, run_simulation
+from sicheck.cli import build_check, main, run_check, run_simulation
 from sicheck.simulate import _replicate_reject
+from sicheck.smoother import DEFAULT_ALPHA
 
 
 @pytest.fixture
@@ -27,34 +28,35 @@ def csv_path(tmp_path):
     return path
 
 
-def test_run_config_needs_exactly_one_source():
+def test_run_config_validation(tmp_path):
+    with pytest.raises(ConfigError):
+        build_check("score", alpha="0.1")
+    with pytest.raises(ConfigError):
+        build_check("wrong")
+    with pytest.raises(ConfigError):
+        build_check("score", ["nope"])
+    with pytest.raises(ConfigError):
+        build_check("score", h=2.0)
+    with pytest.raises(ConfigError):
+        build_check("score", ["sumabs", "sumsq"])
     with pytest.raises(TypeError):
-        RunConfig(test="score", weights=("sumabs",))
-
-
-def test_run_config_validation():
+        build_check("score", bootm=50)
+    _, settings = build_check("omnibus", boot_m=300.0, grid_bound=2)  # whole numbers
+    assert (settings["boot_m"], settings["grid_bound"]) == (300, 2.0)
+    assert type(settings["boot_m"]) is int and type(settings["grid_bound"]) is float
+    # every value fails before the dataset is read: the file does not exist
+    missing = str(tmp_path / "a.csv")
     with pytest.raises(ConfigError):
-        RunConfig(test="score", weights=("sumabs",), input_path="a.csv", alpha=1.5)
-    with pytest.raises(ConfigError):
-        RunConfig(test="wrong", weights=("sumabs",), input_path="a.csv")
-    with pytest.raises(ConfigError):
-        RunConfig(test="score", weights=("nope",), input_path="a.csv")
-    with pytest.raises(ConfigError):
-        RunConfig(test="score", weights=("sumabs",), input_path="a.csv", h=2.0)
-    with pytest.raises(ConfigError):
-        RunConfig(test="score", weights=("sumabs", "sumsq"), input_path="a.csv")
-    # omnibus values fail before the dataset is read
+        run_check(missing, *build_check("score", alpha=1.5))
     for bad in ({"boot_m": 50}, {"grid_per_axis": 1}, {"grid_bound": 0.0},
                 {"boot_m": 100, "alpha": 0.005}, {"seed": -1}):
+        seed = bad.pop("seed", 0)
         with pytest.raises(ConfigError):
-            RunConfig(test="omnibus", weights=("sumabs",), input_path="a.csv", **bad)
+            run_check(missing, *build_check("omnibus", **bad), seed)
 
 
 def test_run_check_score_fixed_bandwidth(csv_path):
-    cfg = RunConfig(
-        test="score", weights=("sumsq",), h=0.35, input_path=str(csv_path), seed=4
-    )
-    report = run_check(cfg)
+    report = run_check(str(csv_path), *build_check("score", ["sumsq"], h=0.35), seed=4)
     assert report["test"] == "score"
     assert report["h"] == 0.35
     assert report["h1"] is None
@@ -68,15 +70,13 @@ def test_run_check_score_fixed_bandwidth(csv_path):
 
 
 def test_run_check_auto_bandwidth_reports_pilot(csv_path):
-    cfg = RunConfig(test="score", weights=("sumabs",), input_path=str(csv_path))
-    report = run_check(cfg)
+    report = run_check(str(csv_path), *build_check("score"))
     assert report["h1"] is not None
     assert 0 < report["h"] < report["h1"]
 
 
 def test_run_check_maximin(csv_path):
-    cfg = RunConfig(test="maximin", weights=("sumabs", "sumsq"), input_path=str(csv_path))
-    report = run_check(cfg)
+    report = run_check(str(csv_path), *build_check("maximin"))
     assert report["test"] == "maximin"
     assert report["d"] == 2
     assert report["calibration"] == "chi-square"
@@ -86,11 +86,8 @@ def test_run_check_omnibus_scenario_fixed_seed(tmp_path):
     scn = Scenario(model=ModelKind.CUBIC, n=60, p=2, c=0.0, seed=12345)
     path = tmp_path / "scenario.csv"
     save_dataset(generate(scn), path)
-    cfg = RunConfig(
-        test="omnibus", weights=("sumsq",), alpha=0.05, boot_m=300, seed=7,
-        input_path=str(path),
-    )
-    report = run_check(cfg)
+    check, settings = build_check("omnibus", ["sumsq"], alpha=0.05, boot_m=300)
+    report = run_check(str(path), check, settings, seed=7)
     # frozen from a direct run of this configuration: the null is retained
     assert report["reject"] is False
     assert report["p_value"] > 0.05
@@ -100,7 +97,20 @@ def test_run_check_omnibus_scenario_fixed_seed(tmp_path):
 
 def test_run_check_rejects_cf_for_score(csv_path):
     with pytest.raises(ConfigError, match="unknown weight 'cf'"):
-        RunConfig(test="score", weights=("cf",), input_path=str(csv_path))
+        build_check("score", ["cf"])
+
+
+def test_main_omnibus_config_is_the_library_defaults(tmp_path, csv_path):
+    """A bare omnibus check echoes OmnibusCheck's defaults and DEFAULT_ALPHA."""
+    out = tmp_path / "report.json"
+    assert main(["check", "--input", str(csv_path), "--test", "omnibus", "--out", str(out)]) == 0
+    defaults = OmnibusCheck()
+    assert json.loads(out.read_text())["config"] == {
+        "test": "omnibus", "weights": ["sumabs"], "alpha": DEFAULT_ALPHA, "h": "auto",
+        "boot_m": defaults.boot_m, "grid_bound": defaults.grid_bound,
+        "grid_per_axis": defaults.grid_per_axis, "seed": 0, "input": str(csv_path),
+        "scenario": None,
+    }
 
 
 # rejects on some of replicates 0-3 and not on others, for each test
@@ -209,6 +219,15 @@ def test_run_simulation_reports_bad_line(tmp_path):
 @pytest.mark.parametrize("bad", [
     {"h": 2.0}, {"boot_m": 50}, {"grid_per_axis": 1}, {"reps": 0}, {"alpha": 1.5},
     {"boot_m": 100, "alpha": 0.005},
+    # a weight key on a line whose test does not take it
+    {"test": "score", "weights": ["sumsq"]}, {"test": "maximin", "weight": "sumsq"},
+    {"weights": ["sumsq"]}, {"weight": "sumabs"},
+    # numbers are not coerced: fractions, booleans, strings, non-finite values, nulls
+    {"n": 50.9}, {"reps": 2.7}, {"seed": 1.9}, {"reps": True}, {"c": True},
+    {"n": "50"}, {"c": "0.5"}, {"alpha": "0.1"}, {"beta": [0.6, "0.8"]},
+    {"grid_bound": float("inf")}, {"c": 10**400}, {"alpha": None},
+    # the index fit needs n > p + 1
+    {"n": 3},
 ])
 def test_run_simulation_validates_every_line_first(tmp_path, bad):
     line = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "test": "omnibus",

@@ -44,6 +44,9 @@ def test_scenario_validation():
     with pytest.raises(ConfigError, match="sigma_eps"):
         Scenario(model=ModelKind.BINARY, n=50, p=2, sigma_eps=2.0)
     Scenario(model=ModelKind.BINARY, n=50, p=2, sigma_eps=1.0)
+    with pytest.raises(ConfigError, match="n > p \\+ 1"):  # what the index fit needs
+        Scenario(model=ModelKind.CUBIC, n=3, p=2)
+    Scenario(model=ModelKind.CUBIC, n=4, p=2)
 
 
 def test_generate_deterministic():
