@@ -65,7 +65,7 @@ from .smoother import (
     residuals,
     smoothed_weights,
 )
-from .weights import WeightKind, WeightSpec
+from .weights import WeightSpec
 
 __all__ = [
     "__version__",
@@ -91,7 +91,6 @@ __all__ = [
     "SicheckError",
     "SingularDesignError",
     "SmootherConfig",
-    "WeightKind",
     "WeightSpec",
     "binary_success_prob",
     "bootstrap_critical_value",

@@ -41,6 +41,7 @@ _SETTINGS = {
     "grid_bound": (float, OmnibusCheck.grid_bound),
     "grid_per_axis": (int, OmnibusCheck.grid_per_axis),
 }
+_OMNIBUS_SETTINGS = ("boot_m", "grid_bound", "grid_per_axis")
 
 
 def _value(key: str, value, kind):
@@ -62,10 +63,13 @@ def build_check(test: str, weights=None, **given):
     ``weights`` lists weight names, None for the test's defaults.  A setting
     of ``_SETTINGS`` not in ``given``, or None there, takes its default.
     """
-    if test not in _DEFAULT_WEIGHTS:
+    if not isinstance(test, str) or test not in _DEFAULT_WEIGHTS:
         raise ConfigError(f"unknown test {test!r}; choose from {tuple(_DEFAULT_WEIGHTS)}")
     if not set(given) <= set(_SETTINGS):
         raise TypeError(f"unknown settings {sorted(set(given) - set(_SETTINGS))}")
+    foreign = [key for key in _OMNIBUS_SETTINGS if given.get(key) is not None]
+    if test != "omnibus" and foreign:
+        raise ConfigError(f"the {test} test takes no {', '.join(foreign)}: they set omnibus only")
     weights = _DEFAULT_WEIGHTS[test] if weights is None else weights
     if not isinstance(weights, (list, tuple)):
         raise ConfigError(f"weights must be a list of names, got {weights!r}")
@@ -83,7 +87,7 @@ def build_check(test: str, weights=None, **given):
         return ScoreCheck(weight=specs[0], h=h), settings
     if test == "maximin":
         return MaximinCheck(weights=specs, h=h), settings
-    grid = {key: settings[key] for key in ("boot_m", "grid_bound", "grid_per_axis")}
+    grid = {key: settings[key] for key in _OMNIBUS_SETTINGS}
     return OmnibusCheck(**grid, h=h), settings
 
 
@@ -122,12 +126,13 @@ def _parse_batch_entry(entry: dict):
         key: _value(key, entry[key], kind) for key, kind in _SCENARIO_KEYS.items() if key in entry
     })
     test = entry.get("test")
-    weights = entry.get(_WEIGHT_KEY.get(test))
+    weight_key = _WEIGHT_KEY.get(test) if isinstance(test, str) else None  # a list is unhashable
+    weights = entry.get(weight_key)
     if test == "score" and weights is not None:
         weights = [weights]
     check, settings = build_check(test, weights, **{k: entry[k] for k in _SETTINGS if k in entry})
     for key in ("weight", "weights"):
-        if key in entry and key != _WEIGHT_KEY.get(test):
+        if key in entry and key != weight_key:
             raise ConfigError(f"{test} lines take no {key!r}; score takes 'weight', "
                               "maximin 'weights'")
     reps = _value("reps", entry.get("reps", 100), int)

@@ -146,11 +146,10 @@ def bump_mean(x, c: float) -> np.ndarray:
     return t + 4.0 * np.exp(-(t**2)) + c * np.sqrt((x**2).sum(axis=1))
 
 
-def generate(scn: Scenario, *, rng=None, zero_noise: bool = False) -> Dataset:
+def generate(scn: Scenario, *, rng=None) -> Dataset:
     """Draw x ~ N(0, I), then the response; deterministic given the seed.
 
-    ``rng`` defaults to ``default_rng(scn.seed)``.  ``zero_noise`` returns
-    the model's mean as the response: the success probability for binary.
+    ``rng`` defaults to ``default_rng(scn.seed)``.
     """
     rng = rng if rng is not None else np.random.default_rng(scn.seed)
     x = rng.standard_normal((scn.n, scn.p))
@@ -162,8 +161,6 @@ def generate(scn: Scenario, *, rng=None, zero_noise: bool = False) -> Dataset:
         mean = interaction_mean(x, scn.beta_vec, scn.c_triple)
     else:
         mean = bump_mean(x, scn.c)
-    if zero_noise:
-        return Dataset(x=x, y=mean)
     if scn.model is ModelKind.BINARY:
         return Dataset(x=x, y=(rng.random(scn.n) < mean).astype(float))
     return Dataset(x=x, y=mean + scn.sigma_eps * rng.standard_normal(scn.n))
@@ -188,6 +185,9 @@ class ScoreCheck:
     def label(self) -> str:
         return f"score[{self.weight.label}]"
 
+    def run(self, data, fit, cfg, alpha, seed):
+        return standardized_test(data, fit, self.weight, cfg, alpha)
+
 
 @dataclass(frozen=True)
 class MaximinCheck:
@@ -206,6 +206,9 @@ class MaximinCheck:
     @property
     def label(self) -> str:
         return "maximin[" + "+".join(w.label for w in self.weights) + "]"
+
+    def run(self, data, fit, cfg, alpha, seed):
+        return maximin_test(data, fit, self.weights, cfg, alpha)
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,11 @@ class OmnibusCheck:
     def label(self) -> str:
         return f"omnibus[m={self.boot_m}]"
 
+    def run(self, data, fit, cfg, alpha, seed):
+        boot = BootstrapConfig(m=self.boot_m, alpha=alpha, seed=seed)
+        grid = gamma_grid(data.p, self.grid_bound, self.grid_per_axis)
+        return omnibus_test(data, fit, cfg, boot, grid)
+
 
 @dataclass(frozen=True, eq=False)
 class MCResult:
@@ -242,7 +250,7 @@ def mise_weight_values(check, x) -> np.ndarray:
     """Weight values W(x_i) that drive the bandwidth search for a check.
 
     A score check searches with its own weight; every other check (a
-    maximin family, the omnibus test, a callable) with sum_l x_l^2.
+    maximin family, the omnibus test) with sum_l x_l^2.
     """
     if isinstance(check, ScoreCheck):
         return check.weight.evaluate(x)
@@ -261,41 +269,27 @@ def validate_run(check, alpha: float, reps: int = 1, seed: int = 0) -> None:
         BootstrapConfig(m=check.boot_m, alpha=alpha, seed=seed)
 
 
-def apply_check(data: Dataset, check, alpha: float, seed: int = 0, rng=None):
+def apply_check(data: Dataset, check, alpha: float, seed: int = 0):
     """Run one check on one dataset and return ``(report, h1)``.
 
-    Fits the least-squares index, picks the bandwidth by the MISE search
-    unless the check fixes ``h`` (then ``h1`` is None), and runs the test;
-    ``seed`` seeds the omnibus multiplier bootstrap.  A callable check is
-    called as ``check(data, fit, smoother_config, alpha, rng)`` and returns
-    its decision in place of a report.
+    A check is any object with ``h``, ``label`` and ``run(data, fit, cfg,
+    alpha, seed)``, where ``seed`` seeds the omnibus bootstrap.  Fits the
+    least-squares index, picks the bandwidth by the MISE search unless the
+    check fixes ``h`` (then ``h1`` is None), and returns the report of ``run``.
     """
     fit = fit_index_ols(data)
-    h1, h = None, getattr(check, "h", None)
+    h1, h = None, check.h
     if h is None:
         h1, h = select_bandwidth(data, fit, mise_weight_values(check, data.x))
-    cfg = SmootherConfig(h=h)
-    if isinstance(check, ScoreCheck):
-        report = standardized_test(data, fit, check.weight, cfg, alpha)
-    elif isinstance(check, MaximinCheck):
-        report = maximin_test(data, fit, check.weights, cfg, alpha)
-    elif isinstance(check, OmnibusCheck):
-        boot = BootstrapConfig(m=check.boot_m, alpha=alpha, seed=seed)
-        grid = gamma_grid(data.p, check.grid_bound, check.grid_per_axis)
-        report = omnibus_test(data, fit, cfg, boot, grid)
-    elif callable(check):
-        report = check(data, fit, cfg, alpha, rng)
-    else:
-        raise ConfigError(f"unknown test configuration {check!r}")
-    return report, h1
+    return check.run(data, fit, SmootherConfig(h=h), alpha, seed), h1
 
 
 def _replicate_reject(scn: Scenario, check, alpha: float, r: int) -> bool:
     rng = np.random.default_rng([scn.seed, r])
     data = generate(scn, rng=rng)
     # The bootstrap seed is the stream's first draw after the data.
-    report, _ = apply_check(data, check, alpha, int(rng.integers(2**63)), rng)
-    return bool(getattr(report, "reject", report))
+    report, _ = apply_check(data, check, alpha, int(rng.integers(2**63)))
+    return report.reject
 
 
 def monte_carlo(
@@ -325,14 +319,11 @@ def monte_carlo(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             flags = list(pool.map(one, range(reps)))
     rate = sum(flags) / reps
-    label = check.label if hasattr(check, "label") else getattr(
-        check, "__name__", str(check)
-    )
     return MCResult(
         rejection_rate=rate,
         replications=reps,
         mc_stderr=math.sqrt(rate * (1.0 - rate) / reps),
         scenario=scn,
-        test_label=label,
+        test_label=check.label,
         alpha=alpha,
     )

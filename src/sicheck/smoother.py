@@ -109,7 +109,6 @@ class LatticeSmoother:
         hs = np.asarray(h, dtype=float)
         if not (hs.ndim <= 1 and hs.size and hs.min() > 0):
             raise ConfigError(f"bandwidth must be positive (a number or a 1-D block), got {h}")
-        self.h = h
         self._shape, self._hs = hs.shape, hs.reshape(-1)  # shape () at one bandwidth
         self._k = np.asarray(slots, dtype=np.intp) - 1
         n = self._k.size

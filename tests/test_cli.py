@@ -41,6 +41,14 @@ def test_run_config_validation(tmp_path):
         build_check("score", ["sumabs", "sumsq"])
     with pytest.raises(TypeError):
         build_check("score", bootm=50)
+    with pytest.raises(ConfigError, match=r"unknown test \['score'\]; choose from"):
+        build_check(["score"])
+    # omnibus settings are refused on the other tests, named with the test
+    for test, given in (("score", {"boot_m": 50, "grid_bound": 0.0}),
+                        ("maximin", {"grid_bound": 0})):
+        with pytest.raises(ConfigError, match=f"{test} test takes no {', '.join(given)}"):
+            build_check(test, **given)
+    assert build_check("score", boot_m=None)[1]["boot_m"] == OmnibusCheck.boot_m
     _, settings = build_check("omnibus", boot_m=300.0, grid_bound=2)  # whole numbers
     assert (settings["boot_m"], settings["grid_bound"]) == (300, 2.0)
     assert type(settings["boot_m"]) is int and type(settings["grid_bound"]) is float
@@ -228,6 +236,9 @@ def test_run_simulation_reports_bad_line(tmp_path):
     {"grid_bound": float("inf")}, {"c": 10**400}, {"alpha": None},
     # the index fit needs n > p + 1
     {"n": 3},
+    # omnibus settings on another test, and a test name that is not a string
+    {"test": "score", "boot_m": 50, "grid_per_axis": 1}, {"test": "maximin", "grid_bound": 0},
+    {"test": ["score"]},
 ])
 def test_run_simulation_validates_every_line_first(tmp_path, bad):
     line = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "test": "omnibus",

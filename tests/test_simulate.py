@@ -1,3 +1,6 @@
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,23 @@ from sicheck import (
 )
 from sicheck import simulate
 from sicheck.simulate import mise_weight_values
+
+
+class Stub:
+    """A check that skips the test: ``decide(seed)`` is its decision."""
+
+    h = None
+    label = "stub"
+
+    def __init__(self, decide):
+        self.decide = decide
+
+    def run(self, data, fit, cfg, alpha, seed):
+        return SimpleNamespace(reject=self.decide(seed))
+
+
+def flip(seed):
+    return seed % 2 == 1
 
 
 def test_default_beta_matches_convention():
@@ -59,9 +79,8 @@ def test_generate_deterministic():
 
 def test_cubic_zero_noise_hook():
     scn = Scenario(model=ModelKind.CUBIC, n=25, p=2, c=0.0, seed=3)
-    data = generate(scn, zero_noise=True)
-    proj = data.x @ scn.beta_vec
-    assert data.y == pytest.approx(proj**3)
+    x = np.random.default_rng(3).standard_normal((25, 2))
+    assert cubic_mean(x, scn.beta_vec, scn.c) == pytest.approx((x @ scn.beta_vec) ** 3)
 
 
 def test_cubic_projection_variance_unit():
@@ -94,17 +113,17 @@ def test_binary_matches_conditional_probability():
 
 def test_binary_zero_noise_returns_probability():
     scn = Scenario(model=ModelKind.BINARY, n=50, p=2, c=0.0, seed=9)
-    data = generate(scn, zero_noise=True)
-    assert data.y == pytest.approx(binary_success_prob(data.x, scn.beta_vec, 0.0))
+    x = np.random.default_rng(9).standard_normal((50, 2))
+    logistic = 1.0 / (1.0 + np.exp(x @ scn.beta_vec))
+    assert binary_success_prob(x, scn.beta_vec, scn.c) == pytest.approx(logistic)
 
 
 def test_interaction_reduces_to_cubic():
     scn_i = Scenario(model=ModelKind.INTERACTION, n=40, p=3, c=0.0, seed=21)
     scn_c = Scenario(model=ModelKind.CUBIC, n=40, p=3, c=0.0, seed=21)
-    a = generate(scn_i, zero_noise=True)
-    b = generate(scn_c, zero_noise=True)
-    assert np.array_equal(a.x, b.x)
-    assert a.y == pytest.approx(b.y)
+    x = np.random.default_rng(21).standard_normal((40, 3))
+    a = interaction_mean(x, scn_i.beta_vec, scn_i.c_triple)
+    assert a == pytest.approx(cubic_mean(x, scn_c.beta_vec, scn_c.c))
 
 
 def test_interaction_hand_value():
@@ -181,14 +200,14 @@ def test_cubic_mean_helper(rng):
 
 def test_monte_carlo_stub_always_rejects():
     scn = Scenario(model=ModelKind.CUBIC, n=30, p=2, seed=1)
-    res = monte_carlo(scn, lambda data, fit, cfg, alpha, rng: True, reps=12)
+    res = monte_carlo(scn, Stub(lambda seed: True), reps=12)
     assert res.rejection_rate == 1.0
     assert res.mc_stderr == 0.0
 
 
 def test_monte_carlo_stub_never_rejects():
     scn = Scenario(model=ModelKind.CUBIC, n=30, p=2, seed=1)
-    res = monte_carlo(scn, lambda data, fit, cfg, alpha, rng: False, reps=12)
+    res = monte_carlo(scn, Stub(lambda seed: False), reps=12)
     assert res.rejection_rate == 0.0
 
 
@@ -224,11 +243,10 @@ def test_monte_carlo_never_starts_more_workers_than_cpus(monkeypatch, cpus, thre
             return list(map(fn, items))
 
     scn = Scenario(model=ModelKind.CUBIC, n=30, p=2, seed=5)
-    flip = lambda data, fit, cfg, alpha, rng: rng.random() < 0.5
-    serial = monte_carlo(scn, flip, reps=reps)
+    serial = monte_carlo(scn, Stub(flip), reps=reps)
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
-    capped = monte_carlo(scn, flip, reps=reps, threads=threads)
+    capped = monte_carlo(scn, Stub(flip), reps=reps, threads=threads)
     assert capped.rejection_rate == serial.rejection_rate
     assert started == workers
 
@@ -236,18 +254,17 @@ def test_monte_carlo_never_starts_more_workers_than_cpus(monkeypatch, cpus, thre
 def test_monte_carlo_wraps_replicate_errors():
     scn = Scenario(model=ModelKind.CUBIC, n=30, p=2, seed=1)
 
-    def bad(data, fit, cfg, alpha, rng):
+    def bad(seed):
         raise ValueError("boom")
 
     with pytest.raises(RuntimeError) as err:
-        monte_carlo(scn, bad, reps=3)
+        monte_carlo(scn, Stub(bad), reps=3)
     assert "replicate 0" in str(err.value)
 
 
 def test_monte_carlo_stderr_formula():
     scn = Scenario(model=ModelKind.CUBIC, n=30, p=2, seed=2)
-    flip = lambda data, fit, cfg, alpha, rng: rng.random() < 0.5
-    res = monte_carlo(scn, flip, reps=25)
+    res = monte_carlo(scn, Stub(flip), reps=25)
     r = res.rejection_rate
     assert res.mc_stderr == pytest.approx(np.sqrt(r * (1 - r) / 25))
 
@@ -259,9 +276,24 @@ def test_mise_weight_values_selection(rng):
     for check in (
         MaximinCheck(weights=(WeightSpec.sum_abs(), WeightSpec.sum_squares())),
         OmnibusCheck(),
-        lambda *a: True,
+        Stub(flip),
     ):
         assert mise_weight_values(check, x) == pytest.approx((x**2).sum(axis=1))
+
+
+def test_checks_pickle_with_a_combination_weight(rng):
+    # a worker process would receive its check by pickle
+    x = rng.standard_normal((10, 2))
+    combo = WeightSpec.linear_combo([(2.0, WeightSpec.sum_abs()), (-1.0, WeightSpec.sum_squares())])
+    checks = (ScoreCheck(weight=combo), MaximinCheck(weights=(combo, WeightSpec.sum_squares())),
+              OmnibusCheck(boot_m=200, h=0.3))
+    score, maximin, omnibus = (pickle.loads(pickle.dumps(check)) for check in checks)
+    assert [c.label for c in (score, maximin, omnibus)] == [c.label for c in checks]
+    assert score.label == "score[combo(sumabs+sumsq)]" and omnibus.h == 0.3
+    expected = 2.0 * np.abs(x).sum(axis=1) - (x**2).sum(axis=1)
+    assert np.array_equal(score.weight.evaluate(x), expected)
+    assert np.array_equal(maximin.weights[0].evaluate(x), expected)
+    assert np.array_equal(maximin.weights[1].evaluate(x), (x**2).sum(axis=1))
 
 
 def test_monte_carlo_validation():

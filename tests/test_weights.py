@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sicheck import ConfigError, DataError, WeightKind, WeightSpec
+from sicheck import ConfigError, DataError, WeightSpec
 
 X = np.array([[1.0, -2.0], [0.5, 0.5], [-3.0, 0.0]])
 
@@ -12,13 +12,6 @@ def test_sum_abs():
 
 def test_sum_squares():
     assert WeightSpec.sum_squares().evaluate(X) == pytest.approx([5.0, 0.5, 9.0])
-
-
-def test_pointwise():
-    spec = WeightSpec.pointwise([1.0, 2.0, 3.0])
-    assert spec.evaluate(X) == pytest.approx([1.0, 2.0, 3.0])
-    with pytest.raises(DataError):
-        spec.evaluate(X[:2])
 
 
 def test_linear_combo():
@@ -37,16 +30,11 @@ def test_labels():
 
 def test_empty_specs_rejected():
     with pytest.raises(ConfigError):
-        WeightSpec.pointwise([])
-    with pytest.raises(ConfigError):
         WeightSpec.linear_combo([])
 
 
 def test_evaluate_needs_matrix():
     with pytest.raises(DataError):
         WeightSpec.sum_abs().evaluate(np.ones(5))
-
-
-def test_kind_values():
-    assert WeightKind.SUM_ABS.value == "sumabs"
-    assert [kind.value for kind in WeightKind] == ["sumabs", "sumsq", "pointwise", "combo"]
+    with pytest.raises(DataError, match="non-finite"):
+        WeightSpec.sum_abs().evaluate(np.array([[np.inf, 0.0]]))
