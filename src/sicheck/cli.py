@@ -136,7 +136,7 @@ def _parse_batch_entry(entry: dict):
             raise ConfigError(f"{test} lines take no {key!r}; score takes 'weight', "
                               "maximin 'weights'")
     reps = _value("reps", entry.get("reps", 100), int)
-    validate_run(check, settings["alpha"], reps)
+    validate_run(check, settings["alpha"], reps, p=scn.p)
     return scn, check, reps, settings["alpha"]
 
 
@@ -158,47 +158,38 @@ def _fixed_values(check) -> list:
 def run_simulation(batch_path, out_path, threads: int = 1) -> int:
     """Run every batch entry and write one CSV row per (scenario, test).
 
-    Every line is parsed and validated before the first replicate runs.
+    Every line is parsed and validated, and the output opened, before the
+    first replicate runs; each row is written when its line finishes.
     """
+    try:
+        with open(batch_path, encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{batch_path}: not UTF-8 text: {exc}") from None
     entries = []
-    with open(batch_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                entry = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{batch_path}: line {line_no}: invalid JSON: {exc}") from None
-            try:
-                entries.append(_parse_batch_entry(entry))
-            except (TypeError, ValueError, OverflowError, ConfigError) as exc:
-                raise ConfigError(f"{batch_path}: line {line_no}: {exc}") from None
-    results = [
-        monte_carlo(scn, check, reps, alpha, threads=threads)
-        for scn, check, reps, alpha in entries
-    ]
+    for line_no, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            entry = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{batch_path}: line {line_no}: invalid JSON: {exc}") from None
+        try:
+            entries.append(_parse_batch_entry(entry))
+        except (TypeError, ValueError, OverflowError, ConfigError) as exc:
+            raise ConfigError(f"{batch_path}: line {line_no}: {exc}") from None
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
-        for (_, check, _, _), res in zip(entries, results):
-            scn = res.scenario
-            writer.writerow([
-                scn.model.value,
-                scn.n,
-                scn.p,
-                "" if scn.beta is None else ";".join(repr(b) for b in scn.beta),
-                repr(scn.c),
-                repr(scn.sigma_eps),
-                scn.seed,
-                res.test_label,
-                repr(res.alpha),
-                res.replications,
-                repr(res.rejection_rate),
-                repr(res.mc_stderr),
-                *_fixed_values(check),
-            ])
-    return len(results)
+        for scn, check, reps, alpha in entries:
+            res = monte_carlo(scn, check, reps, alpha, threads=threads)
+            beta = "" if scn.beta is None else ";".join(repr(b) for b in scn.beta)
+            writer.writerow([scn.model.value, scn.n, scn.p, beta, repr(scn.c), repr(scn.sigma_eps),
+                             scn.seed, res.test_label, repr(res.alpha), res.replications,
+                             repr(res.rejection_rate), repr(res.mc_stderr), *_fixed_values(check)])
+            fh.flush()
+    return len(entries)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,38 +60,41 @@ def load_dataset(path) -> Dataset:
     missing or non-finite cells, for ragged rows, and when fewer than
     ``MIN_ROWS`` data rows are present.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if header.count("y") != 1:
-            raise DataError(f"{path}: header {header} must name exactly one column 'y'")
-        if len(header) < 2:
-            raise DataError(f"{path}: no covariate columns besides 'y'")
-        y_col = header.index("y")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {line_no}: expected {len(header)} cells, found {len(row)}"
-                )
-            values = []
-            for name, cell in zip(header, row):
-                text = cell.strip()
-                try:
-                    value = float(text)
-                except ValueError:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [name.strip() for name in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path}: file is empty") from None
+            if header.count("y") != 1:
+                raise DataError(f"{path}: header {header} must name exactly one column 'y'")
+            if len(header) < 2:
+                raise DataError(f"{path}: no covariate columns besides 'y'")
+            y_col = header.index("y")
+            rows = []
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
                     raise DataError(
-                        f"{path}: row {line_no}, column '{name}': non-numeric cell {text!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: row {line_no}, column '{name}': non-finite cell {text!r}"
+                        f"{path}: row {line_no}: expected {len(header)} cells, found {len(row)}"
                     )
-                values.append(value)
-            rows.append(values)
+                values = []
+                for name, cell in zip(header, row):
+                    text = cell.strip()
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {line_no}, column '{name}': non-numeric cell {text!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}: row {line_no}, column '{name}': non-finite cell {text!r}"
+                        )
+                    values.append(value)
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if len(rows) < MIN_ROWS:
         raise DataError(
             f"{path}: parsed {len(rows)} data rows; at least {MIN_ROWS} are "

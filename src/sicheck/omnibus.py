@@ -43,6 +43,7 @@ running max of the statistic and of each replicate.  Memory is then
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,15 +132,18 @@ class GammaGrid:
         }
 
 
-def _halton(index: int, base: int) -> float:
-    f, r = 1.0, 0.0
-    while index > 0:
+def _halton(count: int, base: int) -> np.ndarray:
+    """Points 1..count of the van der Corput sequence in ``base``."""
+    index = np.arange(1, count + 1)
+    f, r = 1.0, np.zeros(count)
+    while index.any():
         f /= base
         r += f * (index % base)
         index //= base
     return r
 
 
+@functools.lru_cache(maxsize=64)
 def gamma_grid(
     p: int, bound: float = DEFAULT_GRID_BOUND, per_axis: int = DEFAULT_GRID_PER_AXIS
 ) -> GammaGrid:
@@ -150,28 +154,24 @@ def gamma_grid(
     count so the origin is present).  Dense product grid while it stays
     within MAX_DENSE_POINTS; for higher dimension, the origin plus 1000
     quasi-random (Halton) point pairs +/- q, which keeps the grid
-    symmetric.
+    symmetric.  The grid is cached per (p, bound, per_axis) and its points
+    are read-only.
     """
     if p < 1:
         raise ConfigError(f"dimension must be >= 1, got {p}")
-    if not bound > 0:
-        raise ConfigError(f"grid bound must be positive, got {bound}")
-    if per_axis < 2:
-        raise ConfigError(f"per-axis count must be >= 2, got {per_axis}")
     if p > len(_PRIMES):
         raise ConfigError(f"dimension {p} exceeds the supported maximum {len(_PRIMES)}")
-    half_count = per_axis // 2
+    half_count = max(per_axis // 2, 0)  # GammaGrid refuses a count below 2
     pos = np.linspace(0.0, bound, half_count + 1)[1:]
     axis = np.concatenate([-pos[::-1], [0.0], pos])
     if len(axis) ** p <= MAX_DENSE_POINTS:
         mesh = np.meshgrid(*([axis] * p), indexing="ij")
         points = np.stack(mesh, axis=-1).reshape(-1, p)
     else:
-        half = np.array(
-            [[_halton(i, _PRIMES[k]) for k in range(p)] for i in range(1, 1001)]
-        )
+        half = np.column_stack([_halton(1000, base) for base in _PRIMES[:p]])
         half = (2.0 * half - 1.0) * bound
         points = np.vstack([np.zeros((1, p)), half, -half])
+    points.setflags(write=False)
     return GammaGrid(points=points, bound=float(bound), per_axis=per_axis)
 
 
@@ -257,9 +257,11 @@ def standardize_columns(x) -> np.ndarray:
 
 
 def bootstrap_critical_value(replicate_values, alpha: float) -> float:
-    """The floor((1 - alpha) m)-th ascending order statistic."""
+    """The floor((1 - alpha) m)-th ascending order statistic.  The 1e-9 stops
+    binary rounding from putting a whole (1 - alpha) m one below: at m = 500,
+    alpha = 0.07 the product is 464.99999999999994, and the 465th is meant."""
     values = np.sort(np.asarray(replicate_values, dtype=float))
-    k = int((1.0 - alpha) * values.size)
+    k = math.floor((1.0 - alpha) * values.size + 1e-9)
     if k < 1:
         raise ConfigError(
             f"(1 - alpha) * m is below 1 (m={values.size}, alpha={alpha})"

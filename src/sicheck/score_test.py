@@ -162,13 +162,26 @@ def maximin_statistic(t_vec, sigma_mat) -> float:
     return float(z @ z)
 
 
-def _score_vector(core: ResidualCore, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interior score vector and its covariance for an (n, d) weight stack."""
+def _scores(data, fit, weights, cfg, alpha) -> tuple[ResidualCore, np.ndarray, np.ndarray]:
+    """Residual core, interior score vector and its covariance for a tuple
+    of d weights: the one score path of both tests.  Refuses a level outside
+    (0, 1) and names the first weight whose score variance is zero."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    core = residual_core(data, fit, cfg)
+    values = np.column_stack([w.evaluate(data.x) for w in weights])
     smoothed = core.smoother.smooth(values)
     keep = core.keep
     eps = core.eps[keep]
     t_vec = (values - smoothed)[keep].T @ eps / math.sqrt(eps.size)
-    return t_vec, covariance_matrix(eps, values[keep], smoothed[keep])
+    sigma = covariance_matrix(eps, values[keep], smoothed[keep])
+    for weight, variance in zip(weights, sigma.diagonal().tolist()):
+        if variance <= 0.0:
+            raise DegenerateVarianceError(
+                f"weight {weight.label!r} has zero score variance: it is fully "
+                "explained by the projection, or the residuals vanish"
+            )
+    return core, t_vec, sigma
 
 
 def standardized_test(
@@ -180,16 +193,8 @@ def standardized_test(
 ) -> ScoreReport:
     """Two-sided standardized score test against the normal quantiles: the
     d = 1 case of the maximin test."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    core = residual_core(data, fit, cfg)
-    t_vec, sigma = _score_vector(core, weight.evaluate(data.x)[:, None])
+    core, t_vec, sigma = _scores(data, fit, (weight,), cfg, alpha)
     t_hat, sigma2 = float(t_vec[0]), float(sigma[0, 0])
-    if sigma2 <= 0.0:
-        raise DegenerateVarianceError(
-            "variance estimate is zero: the weight is fully explained by the "
-            "projection, or the residuals vanish"
-        )
     t_bar = t_hat / math.sqrt(sigma2)
     p_value = normal_two_sided_p(t_bar)
     return ScoreReport(
@@ -222,40 +227,25 @@ def maximin_test(
     alpha: float = DEFAULT_ALPHA,
 ) -> MaximinReport:
     """Chi-square test on the vector of score statistics for d weights."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     weights = tuple(weights)
     if not weights:
         raise ConfigError("maximin test needs at least one weight function")
-    core = residual_core(data, fit, cfg)
+    core, t_vec, sigma = _scores(data, fit, weights, cfg, alpha)
     labels = tuple(w.label for w in weights)
-    values = np.column_stack([w.evaluate(data.x) for w in weights])
-    t_vec, sigma = _score_vector(core, values)
-    diag = np.diag(sigma)
-    if np.any(diag <= 0.0):
-        bad = labels[int(np.argmin(diag))]
-        raise NearSingularCovarianceError(
-            f"weight {bad!r} has zero score variance; drop or replace it"
-        )
     cond = np.linalg.cond(sigma)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    try:
+        if not cond <= CONDITION_LIMIT:  # also an infinite or undefined one
+            raise np.linalg.LinAlgError
+        statistic = maximin_statistic(t_vec, sigma)
+    except np.linalg.LinAlgError:
         i, j = _most_collinear_pair(sigma)
         raise NearSingularCovarianceError(
             f"score covariance is numerically singular (condition number "
             f"{cond:.3g}); weights {labels[i]!r} and {labels[j]!r} are "
             "linearly dependent"
-        )
-    try:
-        statistic = maximin_statistic(t_vec, sigma)
-    except np.linalg.LinAlgError as exc:
-        i, j = _most_collinear_pair(sigma)
-        raise NearSingularCovarianceError(
-            f"score covariance is not positive definite; weights "
-            f"{labels[i]!r} and {labels[j]!r} are linearly dependent"
-        ) from exc
-    d = len(weights)
-    c_alpha = chisq_quantile(1.0 - alpha, d)
-    p_value = chisq_sf(statistic, d)
+        ) from None
+    c_alpha = chisq_quantile(1.0 - alpha, len(weights))
+    p_value = chisq_sf(statistic, len(weights))
     return MaximinReport(
         t_vec=t_vec,
         sigma_mat=sigma,

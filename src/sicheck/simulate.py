@@ -102,9 +102,10 @@ class Scenario:
         if self.c_interaction is not None:
             if self.model is not ModelKind.INTERACTION:
                 raise ConfigError("c_interaction applies to the interaction model only")
-            object.__setattr__(
-                self, "c_interaction", tuple(float(v) for v in self.c_interaction)
-            )
+            triple = tuple(float(v) for v in self.c_interaction)
+            if len(triple) != 3:
+                raise ConfigError(f"c_interaction takes 3 values, got {len(triple)}")
+            object.__setattr__(self, "c_interaction", triple)
 
     @property
     def beta_vec(self) -> np.ndarray:
@@ -257,16 +258,19 @@ def mise_weight_values(check, x) -> np.ndarray:
     return WeightSpec.sum_squares().evaluate(x)
 
 
-def validate_run(check, alpha: float, reps: int = 1, seed: int = 0) -> None:
+def validate_run(check, alpha: float, reps: int = 1, seed: int = 0, p: int | None = None) -> None:
     """Raise ConfigError for a level, replicate count or bootstrap seed the
-    check cannot run with; touches no data, so a front end can call it
-    before any work."""
+    check cannot run with, or an omnibus grid it cannot build at dimension
+    ``p`` (when given); touches no data, so a front end can call it before
+    any work."""
     if reps < 1:
         raise ConfigError(f"replications must be >= 1, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     if isinstance(check, OmnibusCheck):
         BootstrapConfig(m=check.boot_m, alpha=alpha, seed=seed)
+        if p is not None:
+            gamma_grid(p, check.grid_bound, check.grid_per_axis)
 
 
 def apply_check(data: Dataset, check, alpha: float, seed: int = 0):
@@ -300,7 +304,7 @@ def monte_carlo(
     Any replicate-level failure aborts the run with the replicate index
     and scenario attached.
     """
-    validate_run(check, alpha, reps)
+    validate_run(check, alpha, reps, p=scn.p)
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
     threads = min(threads, reps, os.cpu_count() or 1)  # never more workers than CPUs

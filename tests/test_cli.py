@@ -15,6 +15,7 @@ from sicheck import (
     generate,
     save_dataset,
 )
+from sicheck import simulate
 from sicheck.cli import build_check, main, run_check, run_simulation
 from sicheck.simulate import _replicate_reject
 from sicheck.smoother import DEFAULT_ALPHA
@@ -239,6 +240,8 @@ def test_run_simulation_reports_bad_line(tmp_path):
     # omnibus settings on another test, and a test name that is not a string
     {"test": "score", "boot_m": 50, "grid_per_axis": 1}, {"test": "maximin", "grid_bound": 0},
     {"test": ["score"]},
+    # a c_interaction that is not a triple, and an omnibus grid beyond the supported dimension
+    {"model": "interaction", "p": 3, "c_interaction": [0.5, 0.5]}, {"p": 26},
 ])
 def test_run_simulation_validates_every_line_first(tmp_path, bad):
     line = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "test": "omnibus",
@@ -249,6 +252,61 @@ def test_run_simulation_validates_every_line_first(tmp_path, bad):
     with pytest.raises(ConfigError, match="line 2"):
         run_simulation(batch, out)
     assert not out.exists()
+
+
+def test_main_simulate_unwritable_out_fails_before_any_replicate(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulate, "_replicate_reject", never)
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(BATCH.splitlines()[0] + "\n")
+    out = tmp_path / "missing" / "mc.csv"
+    code = main(["simulate", "--batch", str(batch), "--out", str(out)])
+    assert code == 1
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_main_simulate_keeps_rows_of_finished_lines(tmp_path, capsys, monkeypatch):
+    def fail_seed_6(scn, check, alpha, r):
+        if scn.seed == 6:
+            raise ValueError("boom")
+        return _replicate_reject(scn, check, alpha, r)
+
+    monkeypatch.setattr(simulate, "_replicate_reject", fail_seed_6)
+    line = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "test": "score", "reps": 2}
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(json.dumps(line) + "\n" + json.dumps(dict(line, seed=6)) + "\n")
+    out = tmp_path / "mc.csv"
+    code = main(["simulate", "--batch", str(batch), "--out", str(out)])
+    assert code == 1
+    assert "replicate 0 failed" in capsys.readouterr().err
+    first = tmp_path / "first.jsonl"
+    first.write_text(json.dumps(line) + "\n")
+    run_simulation(first, tmp_path / "first.csv")
+    assert out.read_bytes() == (tmp_path / "first.csv").read_bytes()  # header and row 1
+
+
+def test_main_simulate_refuses_undecodable_batch(tmp_path, capsys):
+    batch = tmp_path / "batch.jsonl"
+    line = BATCH.splitlines()[0]
+    batch.write_bytes(b"# caf\xe9 sweep\n" + line.encode() + b"\n")
+    out = tmp_path / "mc.csv"
+    code = main(["simulate", "--batch", str(batch), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(batch) in err and "UTF-8" in err
+    assert not out.exists()
+
+
+def test_run_simulation_reads_a_byte_order_mark(tmp_path):
+    line = BATCH.splitlines()[0]
+    plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+    plain.write_text(line + "\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + line.encode() + b"\n")
+    run_simulation(plain, tmp_path / "a.csv")
+    run_simulation(marked, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_run_simulation_reports_unknown_model(tmp_path):

@@ -95,6 +95,24 @@ def test_load_respects_column_order_with_y_first(tmp_path):
     assert data.x[:, 0] == pytest.approx(np.arange(1.0, 13.0))
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    body = "\n".join(f"{3 * i},{i},{2 * i}" for i in range(1, 13))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + ("y,x1,x2\n" + body + "\n").encode())
+    data = load_dataset(path)
+    assert data.y == pytest.approx(3.0 * np.arange(1, 13))
+    assert data.x[:, 0] == pytest.approx(np.arange(1.0, 13.0))
+
+
+def test_load_refuses_undecodable_bytes(tmp_path):
+    body = "\n".join(f"{i},{2 * i},{3 * i}" for i in range(1, 13))
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("x1,x\xe9,y\n".encode("latin-1") + body.encode() + b"\n")
+    with pytest.raises(DataError, match="UTF-8") as err:
+        load_dataset(path)
+    assert str(path) in str(err.value)
+
+
 def test_round_trip_is_exact(tmp_path):
     scn = Scenario(model=ModelKind.CUBIC, n=25, p=3, c=0.7, seed=123)
     data = generate(scn)

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +60,36 @@ def test_grid_high_dimension_quasirandom():
     assert np.all(np.abs(grid.points) <= 3.0)
     as_set = {tuple(row) for row in grid.points}
     assert {tuple(-row) for row in grid.points} == as_set
+
+
+def _halton_point(index, base):
+    """The per-point van der Corput loop the vectorised grid must reproduce."""
+    f, r = 1.0, 0.0
+    while index > 0:
+        f /= base
+        r += f * (index % base)
+        index //= base
+    return r
+
+
+@pytest.mark.parametrize("p", [5, 25])
+def test_quasirandom_grid_is_bit_identical_to_point_loop(p):
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+              61, 67, 71, 73, 79, 83, 89, 97)
+    half = np.array([[_halton_point(i, primes[k]) for k in range(p)] for i in range(1, 1001)])
+    half = (2.0 * half - 1.0) * 3.0
+    expected = np.vstack([np.zeros((1, p)), half, -half])
+    grid = gamma_grid(p)
+    assert grid.points.shape == expected.shape
+    assert grid.points.tobytes() == expected.tobytes()
+
+
+def test_grid_is_cached_and_read_only():
+    assert gamma_grid(5, 3.0, 7) is gamma_grid(5, 3.0, 7)
+    assert gamma_grid(2, 2.0, 5) is not gamma_grid(2, 2.0, 7)
+    for p in (2, 5):
+        with pytest.raises(ValueError):
+            gamma_grid(p).points[0, 0] = 1.0
 
 
 def test_grid_validation():
@@ -275,6 +307,20 @@ def test_bootstrap_critical_value_order_statistic():
     assert bootstrap_critical_value(values, 0.05) == 950.0
     with pytest.raises(ConfigError):
         bootstrap_critical_value(values[:10], 0.999)
+
+
+def test_bootstrap_critical_value_counts_exact_decimal_levels():
+    # (1 - alpha) m in binary rounds just below a whole number at these
+    # levels; the order statistic is floor of the exact decimal product
+    for m in (170, 500, 1000, 20000, *range(100, 1000, 37)):
+        values = np.arange(1.0, m + 1.0)
+        for step in range(1, 100):
+            alpha = step / 100
+            k = math.floor((1 - Fraction(str(alpha))) * m)
+            if k >= 1:
+                assert bootstrap_critical_value(values, alpha) == float(k), (m, alpha)
+    assert bootstrap_critical_value(np.arange(1.0, 501.0), 0.07) == 465.0
+    assert bootstrap_critical_value(np.arange(1.0, 171.0), 0.3) == 119.0
 
 
 def test_bootstrap_config_validation():

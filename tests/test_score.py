@@ -186,6 +186,36 @@ def test_maximin_rejects_dependent_weights(rng):
     assert "sumabs" in str(err.value)
 
 
+def test_zero_score_variance_names_the_weight(rng):
+    data, fit = pipeline_data(rng)
+    cfg = SmootherConfig(h=0.3)
+    zero = WeightSpec("zero", lambda x: np.zeros(x.shape[0]))
+    with pytest.raises(DegenerateVarianceError, match="weight 'zero' has zero score variance"):
+        standardized_test(data, fit, zero, cfg)
+    family = [WeightSpec.sum_abs(), zero, WeightSpec.sum_squares()]
+    with pytest.raises(DegenerateVarianceError, match="weight 'zero' has zero score variance"):
+        maximin_test(data, fit, family, cfg)
+    # vanishing residuals: every variance is zero, and the first weight is named
+    null = Dataset(x=data.x, y=np.zeros(data.n))
+    with pytest.raises(DegenerateVarianceError, match="weight 'sumabs'"):
+        maximin_test(null, fit_from_direction(null, np.ones(2)), family[::2], cfg)
+
+
+def test_maximin_failed_factorization_is_the_singular_refusal(rng, monkeypatch):
+    from sicheck import score_test
+
+    def fail(t_vec, sigma_mat):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(score_test, "maximin_statistic", fail)
+    data, fit = pipeline_data(rng)
+    with pytest.raises(NearSingularCovarianceError, match="numerically singular") as err:
+        maximin_test(
+            data, fit, [WeightSpec.sum_abs(), WeightSpec.sum_squares()], SmootherConfig(h=0.3)
+        )
+    assert "'sumabs' and 'sumsq'" in str(err.value)
+
+
 def test_maximin_recombination_invariance(rng):
     data, fit = pipeline_data(rng, n=50)
     cfg = SmootherConfig(h=0.3)

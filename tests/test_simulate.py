@@ -57,6 +57,9 @@ def test_scenario_validation():
         Scenario(model=ModelKind.CUBIC, n=50, p=2, seed=-3)
     with pytest.raises(ConfigError):
         Scenario(model=ModelKind.CUBIC, n=50, p=2, c_interaction=(1.0, 1.0, 1.0))
+    for triple in ((0.5, 0.5), (0.5, 0.5, 0.5, 0.5)):
+        with pytest.raises(ConfigError, match="c_interaction takes 3 values"):
+            Scenario(model=ModelKind.INTERACTION, n=50, p=3, c_interaction=triple)
     with pytest.raises(ConfigError):
         Scenario(model=ModelKind.BUMP, n=50, p=2, beta=(1.0, 0.0))
     with pytest.raises(ConfigError):
@@ -305,6 +308,16 @@ def test_monte_carlo_validation():
         monte_carlo(scn, check, reps=10, alpha=2.0)
     with pytest.raises(ConfigError):
         monte_carlo(scn, check, reps=10, threads=0)
+
+
+def test_monte_carlo_builds_the_omnibus_grid_before_any_replicate(monkeypatch):
+    def never(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulate, "_replicate_reject", never)
+    scn = Scenario(model=ModelKind.CUBIC, n=40, p=26)
+    with pytest.raises(ConfigError, match="dimension 26 exceeds the supported maximum 25"):
+        monte_carlo(scn, OmnibusCheck(boot_m=100), reps=2)
 
 
 def test_maximin_null_rate_is_sane():
