@@ -10,9 +10,9 @@ n^(-1/5); the extra factor takes the final bandwidth to the n^(-1/3)
 order that keeps smoothing bias out of the test statistics.
 
 The search sorts the grid and walks it in blocks of bandwidths under a
-workspace budget of BLOCK_BYTES.  ``LatticeSmoother``, built once for the
-whole grid, fits each block in one batched FFT pass, so memory stays O(n)
-and every fit is the exact lattice convolution of a single smooth.
+workspace budget of BLOCK_BYTES.  One ``LatticeSmoother`` per block fits
+the block's bandwidths in one batched FFT pass, so memory stays O(n) and
+every fit is the exact lattice convolution of a single smooth.
 """
 
 from __future__ import annotations
@@ -43,13 +43,17 @@ def mise_curve(data: Dataset, fit: IndexFit, w_values, grid) -> np.ndarray:
     if fit.n != data.n:
         raise DataError("index fit and dataset sizes differ")
     hs = np.asarray(grid, dtype=float)
+    if not (hs.ndim == 1 and hs.size and hs.min() > 0):
+        raise ConfigError(f"bandwidth grid must be nonempty and positive, got {grid}")
     by_h = np.argsort(hs, kind="stable")
-    smoother = LatticeSmoother(fit.slots, hs[by_h])
-    rows = max(1, BLOCK_BYTES // (48 * (data.n + int(smoother.radius[-1]))))
+    radius = int(min(np.ceil(data.n * hs.max()), data.n)) - 1  # of the widest window
+    rows = max(1, BLOCK_BYTES // (48 * (data.n + radius)))
     curve = np.empty(hs.size)
-    for lo, fits in zip(range(0, hs.size, rows), smoother.blocks(data.y, rows)):
+    for lo in range(0, hs.size, rows):
+        block = by_h[lo:lo + rows]
+        fits = LatticeSmoother(fit.slots, hs[block]).smooth(data.y)
         np.subtract(data.y, fits, out=fits)
-        curve[by_h[lo:lo + rows]] = np.square(fits, out=fits) @ w2
+        curve[block] = np.square(fits, out=fits) @ w2
     return curve
 
 

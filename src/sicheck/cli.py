@@ -143,7 +143,7 @@ def _parse_batch_entry(entry: dict):
 _CSV_COLUMNS = (
     "model", "n", "p", "beta", "c", "sigma_eps", "seed",
     "test", "alpha", "reps", "rejection_rate", "mc_stderr",
-    "h", "grid_bound", "grid_per_axis",
+    "h", "grid_bound", "grid_per_axis", "c_interaction",
 )
 
 
@@ -161,6 +161,8 @@ def run_simulation(batch_path, out_path, threads: int = 1) -> int:
     Every line is parsed and validated, and the output opened, before the
     first replicate runs; each row is written when its line finishes.
     """
+    if threads < 1:
+        raise ConfigError(f"thread count must be >= 1, got {threads}")
     try:
         with open(batch_path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
@@ -184,10 +186,12 @@ def run_simulation(batch_path, out_path, threads: int = 1) -> int:
         writer.writerow(_CSV_COLUMNS)
         for scn, check, reps, alpha in entries:
             res = monte_carlo(scn, check, reps, alpha, threads=threads)
-            beta = "" if scn.beta is None else ";".join(repr(b) for b in scn.beta)
+            beta, c_int = ("" if v is None else ";".join(map(repr, v))
+                           for v in (scn.beta, scn.c_interaction))
             writer.writerow([scn.model.value, scn.n, scn.p, beta, repr(scn.c), repr(scn.sigma_eps),
                              scn.seed, res.test_label, repr(res.alpha), res.replications,
-                             repr(res.rejection_rate), repr(res.mc_stderr), *_fixed_values(check)])
+                             repr(res.rejection_rate), repr(res.mc_stderr), *_fixed_values(check),
+                             c_int])
             fh.flush()
     return len(entries)
 

@@ -89,7 +89,7 @@ class GammaGrid:
 
     points: np.ndarray  # (g, p)
     bound: float
-    per_axis: int
+    per_axis: int | None  # None on a quasi-random grid
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -97,7 +97,7 @@ class GammaGrid:
             raise ConfigError("frequency grid must be a nonempty (g, p) array")
         if not self.bound > 0:
             raise ConfigError(f"grid bound must be positive, got {self.bound}")
-        if self.per_axis < 2:
+        if self.per_axis is not None and self.per_axis < 2:
             raise ConfigError(f"per-axis count must be >= 2, got {self.per_axis}")
         if not np.any(np.all(pts == 0.0, axis=1)):
             raise ConfigError("frequency grid must contain the origin")
@@ -152,25 +152,27 @@ def gamma_grid(
     The axis holds the origin plus floor(per_axis / 2) equispaced points
     mirrored exactly about zero (an even request is bumped to the next odd
     count so the origin is present).  Dense product grid while it stays
-    within MAX_DENSE_POINTS; for higher dimension, the origin plus 1000
+    within MAX_DENSE_POINTS; beyond that, the origin plus 1000
     quasi-random (Halton) point pairs +/- q, which keeps the grid
-    symmetric.  The grid is cached per (p, bound, per_axis) and its points
-    are read-only.
+    symmetric and has no per-axis count (``per_axis`` None); no axis is
+    built then.  The grid is cached per (p, bound, per_axis) and its
+    points are read-only.
     """
     if p < 1:
         raise ConfigError(f"dimension must be >= 1, got {p}")
     if p > len(_PRIMES):
         raise ConfigError(f"dimension {p} exceeds the supported maximum {len(_PRIMES)}")
     half_count = max(per_axis // 2, 0)  # GammaGrid refuses a count below 2
-    pos = np.linspace(0.0, bound, half_count + 1)[1:]
-    axis = np.concatenate([-pos[::-1], [0.0], pos])
-    if len(axis) ** p <= MAX_DENSE_POINTS:
+    if (2 * half_count + 1) ** p <= MAX_DENSE_POINTS:
+        pos = np.linspace(0.0, bound, half_count + 1)[1:]
+        axis = np.concatenate([-pos[::-1], [0.0], pos])
         mesh = np.meshgrid(*([axis] * p), indexing="ij")
         points = np.stack(mesh, axis=-1).reshape(-1, p)
     else:
         half = np.column_stack([_halton(1000, base) for base in _PRIMES[:p]])
         half = (2.0 * half - 1.0) * bound
         points = np.vstack([np.zeros((1, p)), half, -half])
+        per_axis = None  # the points lie on no axis
     points.setflags(write=False)
     return GammaGrid(points=points, bound=float(bound), per_axis=per_axis)
 
@@ -355,9 +357,10 @@ def omnibus_test(
     n_int = eps.size
     half = grid.half_points
     # per complex column: the weights, their slot-binned copy and gathered
-    # fits (n each), the spectrum and its inverse (fft_size each), and the
-    # replicate products (m)
-    column_bytes = 16 * (3 * data.n + 2 * core.smoother.fft_size + boot.m)
+    # fits (n each), the spectrum and its inverse (each below 2.31 n: the
+    # padded length fft_length(n + r) is at most 1.154 (n + r), and r < n),
+    # and the replicate products (m)
+    column_bytes = 16 * (8 * data.n + boot.m)
     width = max(1, CHUNK_BYTES // column_bytes)
     t_max = 0.0
     reps = np.zeros(boot.m)

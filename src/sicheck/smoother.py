@@ -98,11 +98,10 @@ class LatticeSmoother:
     convolution on n slots: scatter the values into their slots (tied ranks
     add up), convolve with the table K(d / (n h)), |d| < n h, centre zeroed,
     gather each observation's slot and add back K(0) times the tied values
-    that share it.  Real values at one bandwidth with a short table are
-    convolved directly, which leaves an empty window exactly 0; otherwise
-    one FFT serves a block, and the fits of empty windows, found from prefix
-    sums of slot occupancy unless every window spans the widest gap between
-    occupied slots, are set to 0.
+    that share it.  The table is built once per smoother.  Real values at
+    one bandwidth with a short table are convolved directly, which leaves
+    an empty window exactly 0; otherwise one FFT serves every bandwidth,
+    and the fits of the ``empty`` windows are set to 0.
     """
 
     def __init__(self, slots, h):
@@ -116,50 +115,30 @@ class LatticeSmoother:
             raise InsufficientDataError("leave-one-out smoothing needs n >= 2")
         self._counts = np.bincount(self._k, minlength=n)
         self._tied = bool(self._counts.max() > 1)
-        self._widest = 1  # widest gap between occupied slots: untied, they are 1..n
-        if self._tied:
-            self._widest = int(np.diff(np.flatnonzero(self._counts)).max(initial=0))
-        if not self._shape:  # one table serves every smooth
-            self._table = kernel_table(n, self._hs)
-            self._taps = np.concatenate((self._table[0, :0:-1], [0.0], self._table[0, 1:]))
-
-    @functools.cached_property
-    def radius(self) -> np.ndarray:
-        """Window radius r = min(ceil(n h), n) - 1 in slots, a 1-D array with
-        one per bandwidth: K(d / (n h)) > 0 exactly for |d| <= r."""
-        n = self._k.size
-        return np.minimum(np.ceil(n * self._hs), n).astype(np.intp) - 1
-
-    @property
-    def fft_size(self) -> int:
-        """Padded FFT length: n + r slots keep the circular wrap out."""
-        return fft_length(self._k.size + int(self.radius.max()))
-
-    def _empty(self, rows=slice(None)) -> np.ndarray:
-        """Mask, one row per bandwidth in ``rows``, of observations whose
-        window |k_i - k_j| <= r holds no other observation."""
-        k, n, r = self._k, self._k.size, self.radius[rows, None]
-        if r.min() >= self._widest:
-            return np.zeros((r.size, n), dtype=bool)
-        cum = np.concatenate(([0], np.cumsum(self._counts)))
-        return cum[np.minimum(k + r + 1, n)] - cum[np.maximum(k - r, 0)] == 1
+        self._table = kernel_table(n, self._hs)
 
     @functools.cached_property
     def empty(self) -> np.ndarray:
         """Mask of observations whose window |k_i - k_j| < n h holds no other
-        observation; one row per bandwidth of a block."""
-        return self._empty().reshape(self._shape + self._k.shape)
+        observation; one row per bandwidth of a block.  No window is empty
+        when every radius spans the widest gap between occupied slots."""
+        k, n = self._k, self._k.size
+        r = np.minimum(np.ceil(n * self._hs), n).astype(np.intp)[:, None] - 1
+        widest = 1  # untied, the occupied slots are 1..n
+        if self._tied:
+            widest = int(np.diff(np.flatnonzero(self._counts)).max(initial=0))
+        if r.min() >= widest:
+            mask = np.zeros((r.size, n), dtype=bool)
+        else:
+            cum = np.concatenate(([0], np.cumsum(self._counts)))
+            mask = cum[np.minimum(k + r + 1, n)] - cum[np.maximum(k - r, 0)] == 1
+        return mask.reshape(self._shape + self._k.shape)
 
     def smooth(self, values) -> np.ndarray:
         """Fits 1/((n-1) h) sum_{i != j} v_i K((U_j - U_i) / h) at every j,
         for a vector or an (n, d) column stack, real or complex; one row of
         them per bandwidth of a block."""
-        return next(self.blocks(values, self._hs.size)).reshape(self._shape + np.shape(values))
-
-    def blocks(self, values, rows: int):
-        """Yield the fits at h[0:rows], h[rows:2 rows], ... in turn, shape
-        (bandwidths,) + values.shape, from values binned once."""
-        k, n = self._k, self._k.size
+        k, n, table = self._k, self._k.size, self._table
         v = np.asarray(values)
         if v.ndim not in (1, 2) or v.shape[0] != n:
             raise DataError("values and ranks must have equal length")
@@ -175,26 +154,24 @@ class LatticeSmoother:
         else:  # the slots are a permutation of 1..n
             binned = np.empty(real.shape)
             binned[k] = real
-        for lo in range(0, self._hs.size, rows):
-            h = self._hs[lo:lo + rows]
-            table = kernel_table(n, h) if self._shape else self._table
-            top = table.shape[1] - 1
-            if not (self._shape or cplx) and self._taps.size <= DIRECT_MAX_TAPS:
-                out = np.empty((1,) + real.shape)
-                for c in range(real.shape[1]):
-                    out[0, :, c] = np.convolve(binned[:, c], self._taps)[k + top]
-            else:
-                size = fft_length(n + top)
-                circ = np.zeros((h.size, size))
-                circ[:, 1:top + 1] = table[:, 1:]
-                circ[:, size - top:] = table[:, :0:-1]
-                spectrum = np.fft.rfft(binned, size, axis=0) * np.fft.rfft(circ)[..., None]
-                out = np.take(np.fft.irfft(spectrum, size, axis=1), k, axis=1)
-                out[self._empty(slice(lo, lo + rows))] = 0.0
-            if self._tied:
-                out += tied
-            out /= ((n - 1) * h)[:, None, None]
-            yield (out.view(complex) if cplx else out).reshape(h.shape + v.shape)
+        top = table.shape[1] - 1
+        if not (self._shape or cplx) and 2 * top + 1 <= DIRECT_MAX_TAPS:
+            taps = np.concatenate((table[0, :0:-1], [0.0], table[0, 1:]))
+            out = np.empty((1,) + real.shape)
+            for c in range(real.shape[1]):
+                out[0, :, c] = np.convolve(binned[:, c], taps)[k + top]
+        else:
+            size = fft_length(n + top)
+            circ = np.zeros((self._hs.size, size))
+            circ[:, 1:top + 1] = table[:, 1:]
+            circ[:, size - top:] = table[:, :0:-1]
+            spectrum = np.fft.rfft(binned, size, axis=0) * np.fft.rfft(circ)[..., None]
+            out = np.take(np.fft.irfft(spectrum, size, axis=1), k, axis=1)
+            out[self.empty.reshape(out.shape[:2])] = 0.0
+        if self._tied:
+            out += tied
+        out /= ((n - 1) * self._hs)[:, None, None]
+        return (out.view(complex) if cplx else out).reshape(self._shape + v.shape)
 
 
 @dataclass(frozen=True, eq=False)

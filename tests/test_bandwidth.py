@@ -204,10 +204,15 @@ def test_mise_curve_empty_window_fits_exactly_zero(rng):
     assert mise_curve(data, fit, w, [0.5, 0.01]).tolist() == [4.0, 4.0]
 
 
-def test_mise_curve_rejects_bad_inputs():
+@pytest.mark.parametrize("grid", [[], [0.5, -0.1], [0.1, -0.2], [0.1, np.nan], [0.0]])
+def test_mise_curve_rejects_bad_grids(grid):
     data, fit = triple()
     with pytest.raises(ConfigError):
-        mise_curve(data, fit, np.ones(3), [0.5, -0.1])
+        mise_curve(data, fit, np.ones(3), grid)
+
+
+def test_mise_curve_rejects_bad_inputs():
+    data, fit = triple()
     with pytest.raises(ConfigError):
         mise_curve(data, fit, np.ones(2), [0.5])
     with pytest.raises(DataError):

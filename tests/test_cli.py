@@ -368,6 +368,29 @@ def test_run_simulation_rows_record_fixed_values(tmp_path):
     ]
 
 
+def test_run_simulation_rows_record_c_interaction(tmp_path):
+    line = {"model": "interaction", "n": 40, "p": 3, "seed": 5, "test": "maximin", "reps": 2}
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(json.dumps(line) + "\n"
+                     + json.dumps(dict(line, c_interaction=[3, 3, 0.5])) + "\n")
+    out = tmp_path / "out.csv"
+    run_simulation(batch, out)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["c"] for row in rows] == ["0.0", "0.0"]
+    assert [row["c_interaction"] for row in rows] == ["", "3.0;3.0;0.5"]
+
+
+def test_main_simulate_refuses_zero_threads_before_writing(tmp_path, capsys):
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(BATCH)
+    out = tmp_path / "mc.csv"
+    code = main(["simulate", "--batch", str(batch), "--out", str(out), "--threads", "0"])
+    assert code == 2
+    assert "thread count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_simulate_roundtrip(tmp_path, capsys):
     batch = tmp_path / "batch.jsonl"
     batch.write_text(BATCH.splitlines()[0] + "\n")

@@ -62,6 +62,16 @@ def test_grid_high_dimension_quasirandom():
     assert {tuple(-row) for row in grid.points} == as_set
 
 
+@pytest.mark.parametrize("p, per_axis", [(1, 10**6), (2, 51)])
+def test_grid_finer_than_dense_limit_has_no_per_axis_count(p, per_axis):
+    # the quasi-random grid claims no per-axis count, and no axis of the
+    # requested size is built before the grid falls back to it
+    grid = gamma_grid(p, 3.0, per_axis)
+    assert grid.size == 2001 and grid.per_axis is None
+    assert grid.summary()["per_axis"] is None
+    assert gamma_grid(2, 3.0, 7).summary()["per_axis"] == 7
+
+
 def _halton_point(index, base):
     """The per-point van der Corput loop the vectorised grid must reproduce."""
     f, r = 1.0, 0.0
