@@ -43,8 +43,8 @@ def mise_curve(data: Dataset, fit: IndexFit, w_values, grid) -> np.ndarray:
     if fit.n != data.n:
         raise DataError("index fit and dataset sizes differ")
     hs = np.asarray(grid, dtype=float)
-    if not (hs.ndim == 1 and hs.size and hs.min() > 0):
-        raise ConfigError(f"bandwidth grid must be nonempty and positive, got {grid}")
+    if not (hs.ndim == 1 and hs.size and hs.min() > 0 and hs.max() < np.inf):
+        raise ConfigError(f"bandwidth grid must be nonempty, positive and finite, got {grid}")
     by_h = np.argsort(hs, kind="stable")
     radius = int(min(np.ceil(data.n * hs.max()), data.n)) - 1  # of the widest window
     rows = max(1, BLOCK_BYTES // (48 * (data.n + radius)))

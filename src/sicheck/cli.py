@@ -70,6 +70,8 @@ def build_check(test: str, weights=None, **given):
     foreign = [key for key in _OMNIBUS_SETTINGS if given.get(key) is not None]
     if test != "omnibus" and foreign:
         raise ConfigError(f"the {test} test takes no {', '.join(foreign)}: they set omnibus only")
+    if test == "omnibus" and weights is not None:
+        raise ConfigError("the omnibus test takes no weights: its weights are the frequencies")
     weights = _DEFAULT_WEIGHTS[test] if weights is None else weights
     if not isinstance(weights, (list, tuple)):
         raise ConfigError(f"weights must be a list of names, got {weights!r}")
@@ -137,7 +139,7 @@ def _parse_batch_entry(entry: dict):
                               "maximin 'weights'")
     reps = _value("reps", entry.get("reps", 100), int)
     validate_run(check, settings["alpha"], reps, p=scn.p)
-    return scn, check, reps, settings["alpha"]
+    return scn, check, reps, settings
 
 
 _CSV_COLUMNS = (
@@ -147,16 +149,8 @@ _CSV_COLUMNS = (
 )
 
 
-def _fixed_values(check) -> list:
-    """The line's fixed ``h`` and omnibus grid, empty where they do not apply."""
-    h = "" if check.h is None else repr(float(check.h))
-    if not isinstance(check, OmnibusCheck):
-        return [h, "", ""]
-    return [h, repr(float(check.grid_bound)), check.grid_per_axis]
-
-
 def run_simulation(batch_path, out_path, threads: int = 1) -> int:
-    """Run every batch entry and write one CSV row per (scenario, test).
+    """Run every batch entry; each CSV row is one line's settings and its measured rate.
 
     Every line is parsed and validated, and the output opened, before the
     first replicate runs; each row is written when its line finishes.
@@ -184,14 +178,17 @@ def run_simulation(batch_path, out_path, threads: int = 1) -> int:
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
-        for scn, check, reps, alpha in entries:
-            res = monte_carlo(scn, check, reps, alpha, threads=threads)
+        for scn, check, reps, settings in entries:
+            res = monte_carlo(scn, check, reps, settings["alpha"], threads=threads)
             beta, c_int = ("" if v is None else ";".join(map(repr, v))
                            for v in (scn.beta, scn.c_interaction))
+            fixed = [settings["h"], settings["grid_bound"], settings["grid_per_axis"]]
+            if settings["test"] != "omnibus":
+                fixed[1:] = None, None  # the grid columns apply to omnibus only
             writer.writerow([scn.model.value, scn.n, scn.p, beta, repr(scn.c), repr(scn.sigma_eps),
-                             scn.seed, res.test_label, repr(res.alpha), res.replications,
-                             repr(res.rejection_rate), repr(res.mc_stderr), *_fixed_values(check),
-                             c_int])
+                             scn.seed, check.label, repr(settings["alpha"]), reps,
+                             repr(res.rejection_rate), repr(res.mc_stderr),
+                             *("" if v is None else repr(v) for v in fixed), c_int])
             fh.flush()
     return len(entries)
 

@@ -95,8 +95,10 @@ class GammaGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ConfigError("frequency grid must be a nonempty (g, p) array")
-        if not self.bound > 0:
-            raise ConfigError(f"grid bound must be positive, got {self.bound}")
+        if not np.isfinite(pts).all():
+            raise ConfigError("frequency grid points must be finite")
+        if not 0 < self.bound < math.inf:
+            raise ConfigError(f"grid bound must be positive and finite, got {self.bound}")
         if self.per_axis is not None and self.per_axis < 2:
             raise ConfigError(f"per-axis count must be >= 2, got {self.per_axis}")
         if not np.any(np.all(pts == 0.0, axis=1)):
@@ -162,6 +164,8 @@ def gamma_grid(
         raise ConfigError(f"dimension must be >= 1, got {p}")
     if p > len(_PRIMES):
         raise ConfigError(f"dimension {p} exceeds the supported maximum {len(_PRIMES)}")
+    if not math.isfinite(bound):
+        raise ConfigError(f"grid bound must be finite, got {bound}")
     half_count = max(per_axis // 2, 0)  # GammaGrid refuses a count below 2
     if (2 * half_count + 1) ** p <= MAX_DENSE_POINTS:
         pos = np.linspace(0.0, bound, half_count + 1)[1:]
@@ -366,7 +370,12 @@ def omnibus_test(
     reps = np.zeros(boot.m)
     e = None
     for start in range(0, half.shape[0], width):
-        summands = core.centered(np.exp(1j * (z @ half[start:start + width].T)))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                phases = z @ half[start:start + width].T
+        except FloatingPointError:
+            raise ConfigError(f"grid bound {grid.bound} overflows the phases gamma'z") from None
+        summands = core.centered(np.exp(1j * phases))
         summands *= eps[:, None]
         t_max = max(t_max, float(np.abs(summands.sum(axis=0)).max()))
         if e is None:  # drawn once the first block's FFT workspace is freed

@@ -72,6 +72,10 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("c", "sigma_eps", "beta", "c_interaction"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.p < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.p}")
         if self.n <= self.p + 1:  # what fit_index_ols needs, for every check
@@ -239,12 +243,10 @@ class OmnibusCheck:
 
 @dataclass(frozen=True, eq=False)
 class MCResult:
+    """What ``monte_carlo`` measured; the run's inputs stay with the caller."""
+
     rejection_rate: float
-    replications: int
     mc_stderr: float
-    scenario: Scenario
-    test_label: str
-    alpha: float
 
 
 def mise_weight_values(check, x) -> np.ndarray:
@@ -299,7 +301,8 @@ def _replicate_reject(scn: Scenario, check, alpha: float, r: int) -> bool:
 def monte_carlo(
     scn: Scenario, check, reps: int, alpha: float = DEFAULT_ALPHA, threads: int = 1
 ) -> MCResult:
-    """Rejection rate of a check over seeded replicates.
+    """Rejection rate of a check over ``reps`` seeded replicates at level
+    ``alpha``, with its binomial standard error.
 
     Any replicate-level failure aborts the run with the replicate index
     and scenario attached.
@@ -323,11 +326,4 @@ def monte_carlo(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             flags = list(pool.map(one, range(reps)))
     rate = sum(flags) / reps
-    return MCResult(
-        rejection_rate=rate,
-        replications=reps,
-        mc_stderr=math.sqrt(rate * (1.0 - rate) / reps),
-        scenario=scn,
-        test_label=check.label,
-        alpha=alpha,
-    )
+    return MCResult(rejection_rate=rate, mc_stderr=math.sqrt(rate * (1.0 - rate) / reps))

@@ -106,8 +106,8 @@ class LatticeSmoother:
 
     def __init__(self, slots, h):
         hs = np.asarray(h, dtype=float)
-        if not (hs.ndim <= 1 and hs.size and hs.min() > 0):
-            raise ConfigError(f"bandwidth must be positive (a number or a 1-D block), got {h}")
+        if not (hs.ndim <= 1 and hs.size and hs.min() > 0 and hs.max() < np.inf):
+            raise ConfigError(f"bandwidth must be positive and finite, got {h}")
         self._shape, self._hs = hs.shape, hs.reshape(-1)  # shape () at one bandwidth
         self._k = np.asarray(slots, dtype=np.intp) - 1
         n = self._k.size

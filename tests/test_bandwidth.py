@@ -204,7 +204,7 @@ def test_mise_curve_empty_window_fits_exactly_zero(rng):
     assert mise_curve(data, fit, w, [0.5, 0.01]).tolist() == [4.0, 4.0]
 
 
-@pytest.mark.parametrize("grid", [[], [0.5, -0.1], [0.1, -0.2], [0.1, np.nan], [0.0]])
+@pytest.mark.parametrize("grid", [[], [0.5, -0.1], [0.1, -0.2], [0.1, np.nan], [0.0], [0.1, np.inf]])
 def test_mise_curve_rejects_bad_grids(grid):
     data, fit = triple()
     with pytest.raises(ConfigError):

@@ -44,6 +44,8 @@ def test_run_config_validation(tmp_path):
         build_check("score", bootm=50)
     with pytest.raises(ConfigError, match=r"unknown test \['score'\]; choose from"):
         build_check(["score"])
+    with pytest.raises(ConfigError, match="omnibus test takes no weights"):
+        build_check("omnibus", ["sumsq"])
     # omnibus settings are refused on the other tests, named with the test
     for test, given in (("score", {"boot_m": 50, "grid_bound": 0.0}),
                         ("maximin", {"grid_bound": 0})):
@@ -95,7 +97,7 @@ def test_run_check_omnibus_scenario_fixed_seed(tmp_path):
     scn = Scenario(model=ModelKind.CUBIC, n=60, p=2, c=0.0, seed=12345)
     path = tmp_path / "scenario.csv"
     save_dataset(generate(scn), path)
-    check, settings = build_check("omnibus", ["sumsq"], alpha=0.05, boot_m=300)
+    check, settings = build_check("omnibus", alpha=0.05, boot_m=300)
     report = run_check(str(path), check, settings, seed=7)
     # frozen from a direct run of this configuration: the null is retained
     assert report["reject"] is False
@@ -175,6 +177,16 @@ def test_main_reports_missing_file(tmp_path, capsys):
 def test_main_bad_h_string(csv_path, capsys):
     code = main(["check", "--input", str(csv_path), "--test", "score", "--h", "soon"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--grid-bound", "1e308"], "grid bound 1e+308 overflows the phases"),
+    (["--weight", "sumsq"], "omnibus test takes no weights"),
+])
+def test_main_omnibus_refuses_bad_settings(csv_path, capsys, flags, message):
+    code = main(["check", "--input", str(csv_path), "--test", "omnibus", *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 BATCH = (

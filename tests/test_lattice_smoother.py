@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sicheck import (
+    ConfigError,
     DataError,
     Dataset,
     IndexFit,
@@ -109,6 +110,12 @@ def test_lattice_matches_dense_narrow_windows(case, kind):
 @given(case=lattice_cases("fft"))
 def test_lattice_matches_dense_wide_windows(case, kind):
     _check_case(case, kind, "fft")
+
+
+@pytest.mark.parametrize("h", [np.inf, [0.3, np.inf]])
+def test_lattice_smoother_refuses_infinite_bandwidths(h):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        LatticeSmoother(np.arange(1, 11), h)
 
 
 def test_fft_length_is_smallest_5_smooth_at_least_k():

@@ -107,12 +107,17 @@ def test_grid_validation():
         gamma_grid(0)
     with pytest.raises(ConfigError):
         gamma_grid(2, bound=0.0)
+    with pytest.raises(ConfigError, match="grid bound must be finite"):
+        gamma_grid(2, bound=np.inf)
     with pytest.raises(ConfigError):
         gamma_grid(2, per_axis=1)
     with pytest.raises(ConfigError):
         GammaGrid(points=np.array([[1.0, 0.0]]), bound=1.0, per_axis=3)
     with pytest.raises(ConfigError):
         GammaGrid(points=np.array([[0.0, 0.0], [1.0, 0.3]]), bound=1.0, per_axis=3)
+    with pytest.raises(ConfigError, match="points must be finite"):
+        GammaGrid(points=np.array([[0.0, 0.0], [np.nan, 1.0], [np.nan, -1.0]]), bound=1.0,
+                  per_axis=None)
 
 
 def test_cf_process_at_origin(rng):

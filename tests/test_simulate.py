@@ -70,6 +70,11 @@ def test_scenario_validation():
     with pytest.raises(ConfigError, match="n > p \\+ 1"):  # what the index fit needs
         Scenario(model=ModelKind.CUBIC, n=3, p=2)
     Scenario(model=ModelKind.CUBIC, n=4, p=2)
+    for field, value in (("beta", (np.nan, 1.0)), ("c", np.nan), ("sigma_eps", np.inf),
+                         ("c_interaction", (0.5, np.inf, 0.0))):
+        model = ModelKind.INTERACTION if field == "c_interaction" else ModelKind.CUBIC
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            Scenario(model=model, n=50, p=3, **{field: value})
 
 
 def test_generate_deterministic():
