@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -31,17 +32,10 @@ from .simulate import (
 from .weights import WeightSpec
 
 _WEIGHTS = {"sumabs": WeightSpec.sum_abs, "sumsq": WeightSpec.sum_squares}
-#: Each test's weight names when none are given (omnibus reports echo them).
-_DEFAULT_WEIGHTS = {"score": ("sumabs",), "maximin": ("sumabs", "sumsq"), "omnibus": ("sumabs",)}
-#: A test's other settings: name -> (JSON type, default); h None is the selector.
-_SETTINGS = {
-    "alpha": (float, smoother.DEFAULT_ALPHA),
-    "h": (float, None),
-    "boot_m": (int, OmnibusCheck.boot_m),
-    "grid_bound": (float, OmnibusCheck.grid_bound),
-    "grid_per_axis": (int, OmnibusCheck.grid_per_axis),
-}
-_OMNIBUS_SETTINGS = ("boot_m", "grid_bound", "grid_per_axis")
+#: The tests by name; a test takes the fields of its check class, plus alpha.
+_CHECKS = {"score": ScoreCheck, "maximin": MaximinCheck, "omnibus": OmnibusCheck}
+#: A test's settings besides its weights, with JSON types; h None is the selector.
+_SETTINGS = {"alpha": float, "h": float, "boot_m": int, "grid_bound": float, "grid_per_axis": int}
 
 
 def _value(key: str, value, kind):
@@ -58,39 +52,42 @@ def _value(key: str, value, kind):
 
 
 def build_check(test: str, weights=None, **given):
-    """The check named by ``test`` and its settings, resolved as reports echo them.
+    """The check named by ``test`` and the record of its settings that reports echo.
 
-    ``weights`` lists weight names, None for the test's defaults.  A setting
-    of ``_SETTINGS`` not in ``given``, or None there, takes its default.
+    ``weights`` lists weight names, None for the check's defaults.  A setting
+    of ``_SETTINGS`` not in ``given``, or None there, takes its class default
+    (alpha: DEFAULT_ALPHA); the record holds None for one the test does not take.
     """
-    if not isinstance(test, str) or test not in _DEFAULT_WEIGHTS:
-        raise ConfigError(f"unknown test {test!r}; choose from {tuple(_DEFAULT_WEIGHTS)}")
+    if not isinstance(test, str) or test not in _CHECKS:
+        raise ConfigError(f"unknown test {test!r}; choose from {tuple(_CHECKS)}")
     if not set(given) <= set(_SETTINGS):
         raise TypeError(f"unknown settings {sorted(set(given) - set(_SETTINGS))}")
-    foreign = [key for key in _OMNIBUS_SETTINGS if given.get(key) is not None]
-    if test != "omnibus" and foreign:
-        raise ConfigError(f"the {test} test takes no {', '.join(foreign)}: they set omnibus only")
-    if test == "omnibus" and weights is not None:
-        raise ConfigError("the omnibus test takes no weights: its weights are the frequencies")
-    weights = _DEFAULT_WEIGHTS[test] if weights is None else weights
-    if not isinstance(weights, (list, tuple)):
-        raise ConfigError(f"weights must be a list of names, got {weights!r}")
-    for name in weights:
-        if not isinstance(name, str) or name not in _WEIGHTS:
-            raise ConfigError(f"unknown weight {name!r}; choose from {tuple(_WEIGHTS)}")
-    specs = tuple(_WEIGHTS[name]() for name in weights)
-    settings = {"test": test, "weights": list(weights)}
-    for key, (kind, default) in _SETTINGS.items():
-        settings[key] = default if given.get(key) is None else _value(key, given[key], kind)
-    h = settings["h"]
-    if test == "score":
-        if len(specs) != 1:
-            raise ConfigError("the score test takes exactly one weight")
-        return ScoreCheck(weight=specs[0], h=h), settings
-    if test == "maximin":
-        return MaximinCheck(weights=specs, h=h), settings
-    grid = {key: settings[key] for key in _OMNIBUS_SETTINGS}
-    return OmnibusCheck(**grid, h=h), settings
+    fields = {f.name for f in dataclasses.fields(_CHECKS[test])}
+    given = {key: value for key, value in given.items() if value is not None}
+    foreign = [key for key in given if key not in fields | {"alpha"}]
+    if foreign:
+        raise ConfigError(f"the {test} test takes no {', '.join(foreign)}")
+    kwargs = {key: _value(key, value, _SETTINGS[key]) for key, value in given.items()}
+    alpha = kwargs.pop("alpha", smoother.DEFAULT_ALPHA)
+    if weights is not None:
+        if not fields & {"weight", "weights"}:
+            raise ConfigError(f"the {test} test takes no weights: its weights are the frequencies")
+        if not isinstance(weights, (list, tuple)):
+            raise ConfigError(f"weights must be a list of names, got {weights!r}")
+        for name in weights:
+            if not isinstance(name, str) or name not in _WEIGHTS:
+                raise ConfigError(f"unknown weight {name!r}; choose from {tuple(_WEIGHTS)}")
+        specs = tuple(_WEIGHTS[name]() for name in weights)
+        if "weights" in fields:
+            kwargs["weights"] = specs
+        elif len(specs) != 1:
+            raise ConfigError(f"the {test} test takes exactly one weight")
+        else:
+            kwargs["weight"] = specs[0]
+    check = _CHECKS[test](**kwargs)
+    specs = check.weights if "weights" in fields else [check.weight] if "weight" in fields else []
+    settings = {key: getattr(check, key, None) for key in _SETTINGS}
+    return check, dict(settings, test=test, alpha=alpha, weights=[w.label for w in specs] or None)
 
 
 def run_check(input_path, check, settings: dict, seed: int = 0) -> dict:
@@ -100,7 +97,7 @@ def run_check(input_path, check, settings: dict, seed: int = 0) -> dict:
     data = load_dataset(input_path)
     report, h1 = apply_check(data, check, settings["alpha"], seed)
     config = dict(settings, h="auto" if settings["h"] is None else settings["h"], seed=seed,
-                  input=input_path, scenario=None)  # input is always a CSV
+                  input=input_path)
     return {"artifact_version": __version__, "config": config, "n": data.n, "p": data.p,
             "seed": seed, "h1": h1, **report.to_json_dict()}
 
@@ -108,10 +105,18 @@ def run_check(input_path, check, settings: dict, seed: int = 0) -> dict:
 #: Scenario's fields besides ``model``, with JSON types; one left out takes its default.
 _SCENARIO_KEYS = {"n": int, "p": int, "beta": list, "c": float, "c_interaction": list,
                   "sigma_eps": float, "seed": int}
-#: The batch key naming a test's weights; an omnibus line takes neither.
-_WEIGHT_KEY = {"score": "weight", "maximin": "weights"}
 _MODELS = [kind.value for kind in ModelKind]
 _BATCH_KEYS = ("model", *_SCENARIO_KEYS, "test", "weight", "weights", "reps", *_SETTINGS)
+
+
+def _json_object(pairs) -> dict:
+    """A JSON object whose keys are distinct; json.loads would keep a repeated key's last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"batch key {key!r} is repeated")
+        obj[key] = value
+    return obj
 
 
 def _parse_batch_entry(entry: dict):
@@ -127,18 +132,14 @@ def _parse_batch_entry(entry: dict):
     scn = Scenario(model=ModelKind(entry["model"]), **{
         key: _value(key, entry[key], kind) for key, kind in _SCENARIO_KEYS.items() if key in entry
     })
-    test = entry.get("test")
-    weight_key = _WEIGHT_KEY.get(test) if isinstance(test, str) else None  # a list is unhashable
-    weights = entry.get(weight_key)
-    if test == "score" and weights is not None:
-        weights = [weights]
-    check, settings = build_check(test, weights, **{k: entry[k] for k in _SETTINGS if k in entry})
+    weights = [entry["weight"]] if "weight" in entry else entry.get("weights")
+    check, settings = build_check(entry.get("test"), weights,
+                                  **{k: entry[k] for k in _SETTINGS if k in entry})
     for key in ("weight", "weights"):
-        if key in entry and key != weight_key:
-            raise ConfigError(f"{test} lines take no {key!r}; score takes 'weight', "
-                              "maximin 'weights'")
+        if key in entry and not hasattr(check, key):
+            raise ConfigError(f"{settings['test']} lines take no {key!r}")
     reps = _value("reps", entry.get("reps", 100), int)
-    validate_run(check, settings["alpha"], reps, p=scn.p)
+    validate_run(check, settings["alpha"], reps, p=scn.p, n=scn.n)
     return scn, check, reps, settings
 
 
@@ -168,11 +169,9 @@ def run_simulation(batch_path, out_path, threads: int = 1) -> int:
         if not text or text.startswith("#"):
             continue
         try:
-            entry = json.loads(text)
+            entries.append(_parse_batch_entry(json.loads(text, object_pairs_hook=_json_object)))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{batch_path}: line {line_no}: invalid JSON: {exc}") from None
-        try:
-            entries.append(_parse_batch_entry(entry))
         except (TypeError, ValueError, OverflowError, ConfigError) as exc:
             raise ConfigError(f"{batch_path}: line {line_no}: {exc}") from None
     with open(out_path, "w", newline="") as fh:
@@ -182,9 +181,7 @@ def run_simulation(batch_path, out_path, threads: int = 1) -> int:
             res = monte_carlo(scn, check, reps, settings["alpha"], threads=threads)
             beta, c_int = ("" if v is None else ";".join(map(repr, v))
                            for v in (scn.beta, scn.c_interaction))
-            fixed = [settings["h"], settings["grid_bound"], settings["grid_per_axis"]]
-            if settings["test"] != "omnibus":
-                fixed[1:] = None, None  # the grid columns apply to omnibus only
+            fixed = (settings[key] for key in ("h", "grid_bound", "grid_per_axis"))
             writer.writerow([scn.model.value, scn.n, scn.p, beta, repr(scn.c), repr(scn.sigma_eps),
                              scn.seed, check.label, repr(settings["alpha"]), reps,
                              repr(res.rejection_rate), repr(res.mc_stderr),
@@ -202,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run one test on a CSV dataset")
     check.add_argument("--input", required=True, help="CSV file with a 'y' column")
-    check.add_argument("--test", required=True, choices=tuple(_DEFAULT_WEIGHTS))
+    check.add_argument("--test", required=True, choices=tuple(_CHECKS))
     check.add_argument(
         "--weight", action="append", choices=tuple(_WEIGHTS),
         help="weight function; repeat for a maximin family",

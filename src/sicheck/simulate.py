@@ -24,7 +24,7 @@ import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,6 +106,8 @@ class Scenario:
         if self.c_interaction is not None:
             if self.model is not ModelKind.INTERACTION:
                 raise ConfigError("c_interaction applies to the interaction model only")
+            if self.c != 0.0:
+                raise ConfigError(f"c_interaction replaces c; leave c out or 0, got c={self.c}")
             triple = tuple(float(v) for v in self.c_interaction)
             if len(triple) != 3:
                 raise ConfigError(f"c_interaction takes 3 values, got {len(triple)}")
@@ -173,13 +175,13 @@ def generate(scn: Scenario, *, rng=None) -> Dataset:
 
 @dataclass(frozen=True)
 class ScoreCheck:
-    """Run the scalar standardized score test with one weight.
+    """Run the scalar standardized score test with one weight, sum_abs by default.
 
     A fixed ``h`` bypasses the data-driven selector (bandwidth
     sensitivity studies); the default reselects per replicate.
     """
 
-    weight: WeightSpec
+    weight: WeightSpec = field(default_factory=WeightSpec.sum_abs)
     h: float | None = None
 
     def __post_init__(self):
@@ -196,9 +198,9 @@ class ScoreCheck:
 
 @dataclass(frozen=True)
 class MaximinCheck:
-    """Run the chi-square test on a family of weights."""
+    """Run the chi-square test on a family of weights, (sum_abs, sum_squares) by default."""
 
-    weights: tuple[WeightSpec, ...]
+    weights: tuple[WeightSpec, ...] = (WeightSpec.sum_abs(), WeightSpec.sum_squares())
     h: float | None = None
 
     def __post_init__(self):
@@ -260,11 +262,12 @@ def mise_weight_values(check, x) -> np.ndarray:
     return WeightSpec.sum_squares().evaluate(x)
 
 
-def validate_run(check, alpha: float, reps: int = 1, seed: int = 0, p: int | None = None) -> None:
+def validate_run(check, alpha: float, reps: int = 1, seed: int = 0, p: int | None = None,
+                 n: int | None = None) -> None:
     """Raise ConfigError for a level, replicate count or bootstrap seed the
     check cannot run with, or an omnibus grid it cannot build at dimension
-    ``p`` (when given); touches no data, so a front end can call it before
-    any work."""
+    ``p`` (when given) or whose phases may overflow at sample size ``n``
+    (when given); touches no data, so a front end can call it before any work."""
     if reps < 1:
         raise ConfigError(f"replications must be >= 1, got {reps}")
     if not 0.0 < alpha < 1.0:
@@ -273,6 +276,9 @@ def validate_run(check, alpha: float, reps: int = 1, seed: int = 0, p: int | Non
         BootstrapConfig(m=check.boot_m, alpha=alpha, seed=seed)
         if p is not None:
             gamma_grid(p, check.grid_bound, check.grid_per_axis)
+            # standardized covariates satisfy |z_l| <= sqrt(n), so |gamma'z| <= p bound sqrt(n)
+            if n is not None and not math.isfinite(p * check.grid_bound * math.sqrt(n)):
+                raise ConfigError(f"grid bound {check.grid_bound} overflows the phases gamma'z")
 
 
 def apply_check(data: Dataset, check, alpha: float, seed: int = 0):
@@ -307,7 +313,7 @@ def monte_carlo(
     Any replicate-level failure aborts the run with the replicate index
     and scenario attached.
     """
-    validate_run(check, alpha, reps, p=scn.p)
+    validate_run(check, alpha, reps, p=scn.p, n=scn.n)
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
     threads = min(threads, reps, os.cpu_count() or 1)  # never more workers than CPUs

@@ -51,7 +51,7 @@ def test_run_config_validation(tmp_path):
                         ("maximin", {"grid_bound": 0})):
         with pytest.raises(ConfigError, match=f"{test} test takes no {', '.join(given)}"):
             build_check(test, **given)
-    assert build_check("score", boot_m=None)[1]["boot_m"] == OmnibusCheck.boot_m
+    assert build_check("score", boot_m=None)[1]["boot_m"] is None  # None is left out
     _, settings = build_check("omnibus", boot_m=300.0, grid_bound=2)  # whole numbers
     assert (settings["boot_m"], settings["grid_bound"]) == (300, 2.0)
     assert type(settings["boot_m"]) is int and type(settings["grid_bound"]) is float
@@ -117,11 +117,28 @@ def test_main_omnibus_config_is_the_library_defaults(tmp_path, csv_path):
     assert main(["check", "--input", str(csv_path), "--test", "omnibus", "--out", str(out)]) == 0
     defaults = OmnibusCheck()
     assert json.loads(out.read_text())["config"] == {
-        "test": "omnibus", "weights": ["sumabs"], "alpha": DEFAULT_ALPHA, "h": "auto",
+        "test": "omnibus", "weights": None, "alpha": DEFAULT_ALPHA, "h": "auto",
         "boot_m": defaults.boot_m, "grid_bound": defaults.grid_bound,
         "grid_per_axis": defaults.grid_per_axis, "seed": 0, "input": str(csv_path),
-        "scenario": None,
     }
+
+
+@pytest.mark.parametrize("test, cls, labels", [
+    ("score", ScoreCheck, ["sumabs"]), ("maximin", MaximinCheck, ["sumabs", "sumsq"]),
+])
+def test_build_check_records_the_class_defaults(test, cls, labels):
+    """Weights default on the check class, and the record holds None for the grid."""
+    check, settings = build_check(test)
+    assert check.label == cls().label
+    assert settings == {"test": test, "weights": labels,
+                        "alpha": DEFAULT_ALPHA, "h": None,
+                        "boot_m": None, "grid_bound": None, "grid_per_axis": None}
+
+
+def test_build_check_records_no_weights_for_omnibus():
+    check, settings = build_check("omnibus", h=0.3, grid_per_axis=5)
+    assert settings["weights"] is None
+    assert (settings["h"], settings["grid_per_axis"]) == (check.h, check.grid_per_axis) == (0.3, 5)
 
 
 # rejects on some of replicates 0-3 and not on others, for each test
@@ -254,6 +271,10 @@ def test_run_simulation_reports_bad_line(tmp_path):
     {"test": ["score"]},
     # a c_interaction that is not a triple, and an omnibus grid beyond the supported dimension
     {"model": "interaction", "p": 3, "c_interaction": [0.5, 0.5]}, {"p": 26},
+    # a departure size c that c_interaction would silently replace
+    {"model": "interaction", "p": 3, "c": 0.5, "c_interaction": [1, 1, 1]},
+    # a grid bound whose phases gamma'z may overflow at this n and p
+    {"grid_bound": 1e308},
 ])
 def test_run_simulation_validates_every_line_first(tmp_path, bad):
     line = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "test": "omnibus",
@@ -340,6 +361,19 @@ def test_main_simulate_rejects_unknown_key(tmp_path, capsys, misspelt):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err and repr(misspelt) in err
+    assert not out.exists()
+
+
+def test_main_simulate_rejects_repeated_key(tmp_path, capsys):
+    batch = tmp_path / "bad.jsonl"
+    batch.write_text('{"model": "cubic", "n": 40, "p": 2, "test": "score", "reps": 2}\n'
+                     '{"model": "cubic", "n": 40, "p": 2, "test": "score", "reps": 2, "reps": 7,'
+                     ' "seed": 1}\n')
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--batch", str(batch), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2" in err and "'reps' is repeated" in err
     assert not out.exists()
 
 

@@ -75,6 +75,9 @@ def test_scenario_validation():
         model = ModelKind.INTERACTION if field == "c_interaction" else ModelKind.CUBIC
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             Scenario(model=model, n=50, p=3, **{field: value})
+    with pytest.raises(ConfigError, match="c_interaction replaces c; .* got c=0.5"):
+        Scenario(model=ModelKind.INTERACTION, n=50, p=3, c=0.5, c_interaction=(1.0, 1.0, 1.0))
+    Scenario(model=ModelKind.INTERACTION, n=50, p=3, c=0.0, c_interaction=(1.0, 1.0, 1.0))
 
 
 def test_generate_deterministic():
@@ -323,6 +326,19 @@ def test_monte_carlo_builds_the_omnibus_grid_before_any_replicate(monkeypatch):
     scn = Scenario(model=ModelKind.CUBIC, n=40, p=26)
     with pytest.raises(ConfigError, match="dimension 26 exceeds the supported maximum 25"):
         monte_carlo(scn, OmnibusCheck(boot_m=100), reps=2)
+
+
+def test_monte_carlo_refuses_an_overflowing_grid_bound_before_any_replicate(monkeypatch):
+    def never(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulate, "_replicate_reject", never)
+    scn = Scenario(model=ModelKind.CUBIC, n=40, p=2)
+    with pytest.raises(ConfigError, match="grid bound 1e\\+308 overflows the phases"):
+        monte_carlo(scn, OmnibusCheck(boot_m=100, grid_bound=1e308), reps=2)
+    # p * bound * sqrt(n) = 1.3e307 is finite: validation passes and the replicates run
+    with pytest.raises(RuntimeError, match="a replicate ran"):
+        monte_carlo(scn, OmnibusCheck(boot_m=100, grid_bound=1e306), reps=2)
 
 
 def test_maximin_null_rate_is_sane():
