@@ -9,6 +9,8 @@ statistics.  A Monte Carlo harness reproduces size and power studies.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .bandwidth import default_bandwidth_grid, mise, select_bandwidth
 from .dataset import Dataset, load_dataset, save_dataset
 from .exceptions import (
@@ -67,61 +69,8 @@ from .smoother import (
 )
 from .weights import WeightSpec
 
-__all__ = [
-    "__version__",
-    "BootstrapConfig",
-    "ConfigError",
-    "DataError",
-    "Dataset",
-    "DegenerateDirectionError",
-    "DegenerateVarianceError",
-    "GammaGrid",
-    "IndexFit",
-    "InsufficientDataError",
-    "MCResult",
-    "MaximinCheck",
-    "MaximinReport",
-    "ModelKind",
-    "NearSingularCovarianceError",
-    "OmnibusCheck",
-    "OmnibusReport",
-    "Scenario",
-    "ScoreCheck",
-    "ScoreReport",
-    "SicheckError",
-    "SingularDesignError",
-    "SmootherConfig",
-    "WeightSpec",
-    "binary_success_prob",
-    "bootstrap_critical_value",
-    "bump_mean",
-    "cf_process",
-    "covariance_matrix",
-    "cubic_mean",
-    "default_bandwidth_grid",
-    "default_beta",
-    "fit_from_direction",
-    "fit_index_ols",
-    "gamma_grid",
-    "generate",
-    "interaction_mean",
-    "interior_mask",
-    "load_dataset",
-    "loo_matrix",
-    "maximin_statistic",
-    "maximin_test",
-    "mise",
-    "monte_carlo",
-    "omnibus_test",
-    "project",
-    "quartic_kernel",
-    "rank_transform",
-    "residuals",
-    "save_dataset",
-    "score_statistic",
-    "select_bandwidth",
-    "smoothed_weights",
-    "standardize_columns",
-    "standardized_test",
-    "variance_estimate",
-]
+# Every name the imports above bind is public, the submodules they bind are not.
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -52,7 +52,7 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError, DataError
 from .index import IndexFit
-from .smoother import DEFAULT_ALPHA, SmootherConfig, residual_core
+from .smoother import DEFAULT_ALPHA, SmootherConfig, overflow_guard, residual_core
 
 #: Largest dense frequency grid; beyond this the grid falls back to
 #: quasi-random symmetric points.
@@ -356,32 +356,32 @@ def omnibus_test(
         raise DataError(
             f"grid dimension {grid.p} does not match covariate dimension {data.p}"
         )
-    core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
-    eps = core.eps[core.keep]
-    n_int = eps.size
-    half = grid.half_points
-    # per complex column: the weights, their slot-binned copy and gathered
-    # fits (n each), the spectrum and its inverse (each below 2.31 n: the
-    # padded length fft_length(n + r) is at most 1.154 (n + r), and r < n),
-    # and the replicate products (m)
-    column_bytes = 16 * (8 * data.n + boot.m)
-    width = max(1, CHUNK_BYTES // column_bytes)
-    t_max = 0.0
-    reps = np.zeros(boot.m)
-    e = None
-    for start in range(0, half.shape[0], width):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
+    with overflow_guard(cfg.h):
+        core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
+        eps = core.eps[core.keep]
+        n_int = eps.size
+        half = grid.half_points
+        # per complex column: the weights, their slot-binned copy and gathered
+        # fits (n each), the spectrum and its inverse (each below 2.31 n: the
+        # padded length fft_length(n + r) is at most 1.154 (n + r), and r < n),
+        # and the replicate products (m)
+        column_bytes = 16 * (8 * data.n + boot.m)
+        width = max(1, CHUNK_BYTES // column_bytes)
+        t_max = 0.0
+        reps = np.zeros(boot.m)
+        e = None
+        for start in range(0, half.shape[0], width):
+            try:  # the overflow guard makes numpy raise here
                 phases = z @ half[start:start + width].T
-        except FloatingPointError:
-            raise ConfigError(f"grid bound {grid.bound} overflows the phases gamma'z") from None
-        summands = core.centered(np.exp(1j * phases))
-        summands *= eps[:, None]
-        t_max = max(t_max, float(np.abs(summands.sum(axis=0)).max()))
-        if e is None:  # drawn once the first block's FFT workspace is freed
-            e = _multipliers(boot.seed, boot.m, n_int)
-        prod = e @ summands.view(float)  # real and imaginary parts interleaved
-        np.maximum(reps, np.hypot(prod[:, 0::2], prod[:, 1::2]).max(axis=1), out=reps)
+            except FloatingPointError:
+                raise ConfigError(f"grid bound {grid.bound} overflows the phases gamma'z") from None
+            summands = core.centered(np.exp(1j * phases))
+            summands *= eps[:, None]
+            t_max = max(t_max, float(np.abs(summands.sum(axis=0)).max()))
+            if e is None:  # drawn once the first block's FFT workspace is freed
+                e = _multipliers(boot.seed, boot.m, n_int)
+            prod = e @ summands.view(float)  # real and imaginary parts interleaved
+            np.maximum(reps, np.hypot(prod[:, 0::2], prod[:, 1::2]).max(axis=1), out=reps)
     scale = math.sqrt(n_int)
     t_tilde = t_max / scale
     reps /= scale

@@ -22,6 +22,7 @@ reference the tests compare against.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -212,6 +213,22 @@ def residual_core(
         eps=data.y - smoother.smooth(data.y),
         keep=interior_mask(fit.ranks_u, cfg.h, margin),
     )
+
+
+@contextlib.contextmanager
+def overflow_guard(h: float):
+    """Refuse with a DataError naming ``h`` where the float arithmetic in the
+    block overflows or turns invalid.  The fits carry 1/((n-1) h), so a tiny
+    bandwidth can push the tests' squared sums past the float range; a
+    statistic built from inf or nan would report a meaningless p-value."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise DataError(
+            f"the test sums overflow at bandwidth h={h!r}: the kernel weights "
+            "1/((n-1) h) are too large for these data; choose a larger h"
+        ) from None
 
 
 def residuals(data: Dataset, fit: IndexFit, cfg: SmootherConfig) -> np.ndarray:

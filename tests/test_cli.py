@@ -6,6 +6,7 @@ import pytest
 
 from sicheck import (
     ConfigError,
+    Dataset,
     MaximinCheck,
     ModelKind,
     OmnibusCheck,
@@ -204,6 +205,22 @@ def test_main_omnibus_refuses_bad_settings(csv_path, capsys, flags, message):
     code = main(["check", "--input", str(csv_path), "--test", "omnibus", *flags])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("test, flags", [
+    ("score", []), ("maximin", []), ("omnibus", ["--boot-m", "100"]),
+])
+def test_main_refuses_overflowing_sums(tmp_path, capsys, test, flags):
+    rng = np.random.default_rng(7)
+    x = np.rint(rng.standard_normal((200, 2)))  # integer covariates: many tied ranks
+    path, out = tmp_path / "tied.csv", tmp_path / "report.json"
+    save_dataset(Dataset(x=x, y=(x @ np.ones(2)) ** 3 + rng.standard_normal(200)), path)
+    code = main(["check", "--input", str(path), "--test", test, "--h", "1e-300",
+                 "--out", str(out), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "overflow at bandwidth h=1e-300" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 BATCH = (

@@ -395,6 +395,14 @@ def test_omnibus_deterministic(rng):
     assert a.reject == b.reject
 
 
+def test_overflowing_sums_are_refused_naming_h(rng):
+    # tied slot mates enter the fits with K(0) / ((n - 1) h), past the float range
+    x = np.rint(rng.standard_normal((200, 2)))
+    data = Dataset(x=x, y=(x @ np.ones(2)) ** 3 + rng.standard_normal(200))
+    with pytest.raises(DataError, match="h=1e-300"):
+        omnibus_test(data, fit_index_ols(data), SmootherConfig(h=1e-300), BootstrapConfig(m=100))
+
+
 def test_omnibus_report_contract(rng):
     data, fit = pipeline_data(rng)
     boot = BootstrapConfig(m=150, alpha=0.05, seed=5)

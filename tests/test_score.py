@@ -138,6 +138,26 @@ def test_standardized_test_rejects_bad_alpha(rng):
         standardized_test(data, fit, WeightSpec.sum_abs(), SmootherConfig(h=0.3), alpha=1.5)
 
 
+def tied_cubic_data(rng, n=200):
+    x = np.rint(rng.standard_normal((n, 2)))  # integer covariates: many tied ranks
+    y = (x @ np.ones(2)) ** 3 + rng.standard_normal(n)
+    data = Dataset(x=x, y=y)
+    return data, fit_index_ols(data)
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-100])
+@pytest.mark.parametrize("run", [
+    lambda data, fit, cfg: standardized_test(data, fit, WeightSpec.sum_abs(), cfg),
+    lambda data, fit, cfg: maximin_test(
+        data, fit, [WeightSpec.sum_abs(), WeightSpec.sum_squares()], cfg),
+], ids=["score", "maximin"])
+def test_overflowing_sums_are_refused_naming_h(rng, run, h):
+    # tied slot mates enter the fits with K(0) / ((n - 1) h): their squares overflow
+    data, fit = tied_cubic_data(rng)
+    with pytest.raises(DataError, match=f"h={h!r}"):
+        run(data, fit, SmootherConfig(h=h))
+
+
 def test_decision_invariant_to_weight_scaling(rng):
     data, fit = pipeline_data(rng)
     cfg = SmootherConfig(h=0.3)
