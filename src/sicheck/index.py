@@ -112,7 +112,16 @@ def fit_index_ols(data: Dataset) -> IndexFit:
             "covariate design (with intercept) is rank deficient"
         )
     slope = coef[1:]
-    norm = np.linalg.norm(slope)
+    if not np.isfinite(slope).all():
+        raise DataError(
+            f"least-squares slope is not finite: responses up to |y| = "
+            f"{np.abs(data.y).max():.3g} are too large for the float range; rescale y"
+        )
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(slope)
+    if not np.isfinite(norm):  # the squared norm overflows: scale by the largest entry first
+        slope = slope / np.abs(slope).max()
+        norm = np.linalg.norm(slope)
     if norm < 1e-10:
         raise DegenerateDirectionError(
             "least-squares slope vector is zero; the response carries no "

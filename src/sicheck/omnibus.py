@@ -52,7 +52,7 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError, DataError
 from .index import IndexFit
-from .smoother import DEFAULT_ALPHA, SmootherConfig, overflow_guard, residual_core
+from .smoother import DEFAULT_ALPHA, SmootherConfig, residual_core, sums_guard
 
 #: Largest dense frequency grid; beyond this the grid falls back to
 #: quasi-random symmetric points.
@@ -356,7 +356,7 @@ def omnibus_test(
         raise DataError(
             f"grid dimension {grid.p} does not match covariate dimension {data.p}"
         )
-    with overflow_guard(cfg.h):
+    with sums_guard(data.n, cfg.h):
         core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
         eps = core.eps[core.keep]
         n_int = eps.size
@@ -371,7 +371,7 @@ def omnibus_test(
         reps = np.zeros(boot.m)
         e = None
         for start in range(0, half.shape[0], width):
-            try:  # the overflow guard makes numpy raise here
+            try:  # the sums guard makes numpy raise here
                 phases = z @ half[start:start + width].T
             except FloatingPointError:
                 raise ConfigError(f"grid bound {grid.bound} overflows the phases gamma'z") from None

@@ -37,7 +37,7 @@ from .exceptions import (
     NearSingularCovarianceError,
 )
 from .index import IndexFit
-from .smoother import DEFAULT_ALPHA, ResidualCore, SmootherConfig, overflow_guard, residual_core
+from .smoother import DEFAULT_ALPHA, ResidualCore, SmootherConfig, residual_core, sums_guard
 from .special import chisq_quantile, chisq_sf, normal_two_sided_p
 from .weights import WeightSpec
 
@@ -165,11 +165,11 @@ def maximin_statistic(t_vec, sigma_mat) -> float:
 def _scores(data, fit, weights, cfg, alpha) -> tuple[ResidualCore, np.ndarray, np.ndarray]:
     """Residual core, interior score vector and its covariance for a tuple
     of d weights: the one score path of both tests.  Refuses a level outside
-    (0, 1), names h where the sums overflow, and names the first weight whose
-    score variance is zero."""
+    (0, 1), names h where the windows reach no neighbouring rank or the sums
+    overflow, and names the first weight whose score variance is zero."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    with overflow_guard(cfg.h):
+    with sums_guard(data.n, cfg.h):
         core = residual_core(data, fit, cfg)
         values = np.column_stack([w.evaluate(data.x) for w in weights])
         smoothed = core.smoother.smooth(values)

@@ -15,7 +15,10 @@ The harness generates each replicate and runs ``apply_check`` on it (fit
 the direction, pick the bandwidth, run the test), the same pipeline that
 ``sicheck check`` runs on a CSV, and reports the rejection fraction with
 its binomial standard error.  Replicate r draws from the
-stream (seed, r), so results are identical under any thread count.
+stream (seed, r), so results are identical under any thread count.  A
+thread count is an upper bound: a line with n below ``THREADED_MIN_N``
+runs in the calling thread, since its replicates are too small to pay
+for threads.
 """
 
 from __future__ import annotations
@@ -304,18 +307,30 @@ def _replicate_reject(scn: Scenario, check, alpha: float, r: int) -> bool:
     return report.reject
 
 
+#: Smallest line size n that runs on threads.  Below it a replicate is many
+#: short Python and numpy calls that serialise on the GIL: on 2 vCPUs with
+#: BLAS on one thread, 2 threads ran score, maximin and omnibus (m = 500)
+#: lines at n = 50 to 600 at 0.6 to 1.05 times serial speed, and at 1.2 to
+#: 1.8 times from n = 1000 up (the README gives the table).
+THREADED_MIN_N = 1000
+
+
 def monte_carlo(
     scn: Scenario, check, reps: int, alpha: float = DEFAULT_ALPHA, threads: int = 1
 ) -> MCResult:
     """Rejection rate of a check over ``reps`` seeded replicates at level
     ``alpha``, with its binomial standard error.
 
-    Any replicate-level failure aborts the run with the replicate index
-    and scenario attached.
+    ``threads`` caps the worker count, as do ``reps`` and the CPU count; a
+    line with ``scn.n`` below ``THREADED_MIN_N`` runs in the calling thread
+    and starts no pool.  Any replicate-level failure aborts the run with
+    the replicate index and scenario attached.
     """
     validate_run(check, alpha, reps, p=scn.p, n=scn.n)
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
+    if scn.n < THREADED_MIN_N:
+        threads = 1
     threads = min(threads, reps, os.cpu_count() or 1)  # never more workers than CPUs
 
     def one(r: int) -> bool:

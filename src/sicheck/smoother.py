@@ -216,18 +216,25 @@ def residual_core(
 
 
 @contextlib.contextmanager
-def overflow_guard(h: float):
-    """Refuse with a DataError naming ``h`` where the float arithmetic in the
-    block overflows or turns invalid.  The fits carry 1/((n-1) h), so a tiny
-    bandwidth can push the tests' squared sums past the float range; a
-    statistic built from inf or nan would report a meaningless p-value."""
+def sums_guard(n: int, h: float):
+    """Refuse with a DataError naming ``h`` a bandwidth at which the test sums
+    mean nothing.  At n h <= 1 the kernel radius ceil(n h) - 1 is 0: no
+    window reaches a neighbouring rank, so every fit is 0 or tied slot mates
+    only, and the residuals are not calibrated.  In the block, float
+    arithmetic that overflows or turns invalid is refused too: a statistic
+    built from inf or nan would report a meaningless p-value."""
+    if not n * h > 1.0:
+        raise DataError(
+            f"bandwidth h={h!r} reaches no neighbouring rank at n={n}: "
+            f"the kernel windows need n h > 1; choose h > 1/n = {1.0 / n:.6g}"
+        )
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError:
         raise DataError(
-            f"the test sums overflow at bandwidth h={h!r}: the kernel weights "
-            "1/((n-1) h) are too large for these data; choose a larger h"
+            f"the test sums overflow at bandwidth h={h!r}: the covariates or "
+            "responses are too large for the float range; rescale them"
         ) from None
 
 

@@ -219,8 +219,48 @@ def test_main_refuses_overflowing_sums(tmp_path, capsys, test, flags):
                  "--out", str(out), *flags])
     captured = capsys.readouterr()
     assert code == 2
-    assert "overflow at bandwidth h=1e-300" in captured.err
+    # n h <= 1: refused before the tied slot mates can overflow the sums
+    assert "h=1e-300 reaches no neighbouring rank at n=200" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+@pytest.mark.parametrize("test, flags", [
+    ("score", []), ("maximin", []), ("omnibus", ["--boot-m", "100"]),
+])
+def test_main_refuses_a_bandwidth_reaching_no_neighbour(tmp_path, capsys, test, flags, tied):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((200, 2))
+    if tied:
+        x = np.rint(x)
+    path, out = tmp_path / "data.csv", tmp_path / "report.json"
+    save_dataset(Dataset(x=x, y=(x @ np.ones(2)) ** 3 + rng.standard_normal(200)), path)
+    code = main(["check", "--input", str(path), "--test", test, "--h", "0.001",
+                 "--out", str(out), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "h=0.001 reaches no neighbouring rank at n=200" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("test, flags, expected", [
+    ("score", [], 2), ("maximin", [], 2), ("omnibus", ["--boot-m", "100"], 0),
+])
+def test_main_refuses_sums_that_overflow_on_the_data_scale(tmp_path, capsys, test, flags, expected):
+    # n h = 20, but the score covariance squares eps (W - Wbar), about 1e165;
+    # the omnibus sup takes moduli and never squares, so it runs
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((200, 2))
+    y = 1e155 * ((x @ np.ones(2)) ** 3 + rng.standard_normal(200))
+    path, out = tmp_path / "large.csv", tmp_path / "report.json"
+    save_dataset(Dataset(x=1e10 * x, y=y), path)
+    code = main(["check", "--input", str(path), "--test", test, "--h", "0.1",
+                 "--out", str(out), *flags])
+    captured = capsys.readouterr()
+    assert code == expected
+    if expected == 2:
+        assert "overflow at bandwidth h=0.1" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 BATCH = (
@@ -251,6 +291,32 @@ def test_run_simulation_deterministic_across_threads(tmp_path):
     run_simulation(batch, out2, threads=4)
     run_simulation(batch, out3, threads=1)
     assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+
+
+def test_main_simulate_threads_a_line_at_the_threshold(tmp_path, monkeypatch):
+    started = []
+
+    class Counting(simulate.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Counting)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    n = simulate.THREADED_MIN_N
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(
+        json.dumps({"model": "cubic", "n": n, "p": 2, "seed": 5, "test": "score", "reps": 4})
+        + "\n" + json.dumps({"model": "cubic", "n": n, "p": 2, "c": 0.5, "seed": 6,
+                              "test": "omnibus", "boot_m": 100, "reps": 3}) + "\n"
+    )
+    outs = []
+    for threads in (1, 2):
+        outs.append(tmp_path / f"t{threads}.csv")
+        argv = ["simulate", "--batch", str(batch), "--out", str(outs[-1]), "--threads", str(threads)]
+        assert main(argv) == 0
+    assert started == [2, 2]  # one pool per line, and only at --threads 2
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_run_simulation_empty_batch(tmp_path):

@@ -7,12 +7,14 @@ from sicheck import (
     Dataset,
     DegenerateDirectionError,
     InsufficientDataError,
+    OmnibusCheck,
     SingularDesignError,
     fit_from_direction,
     fit_index_ols,
     project,
     rank_transform,
 )
+from sicheck.simulate import apply_check
 
 
 def test_fit_ols_exact_line():
@@ -52,6 +54,23 @@ def test_fit_ols_sign_convention(rng):
     data = Dataset(x=x, y=-x[:, 0] + 0.01 * rng.standard_normal(60))
     fit = fit_index_ols(data)
     assert fit.beta_hat[0] > 0
+
+
+def test_fit_ols_survives_a_slope_whose_squared_norm_overflows(rng):
+    # responses of order 1e160: |slope|^2 leaves the float range, |slope| does not
+    x = rng.standard_normal((200, 2))
+    big = Dataset(x=x, y=1e160 * ((x @ np.array([1.0, -1.0])) ** 3 + rng.standard_normal(200)))
+    check = OmnibusCheck(boot_m=200, h=0.1)
+    report, _ = apply_check(big, check, 0.05, seed=3)  # the norm's RuntimeWarning fails the run
+    scaled, _ = apply_check(Dataset(x=x, y=big.y / 1e150), check, 0.05, seed=3)
+    assert (report.reject, report.p_value) == (scaled.reject, scaled.p_value)
+
+
+def test_fit_ols_refuses_a_non_finite_slope_naming_the_response_scale(rng):
+    x = 1e-3 * rng.standard_normal((50, 2))
+    data = Dataset(x=x, y=1e308 * np.sign(x[:, 0]))  # slope about 1e311
+    with pytest.raises(DataError, match=r"\|y\| = 1e\+308"):
+        fit_index_ols(data)
 
 
 def test_project_basis_rows():

@@ -23,7 +23,7 @@ from sicheck import (
     rank_transform,
 )
 from sicheck.simulate import apply_check
-from sicheck.smoother import DIRECT_MAX_TAPS, LatticeSmoother, fft_length
+from sicheck.smoother import DIRECT_MAX_TAPS, LatticeSmoother, fft_length, kernel_table, sums_guard
 
 RADIUS = DIRECT_MAX_TAPS // 2  # widest window |d| <= RADIUS the direct branch takes
 
@@ -137,6 +137,19 @@ def test_every_window_empty_at_half_a_slot(kind):
         smoother = LatticeSmoother(np.rint(u * n).astype(np.intp), h)
         assert np.all(smoother.smooth(values) == 0.0)
         assert smoother.empty.all()
+
+
+@pytest.mark.parametrize("n", [7, 200, 1001])
+def test_sums_guard_refuses_exactly_the_bandwidths_of_radius_zero(n):
+    for h in (0.001 / n, 0.5 / n, 1.0 / n, float(np.nextafter(1.0 / n, 1.0)), 1.0001 / n, 1.5 / n):
+        reaches = kernel_table(n, np.array([h])).shape[1] > 1  # radius ceil(n h) - 1 >= 1
+        if reaches:
+            with sums_guard(n, h):
+                pass
+        else:
+            with pytest.raises(DataError, match=f"h={h!r} reaches no neighbouring rank at n={n}"):
+                with sums_guard(n, h):
+                    pass
 
 
 @pytest.mark.parametrize("h", [0.5, 0.01, [0.5, 0.01]])

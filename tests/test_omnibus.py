@@ -396,7 +396,8 @@ def test_omnibus_deterministic(rng):
 
 
 def test_overflowing_sums_are_refused_naming_h(rng):
-    # tied slot mates enter the fits with K(0) / ((n - 1) h), past the float range
+    # at n h <= 1 the bandwidth is refused before the tied slot mates, weighted
+    # K(0) / ((n - 1) h), can push the sums past the float range
     x = np.rint(rng.standard_normal((200, 2)))
     data = Dataset(x=x, y=(x @ np.ones(2)) ** 3 + rng.standard_normal(200))
     with pytest.raises(DataError, match="h=1e-300"):

@@ -152,7 +152,8 @@ def tied_cubic_data(rng, n=200):
         data, fit, [WeightSpec.sum_abs(), WeightSpec.sum_squares()], cfg),
 ], ids=["score", "maximin"])
 def test_overflowing_sums_are_refused_naming_h(rng, run, h):
-    # tied slot mates enter the fits with K(0) / ((n - 1) h): their squares overflow
+    # at n h <= 1 the bandwidth is refused before the tied slot mates, weighted
+    # K(0) / ((n - 1) h), can overflow the squared sums
     data, fit = tied_cubic_data(rng)
     with pytest.raises(DataError, match=f"h={h!r}"):
         run(data, fit, SmootherConfig(h=h))

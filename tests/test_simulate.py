@@ -253,13 +253,24 @@ def test_monte_carlo_never_starts_more_workers_than_cpus(monkeypatch, cpus, thre
         def map(self, fn, items):
             return list(map(fn, items))
 
-    scn = Scenario(model=ModelKind.CUBIC, n=30, p=2, seed=5)
+    scn = Scenario(model=ModelKind.CUBIC, n=simulate.THREADED_MIN_N, p=2, seed=5)
     serial = monte_carlo(scn, Stub(flip), reps=reps)
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
     capped = monte_carlo(scn, Stub(flip), reps=reps, threads=threads)
     assert capped.rejection_rate == serial.rejection_rate
     assert started == workers
+
+
+def test_monte_carlo_runs_a_line_below_the_threshold_serially(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    scn = Scenario(model=ModelKind.CUBIC, n=simulate.THREADED_MIN_N - 1, p=2, seed=5)
+    threaded = monte_carlo(scn, Stub(flip), reps=10, threads=100_000)
+    assert threaded.rejection_rate == monte_carlo(scn, Stub(flip), reps=10).rejection_rate
 
 
 def test_monte_carlo_wraps_replicate_errors():
