@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError, DataError
 from .index import IndexFit
-from .smoother import LatticeSmoother
+from .smoother import LatticeSmoother, range_guard
 
 UNDERSMOOTH_EXPONENT = -2.0 / 15.0  # -1/3 + 1/5
 
@@ -36,7 +36,9 @@ BLOCK_BYTES = 16 << 20
 
 def mise_curve(data: Dataset, fit: IndexFit, w_values, grid) -> np.ndarray:
     """Weighted squared leave-one-out prediction error at every bandwidth
-    of ``grid``, in the grid's order."""
+    of ``grid``, in the grid's order.  A curve that overflows is refused
+    with a DataError: its argmin would be the grid's first candidate
+    whatever the data."""
     w2 = np.asarray(w_values, dtype=float) ** 2
     if w2.shape != (data.n,):
         raise ConfigError("weight values must be one per observation")
@@ -49,11 +51,12 @@ def mise_curve(data: Dataset, fit: IndexFit, w_values, grid) -> np.ndarray:
     radius = int(min(np.ceil(data.n * hs.max()), data.n)) - 1  # of the widest window
     rows = max(1, BLOCK_BYTES // (48 * (data.n + radius)))
     curve = np.empty(hs.size)
-    for lo in range(0, hs.size, rows):
-        block = by_h[lo:lo + rows]
-        fits = LatticeSmoother(fit.slots, hs[block]).smooth(data.y)
-        np.subtract(data.y, fits, out=fits)
-        curve[block] = np.square(fits, out=fits) @ w2
+    with range_guard("the bandwidth search overflows"):
+        for lo in range(0, hs.size, rows):
+            block = by_h[lo:lo + rows]
+            fits = LatticeSmoother(fit.slots, hs[block]).smooth(data.y)
+            np.subtract(data.y, fits, out=fits)
+            curve[block] = np.square(fits, out=fits) @ w2
     return curve
 
 
@@ -83,17 +86,11 @@ def default_bandwidth_grid(n: int) -> np.ndarray:
     return grid
 
 
-def select_bandwidth(data: Dataset, fit: IndexFit, w_values, grid=None) -> tuple[float, float]:
-    """Return (h1, h_final): grid minimizer of MISE, then undersmoothed.
-
-    Ties go to the smallest candidate, and the search is invariant to the
-    order of the grid.
-    """
-    if grid is None:
-        grid = default_bandwidth_grid(data.n)
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ConfigError("bandwidth grid is empty")
+def select_bandwidth(data: Dataset, fit: IndexFit, w_values) -> tuple[float, float]:
+    """Return (h1, h_final): the minimizer of MISE over
+    ``default_bandwidth_grid(n)``, then undersmoothed.  The grid ascends, so
+    ties go to the smallest candidate."""
+    grid = default_bandwidth_grid(data.n)
     scores = mise_curve(data, fit, w_values, grid)
     h1 = float(grid[int(np.argmin(scores))])
     h_final = h1 * data.n**UNDERSMOOTH_EXPONENT

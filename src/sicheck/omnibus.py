@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,57 +83,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
            61, 67, 71, 73, 79, 83, 89, 97)
 
 
-@dataclass(frozen=True, eq=False)
-class GammaGrid:
-    """Symmetric frequency grid containing the origin."""
-
-    points: np.ndarray  # (g, p)
-    bound: float
-    per_axis: int | None  # None on a quasi-random grid
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ConfigError("frequency grid must be a nonempty (g, p) array")
-        if not np.isfinite(pts).all():
-            raise ConfigError("frequency grid points must be finite")
-        if not 0 < self.bound < math.inf:
-            raise ConfigError(f"grid bound must be positive and finite, got {self.bound}")
-        if self.per_axis is not None and self.per_axis < 2:
-            raise ConfigError(f"per-axis count must be >= 2, got {self.per_axis}")
-        if not np.any(np.all(pts == 0.0, axis=1)):
-            raise ConfigError("frequency grid must contain the origin")
-        forward = pts[np.lexsort(pts.T)]
-        backward = (-pts)[np.lexsort((-pts).T)]
-        if not np.array_equal(forward, backward):
-            raise ConfigError("frequency grid must be symmetric under negation")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def half_points(self) -> np.ndarray:
-        """One point of each +/-gamma pair, the one whose first nonzero
-        coordinate is positive, plus the origin."""
-        pts = self.points
-        lead = pts[np.arange(pts.shape[0]), np.argmax(pts != 0.0, axis=1)]
-        return pts[lead >= 0.0]  # lead is +/-0.0 only at the origin
-
-    @property
-    def p(self) -> int:
-        return self.points.shape[1]
-
-    def summary(self) -> dict:
-        return {
-            "size": self.size,
-            "bound": self.bound,
-            "per_axis": self.per_axis,
-            "standardized_covariates": True,
-        }
-
-
 def _halton(count: int, base: int) -> np.ndarray:
     """Points 1..count of the van der Corput sequence in ``base``."""
     index = np.arange(1, count + 1)
@@ -145,11 +94,9 @@ def _halton(count: int, base: int) -> np.ndarray:
     return r
 
 
-@functools.lru_cache(maxsize=64)
-def gamma_grid(
-    p: int, bound: float = DEFAULT_GRID_BOUND, per_axis: int = DEFAULT_GRID_PER_AXIS
-) -> GammaGrid:
-    """Default frequency grid on [-bound, bound]^p.
+@dataclass(frozen=True, eq=False)
+class GammaGrid:
+    """Symmetric frequency grid on [-bound, bound]^p containing the origin.
 
     The axis holds the origin plus floor(per_axis / 2) equispaced points
     mirrored exactly about zero (an even request is bumped to the next odd
@@ -157,28 +104,65 @@ def gamma_grid(
     within MAX_DENSE_POINTS; beyond that, the origin plus 1000
     quasi-random (Halton) point pairs +/- q, which keeps the grid
     symmetric and has no per-axis count (``per_axis`` None); no axis is
-    built then.  The grid is cached per (p, bound, per_axis) and its
-    points are read-only.
+    built then.  ``half_points`` holds one point of each +/-gamma pair, the
+    one whose first nonzero coordinate is positive, plus the origin, in the
+    order of ``points``.  Both arrays are read-only; ``gamma_grid`` caches
+    one grid per (p, bound, per_axis).
     """
-    if p < 1:
-        raise ConfigError(f"dimension must be >= 1, got {p}")
-    if p > len(_PRIMES):
-        raise ConfigError(f"dimension {p} exceeds the supported maximum {len(_PRIMES)}")
-    if not math.isfinite(bound):
-        raise ConfigError(f"grid bound must be finite, got {bound}")
-    half_count = max(per_axis // 2, 0)  # GammaGrid refuses a count below 2
-    if (2 * half_count + 1) ** p <= MAX_DENSE_POINTS:
-        pos = np.linspace(0.0, bound, half_count + 1)[1:]
-        axis = np.concatenate([-pos[::-1], [0.0], pos])
-        mesh = np.meshgrid(*([axis] * p), indexing="ij")
-        points = np.stack(mesh, axis=-1).reshape(-1, p)
-    else:
-        half = np.column_stack([_halton(1000, base) for base in _PRIMES[:p]])
-        half = (2.0 * half - 1.0) * bound
-        points = np.vstack([np.zeros((1, p)), half, -half])
-        per_axis = None  # the points lie on no axis
-    points.setflags(write=False)
-    return GammaGrid(points=points, bound=float(bound), per_axis=per_axis)
+
+    p: int
+    bound: float = DEFAULT_GRID_BOUND
+    per_axis: int | None = DEFAULT_GRID_PER_AXIS  # None on a quasi-random grid
+    points: np.ndarray = field(init=False, repr=False)  # (size, p)
+    half_points: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p, bound, per_axis = self.p, self.bound, self.per_axis
+        if p < 1:
+            raise ConfigError(f"dimension must be >= 1, got {p}")
+        if p > len(_PRIMES):
+            raise ConfigError(f"dimension {p} exceeds the supported maximum {len(_PRIMES)}")
+        if not math.isfinite(bound):
+            raise ConfigError(f"grid bound must be finite, got {bound}")
+        if bound <= 0:
+            raise ConfigError(f"grid bound must be positive, got {bound}")
+        if per_axis < 2:
+            raise ConfigError(f"per-axis count must be >= 2, got {per_axis}")
+        half_count = per_axis // 2
+        if (2 * half_count + 1) ** p <= MAX_DENSE_POINTS:
+            pos = np.linspace(0.0, bound, half_count + 1)[1:]
+            axis = np.concatenate([-pos[::-1], [0.0], pos])
+            mesh = np.meshgrid(*([axis] * p), indexing="ij")
+            points = np.stack(mesh, axis=-1).reshape(-1, p)
+        else:
+            half = np.column_stack([_halton(1000, base) for base in _PRIMES[:p]])
+            half = (2.0 * half - 1.0) * bound
+            points = np.vstack([np.zeros((1, p)), half, -half])
+            per_axis = None  # the points lie on no axis
+        lead = points[np.arange(points.shape[0]), np.argmax(points != 0.0, axis=1)]
+        half_points = points[lead >= 0.0]  # lead is +/-0.0 only at the origin
+        points.setflags(write=False)
+        half_points.setflags(write=False)
+        object.__setattr__(self, "bound", float(bound))
+        object.__setattr__(self, "per_axis", per_axis)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "half_points", half_points)
+
+    @property
+    def size(self) -> int:
+        return self.points.shape[0]
+
+    def summary(self) -> dict:
+        return {
+            "size": self.size,
+            "bound": self.bound,
+            "per_axis": self.per_axis,
+            "standardized_covariates": True,
+        }
+
+
+#: The frequency grid of (p, bound, per_axis), built once and shared.
+gamma_grid = functools.lru_cache(maxsize=64)(GammaGrid)
 
 
 @dataclass(frozen=True)

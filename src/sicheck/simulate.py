@@ -44,7 +44,7 @@ from .omnibus import (
     omnibus_test,
 )
 from .score_test import maximin_test, standardized_test
-from .smoother import DEFAULT_ALPHA, SmootherConfig
+from .smoother import DEFAULT_ALPHA, SmootherConfig, narrow_bandwidth
 from .weights import WeightSpec
 
 
@@ -268,13 +268,18 @@ def mise_weight_values(check, x) -> np.ndarray:
 def validate_run(check, alpha: float, reps: int = 1, seed: int = 0, p: int | None = None,
                  n: int | None = None) -> None:
     """Raise ConfigError for a level, replicate count or bootstrap seed the
-    check cannot run with, or an omnibus grid it cannot build at dimension
-    ``p`` (when given) or whose phases may overflow at sample size ``n``
-    (when given); touches no data, so a front end can call it before any work."""
+    check cannot run with, an omnibus grid it cannot build at dimension
+    ``p`` (when given), and, at sample size ``n`` (when given), grid phases
+    that may overflow or a fixed ``h`` with n h <= 1 (``narrow_bandwidth``);
+    touches no data, so a front end can call it before any work."""
     if reps < 1:
         raise ConfigError(f"replications must be >= 1, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    if n is not None and check.h is not None:
+        reason = narrow_bandwidth(n, check.h)
+        if reason is not None:
+            raise ConfigError(reason)
     if isinstance(check, OmnibusCheck):
         BootstrapConfig(m=check.boot_m, alpha=alpha, seed=seed)
         if p is not None:

@@ -215,27 +215,42 @@ def residual_core(
     )
 
 
+def narrow_bandwidth(n: int, h: float) -> str | None:
+    """Why bandwidth ``h`` cannot calibrate the test sums at sample size
+    ``n``, or None when it can.  At n h <= 1 the kernel radius
+    ceil(n h) - 1 is 0: no window reaches a neighbouring rank, so every fit
+    is 0 or tied slot mates only, and the residuals are not calibrated."""
+    if n * h > 1.0:
+        return None
+    return (f"bandwidth h={h!r} reaches no neighbouring rank at n={n}: "
+            f"the kernel windows need n h > 1; choose h > 1/n = {1.0 / n:.6g}")
+
+
 @contextlib.contextmanager
-def sums_guard(n: int, h: float):
-    """Refuse with a DataError naming ``h`` a bandwidth at which the test sums
-    mean nothing.  At n h <= 1 the kernel radius ceil(n h) - 1 is 0: no
-    window reaches a neighbouring rank, so every fit is 0 or tied slot mates
-    only, and the residuals are not calibrated.  In the block, float
-    arithmetic that overflows or turns invalid is refused too: a statistic
-    built from inf or nan would report a meaningless p-value."""
-    if not n * h > 1.0:
-        raise DataError(
-            f"bandwidth h={h!r} reaches no neighbouring rank at n={n}: "
-            f"the kernel windows need n h > 1; choose h > 1/n = {1.0 / n:.6g}"
-        )
+def range_guard(what: str):
+    """Refuse with a DataError float arithmetic in the block that overflows or
+    turns invalid, since a result built from inf or nan would be
+    meaningless; ``what`` says which computation overflowed."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError:
         raise DataError(
-            f"the test sums overflow at bandwidth h={h!r}: the covariates or "
-            "responses are too large for the float range; rescale them"
+            f"{what}: the covariates or responses are too large for the float "
+            "range; rescale them"
         ) from None
+
+
+@contextlib.contextmanager
+def sums_guard(n: int, h: float):
+    """Refuse with a DataError naming ``h`` a bandwidth at which the test sums
+    mean nothing (``narrow_bandwidth``), and test sums in the block that
+    overflow (``range_guard``)."""
+    reason = narrow_bandwidth(n, h)
+    if reason is not None:
+        raise DataError(reason)
+    with range_guard(f"the test sums overflow at bandwidth h={h!r}"):
+        yield
 
 
 def residuals(data: Dataset, fit: IndexFit, cfg: SmootherConfig) -> np.ndarray:

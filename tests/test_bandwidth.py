@@ -7,8 +7,12 @@ from sicheck import (
     DataError,
     Dataset,
     IndexFit,
+    ModelKind,
+    Scenario,
     default_bandwidth_grid,
     fit_from_direction,
+    fit_index_ols,
+    generate,
     mise,
     rank_transform,
     select_bandwidth,
@@ -54,9 +58,9 @@ def test_mise_rejects_bad_bandwidth():
 def test_undersmoothing_exponent():
     assert (-1 / 3 + 1 / 5) == pytest.approx(-2 / 15)
     data, fit = triple()
-    h1, h = select_bandwidth(data, fit, np.ones(3), grid=[0.5])
-    assert h1 == 0.5
-    assert h == pytest.approx(0.5 * 3 ** (-2 / 15))
+    h1, h = select_bandwidth(data, fit, np.ones(3))
+    assert h1 in default_bandwidth_grid(3)
+    assert h == pytest.approx(h1 * 3 ** (-2 / 15), rel=1e-15)
 
 
 def test_undersmoothing_hand_value():
@@ -64,24 +68,12 @@ def test_undersmoothing_hand_value():
     assert 0.5 * 100 ** (-2 / 15) == pytest.approx(0.2706, abs=5e-5)
 
 
-def test_select_is_grid_permutation_invariant(rng):
-    x = rng.standard_normal((30, 2))
-    data = Dataset(x=x, y=rng.standard_normal(30))
-    fit = fit_from_direction(data, np.ones(2))
-    w = np.abs(x).sum(axis=1)
-    grid = np.linspace(0.1, 0.9, 9)
-    a = select_bandwidth(data, fit, w, grid=grid)
-    b = select_bandwidth(data, fit, w, grid=grid[::-1])
-    c = select_bandwidth(data, fit, w, grid=rng.permutation(grid))
-    assert a == b == c
-
-
 def test_select_breaks_ties_to_smallest():
     # zero response: every bandwidth scores zero, smallest must win
     data = Dataset(x=np.array([[1.0], [2.0], [3.0]]), y=np.zeros(3))
     fit = fit_from_direction(data, np.array([1.0]))
-    h1, _ = select_bandwidth(data, fit, np.ones(3), grid=[0.7, 0.2, 0.5])
-    assert h1 == 0.2
+    h1, _ = select_bandwidth(data, fit, np.ones(3))
+    assert h1 == default_bandwidth_grid(3)[0]
 
 
 def test_select_undersmooths(rng):
@@ -92,12 +84,16 @@ def test_select_undersmooths(rng):
     assert 0 < h < h1 <= 1.0
 
 
-def test_select_rejects_bad_grids():
-    data, fit = triple()
-    with pytest.raises(ConfigError):
-        select_bandwidth(data, fit, np.ones(3), grid=[])
-    with pytest.raises(ConfigError):
-        select_bandwidth(data, fit, np.ones(3), grid=[0.0, 0.5])
+def test_select_refuses_a_curve_that_overflows():
+    # the squared residuals of responses near 1e160 overflow every MISE value
+    data = generate(Scenario(model=ModelKind.CUBIC, n=50, p=2, seed=39))
+    w = np.abs(data.x).sum(axis=1)
+    h1, _ = select_bandwidth(data, fit_index_ols(data), w)
+    assert h1 > default_bandwidth_grid(50)[0]
+    large = Dataset(x=data.x, y=1e160 * data.y)
+    with pytest.raises(DataError, match="the bandwidth search overflows: the covariates or "
+                                        "responses are too large for the float range"):
+        select_bandwidth(large, fit_index_ols(large), w)
 
 
 def test_default_grid_shape():
@@ -168,11 +164,10 @@ def test_mise_curve_matches_per_bandwidth_smooths(case):
     data, fit, w, grid = case
     ref = np.array([_mise_by_smoother(data, fit, w, h) for h in grid])
     assert mise_curve(data, fit, w, grid) == pytest.approx(ref, rel=1e-12, abs=1e-12)
-    # the search picks the reference's argmin, or a candidate that only
-    # round-off separates from it
-    curve = ref[np.argsort(grid, kind="stable")]
-    h1, _ = select_bandwidth(data, fit, w, grid=grid)
-    assert h1 in np.sort(grid)[np.isclose(curve, curve.min(), rtol=1e-12, atol=1e-12)]
+    # the search picks the argmin of the curve on the default grid
+    default = default_bandwidth_grid(data.n)
+    h1, _ = select_bandwidth(data, fit, w)
+    assert h1 == default[np.argmin(mise_curve(data, fit, w, default))]
 
 
 def test_mise_curve_one_row_blocks_match_one_block(monkeypatch, rng):

@@ -243,6 +243,35 @@ def test_main_refuses_a_bandwidth_reaching_no_neighbour(tmp_path, capsys, test, 
     assert captured.out == "" and not out.exists()
 
 
+def test_main_simulate_refuses_a_fixed_h_reaching_no_neighbour_before_any_line(
+        tmp_path, capsys):
+    # line 2's h has n h = 0.8: refused up front, so line 1 writes no row either
+    line = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "test": "score", "reps": 2}
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(json.dumps(line) + "\n" + json.dumps(dict(line, n=200, h=0.004)) + "\n")
+    out = tmp_path / "mc.csv"
+    code = main(["simulate", "--batch", str(batch), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2: bandwidth h=0.004 reaches no neighbouring rank at n=200" in err
+    assert not out.exists()
+
+
+def test_main_refuses_a_search_that_overflows(tmp_path, capsys):
+    # squares of responses near 1e160 overflow the whole MISE curve, whose
+    # argmin would then be the grid floor whatever the data
+    data = generate(Scenario(model=ModelKind.CUBIC, n=50, p=2, seed=39))
+    path, out = tmp_path / "large.csv", tmp_path / "report.json"
+    save_dataset(Dataset(x=data.x, y=1e160 * data.y), path)
+    code = main(["check", "--input", str(path), "--test", "omnibus", "--boot-m", "200",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "the bandwidth search overflows" in captured.err
+    assert "too large for the float range; rescale them" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("test, flags, expected", [
     ("score", [], 2), ("maximin", [], 2), ("omnibus", ["--boot-m", "100"], 0),
 ])

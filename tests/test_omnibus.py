@@ -97,9 +97,12 @@ def test_quasirandom_grid_is_bit_identical_to_point_loop(p):
 def test_grid_is_cached_and_read_only():
     assert gamma_grid(5, 3.0, 7) is gamma_grid(5, 3.0, 7)
     assert gamma_grid(2, 2.0, 5) is not gamma_grid(2, 2.0, 7)
+    assert isinstance(gamma_grid(2), GammaGrid)
     for p in (2, 5):
         with pytest.raises(ValueError):
             gamma_grid(p).points[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            gamma_grid(p).half_points[0, 0] = 1.0
 
 
 def test_grid_validation():
@@ -111,13 +114,6 @@ def test_grid_validation():
         gamma_grid(2, bound=np.inf)
     with pytest.raises(ConfigError):
         gamma_grid(2, per_axis=1)
-    with pytest.raises(ConfigError):
-        GammaGrid(points=np.array([[1.0, 0.0]]), bound=1.0, per_axis=3)
-    with pytest.raises(ConfigError):
-        GammaGrid(points=np.array([[0.0, 0.0], [1.0, 0.3]]), bound=1.0, per_axis=3)
-    with pytest.raises(ConfigError, match="points must be finite"):
-        GammaGrid(points=np.array([[0.0, 0.0], [np.nan, 1.0], [np.nan, -1.0]]), bound=1.0,
-                  per_axis=None)
 
 
 def test_cf_process_at_origin(rng):
@@ -165,40 +161,52 @@ def test_sup_statistic_zero_residuals(rng):
     assert zero_response_report(rng).t_tilde == 0.0
 
 
-def test_sup_statistic_origin_grid(rng):
-    # at gamma = 0 the weights are 1, centered by their own smooth
+def test_sup_statistic_origin_column(rng):
+    # at gamma = 0 the weights are 1, centered by their own smooth; the origin
+    # column of the library's full-grid summands matches the explicit loops,
+    # and the sup covers it
     data, fit = pipeline_data(rng, n=30)
     h = 0.1
-    grid = GammaGrid(points=np.zeros((1, 2)), bound=1.0, per_axis=2)
-    rep = omnibus_test(data, fit, SmootherConfig(h=h), BootstrapConfig(m=100), grid)
+    cfg = SmootherConfig(h=h)
+    grid = gamma_grid(2)
+    rep = omnibus_test(data, fit, cfg, BootstrapConfig(m=100), grid)
+    core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
+    origin = np.flatnonzero(np.all(grid.points == 0.0, axis=1))
+    assert origin.size == 1
+    weights = np.exp(1j * (standardize_columns(data.x) @ grid.points[origin].T))
+    column = core.eps[core.keep] * core.centered(weights)[:, 0]
     u = fit.ranks_u
     eps = brute_residuals(data.y, u, h)
     centered = 1.0 - brute_smoothed(np.ones(30), u, h)
     keep = (u > 3 * h) & (u <= 1 - 3 * h + 1e-12)
     expected = abs((eps * centered)[keep].sum()) / np.sqrt(keep.sum())
-    assert rep.t_tilde == pytest.approx(expected, rel=1e-12)
+    assert abs(column.sum()) / np.sqrt(column.size) == pytest.approx(expected, rel=1e-12)
+    assert rep.t_tilde >= expected * (1 - 1e-12)
 
 
 def _sorted_rows(pts):
     return pts[np.lexsort(pts.T)]
 
 
-@pytest.mark.parametrize(
-    "grid",
-    [gamma_grid(p) for p in (1, 2, 3, 4, 5)]
-    + [GammaGrid(points=np.array([[0.0, 0.0], [1.0, -2.0], [-1.0, 2.0], [0.0, -0.5],
-                                  [0.0, 0.5], [-3.0, 0.0], [3.0, 0.0]]),
-                 bound=3.0, per_axis=3)],
-    ids=["p1", "p2", "p3", "p4", "p5-halton", "hand-built"],
-)
-def test_half_points_pair_every_frequency_with_its_negation(grid):
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5], ids=["p1", "p2", "p3", "p4", "p5-halton"])
+def test_half_points_pair_every_frequency_with_its_negation(p):
     # the p = 5 Halton grid holds 0.0 in half its pairs and -0.0 in the other
+    grid = gamma_grid(p)
     half = grid.half_points
     assert 2 * half.shape[0] - 1 == grid.size
     origin = np.all(half == 0.0, axis=1)
     assert origin.sum() == 1
     both = np.vstack([half, -half[~origin]])
     assert np.array_equal(_sorted_rows(both), _sorted_rows(grid.points))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_half_points_keep_the_grid_order(p):
+    # the documented rule, point by point: the origin and every point whose
+    # first nonzero coordinate is positive, in the order of the full grid
+    grid = gamma_grid(p)
+    kept = [row for row in grid.points if all(row == 0.0) or row[np.flatnonzero(row)[0]] > 0.0]
+    assert grid.half_points.tobytes() == np.array(kept).tobytes()
 
 
 def test_sup_statistic_half_grid_lossless(rng):

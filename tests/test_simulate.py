@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 from types import SimpleNamespace
 
@@ -350,6 +351,22 @@ def test_monte_carlo_refuses_an_overflowing_grid_bound_before_any_replicate(monk
     # p * bound * sqrt(n) = 1.3e307 is finite: validation passes and the replicates run
     with pytest.raises(RuntimeError, match="a replicate ran"):
         monte_carlo(scn, OmnibusCheck(boot_m=100, grid_bound=1e306), reps=2)
+
+
+@pytest.mark.parametrize("check", [ScoreCheck(h=0.004), MaximinCheck(h=0.005),
+                                   OmnibusCheck(boot_m=100, h=0.001)])
+def test_monte_carlo_refuses_a_fixed_h_reaching_no_neighbour_before_any_replicate(
+        monkeypatch, check):
+    def never(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulate, "_replicate_reject", never)
+    scn = Scenario(model=ModelKind.CUBIC, n=200, p=2)
+    with pytest.raises(ConfigError, match=f"h={check.h!r} reaches no neighbouring rank at n=200"):
+        monte_carlo(scn, check, reps=2)
+    # at n h > 1 validation passes and the replicates run
+    with pytest.raises(RuntimeError, match="a replicate ran"):
+        monte_carlo(scn, dataclasses.replace(check, h=0.0051), reps=2)
 
 
 def test_maximin_null_rate_is_sane():
