@@ -2,11 +2,24 @@
 
 The CSV contract: a header row, exactly one column named ``y`` holding the
 response, and every other column a numeric covariate, kept in file order.
+
+A file is read in two stages.  The header is read with ``csv``; the body
+then streams, line by line, through numpy's C parser (``np.loadtxt``),
+and its table is kept when it has at least ``MIN_ROWS`` rows, one cell per
+header name and only finite values.  Anything else sends the whole file to
+the Python reader, which converts cell by cell with ``float``: a header
+without exactly one ``y``, an empty body, a blank line (the C parser would
+skip it), a cell the C parser refuses (text, an empty cell, ``1_000``,
+non-ASCII digits), a ragged row, a non-finite value or bytes that are not
+UTF-8.  Both parse a number with the same CPython routine, so the Python
+reader returns the same values the C parser would have, or raises the
+DataError that names the row and column.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,10 +69,53 @@ class Dataset:
 def load_dataset(path) -> Dataset:
     """Read a CSV file into a Dataset.
 
+    The body streams through numpy's C parser; a file that does not parse
+    there into a finite table of at least ``MIN_ROWS`` rows, one cell per
+    header name, is read again by the Python reader (see the module
+    docstring), which returns the same values or raises.
+
     Raises DataError naming the offending row and column for non-numeric,
-    missing or non-finite cells, for ragged rows, and when fewer than
-    ``MIN_ROWS`` data rows are present.
+    missing or non-finite cells, for ragged rows and blank lines, and when
+    fewer than ``MIN_ROWS`` data rows are present.
     """
+    data = _load_streamed(path)
+    return data if data is not None else _load_by_cell(path)
+
+
+def _load_streamed(path) -> Dataset | None:
+    """The file parsed by ``np.loadtxt``, or None when the Python reader must read it."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                return None
+            header = [name.strip() for name in header]
+            if header.count("y") != 1 or len(header) < 2:
+                return None
+            lines = _unblank_lines(fh)
+            first = next(lines, None)
+            if first is None:  # header only: loadtxt would warn "input contained no data"
+                return None
+            table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                               comments=None, quotechar='"', ndmin=2)
+    except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
+        return None
+    if table.shape[0] < MIN_ROWS or table.shape[1] != len(header) or not np.isfinite(table).all():
+        return None
+    y_col = header.index("y")
+    return Dataset(x=np.delete(table, y_col, axis=1), y=table[:, y_col])
+
+
+def _unblank_lines(fh):
+    """The lines of ``fh``, raising ValueError at a blank one, which np.loadtxt would skip."""
+    for line in fh:
+        if line.isspace():
+            raise ValueError("blank line")
+        yield line
+
+
+def _load_by_cell(path) -> Dataset:
+    """Read a CSV file cell by cell with ``float``, naming the row and column of a bad cell."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)

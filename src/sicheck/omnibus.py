@@ -161,8 +161,16 @@ class GammaGrid:
         }
 
 
-#: The frequency grid of (p, bound, per_axis), built once and shared.
-gamma_grid = functools.lru_cache(maxsize=64)(GammaGrid)
+_cached_grid = functools.lru_cache(maxsize=64)(GammaGrid)
+
+
+def gamma_grid(p, bound=DEFAULT_GRID_BOUND, per_axis=DEFAULT_GRID_PER_AXIS) -> GammaGrid:
+    """The frequency grid of (p, bound, per_axis), built once and shared.
+
+    The cache sees the settings in one positional form, so ``gamma_grid(3)``
+    and ``gamma_grid(3, bound=3.0, per_axis=7)`` return the same grid.
+    """
+    return _cached_grid(p, bound, per_axis)
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,7 @@ def test_quasirandom_grid_is_bit_identical_to_point_loop(p):
 
 def test_grid_is_cached_and_read_only():
     assert gamma_grid(5, 3.0, 7) is gamma_grid(5, 3.0, 7)
+    assert gamma_grid(3) is gamma_grid(3, 3.0, 7) is gamma_grid(3, bound=3.0, per_axis=7)
     assert gamma_grid(2, 2.0, 5) is not gamma_grid(2, 2.0, 7)
     assert isinstance(gamma_grid(2), GammaGrid)
     for p in (2, 5):
