@@ -75,8 +75,9 @@ def load_dataset(path) -> Dataset:
     docstring), which returns the same values or raises.
 
     Raises DataError naming the offending row and column for non-numeric,
-    missing or non-finite cells, for ragged rows and blank lines, and when
-    fewer than ``MIN_ROWS`` data rows are present.
+    missing or non-finite cells, naming the row for ragged rows, blank lines
+    and a cell longer than the ``csv`` field limit, and when fewer than
+    ``MIN_ROWS`` data rows are present.
     """
     data = _load_streamed(path)
     return data if data is not None else _load_by_cell(path)
@@ -102,8 +103,8 @@ def _load_streamed(path) -> Dataset | None:
         return None
     if table.shape[0] < MIN_ROWS or table.shape[1] != len(header) or not np.isfinite(table).all():
         return None
-    y_col = header.index("y")
-    return Dataset(x=np.delete(table, y_col, axis=1), y=table[:, y_col])
+    y_col = header.index("y")  # y is copied so that the table can be freed
+    return Dataset(x=np.delete(table, y_col, axis=1), y=table[:, y_col].copy())
 
 
 def _unblank_lines(fh):
@@ -116,6 +117,7 @@ def _unblank_lines(fh):
 
 def _load_by_cell(path) -> Dataset:
     """Read a CSV file cell by cell with ``float``, naming the row and column of a bad cell."""
+    header, rows = None, []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -128,7 +130,6 @@ def _load_by_cell(path) -> Dataset:
             if len(header) < 2:
                 raise DataError(f"{path}: no covariate columns besides 'y'")
             y_col = header.index("y")
-            rows = []
             for line_no, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise DataError(
@@ -151,13 +152,16 @@ def _load_by_cell(path) -> Dataset:
                 rows.append(values)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:  # an oversized cell; before Python 3.11 also a NUL byte
+        row = 1 if header is None else len(rows) + 2
+        raise DataError(f"{path}: row {row}: {exc}") from None
     if len(rows) < MIN_ROWS:
         raise DataError(
             f"{path}: parsed {len(rows)} data rows; at least {MIN_ROWS} are "
             "required for index estimation and smoothing"
         )
     table = np.array(rows, dtype=float)
-    return Dataset(x=np.delete(table, y_col, axis=1), y=table[:, y_col])
+    return Dataset(x=np.delete(table, y_col, axis=1), y=table[:, y_col].copy())
 
 
 def save_dataset(data: Dataset, path) -> None:

@@ -52,7 +52,7 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError, DataError
 from .index import IndexFit
-from .smoother import DEFAULT_ALPHA, SmootherConfig, residual_core, sums_guard
+from .smoother import DEFAULT_ALPHA, Report, SmootherConfig, residual_core, sums_guard
 
 #: Largest dense frequency grid; beyond this the grid falls back to
 #: quasi-random symmetric points.
@@ -195,36 +195,11 @@ class BootstrapConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class OmnibusReport:
-    t_tilde: float
+class OmnibusReport(Report):
     critical_value: float
-    p_value: float
-    reject: bool
-    alpha: float
     m: int
     seed: int
-    h: float
-    n: int
     grid: dict
-    diagnostics: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "test": "omnibus",
-            "statistic": self.t_tilde,
-            "critical_value": self.critical_value,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "reject": bool(self.reject),
-            "calibration": f"bootstrap-m={self.m}",
-            "m": self.m,
-            "seed": self.seed,
-            "h": self.h,
-            "n": self.n,
-            "weight_kinds": ["cf"],
-            "grid": dict(self.grid),
-            "diagnostics": dict(self.diagnostics),
-        }
 
 
 def cf_process(eps_hat, x, gamma) -> complex:
@@ -380,15 +355,18 @@ def omnibus_test(
     critical = bootstrap_critical_value(reps, boot.alpha)
     p_value = (1 + int(np.count_nonzero(reps >= t_tilde))) / (boot.m + 1)
     return OmnibusReport(
-        t_tilde=t_tilde,
-        critical_value=critical,
+        test="omnibus",
+        statistic=t_tilde,
         p_value=p_value,
         reject=bool(t_tilde >= critical),
         alpha=boot.alpha,
-        m=boot.m,
-        seed=boot.seed,
+        calibration=f"bootstrap-m={boot.m}",
         h=cfg.h,
         n=data.n,
-        grid=grid.summary(),
+        weight_kinds=("cf",),
         diagnostics=core.diagnostics,
+        critical_value=critical,
+        m=boot.m,
+        seed=boot.seed,
+        grid=grid.summary(),
     )

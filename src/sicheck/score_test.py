@@ -37,7 +37,7 @@ from .exceptions import (
     NearSingularCovarianceError,
 )
 from .index import IndexFit
-from .smoother import DEFAULT_ALPHA, ResidualCore, SmootherConfig, residual_core, sums_guard
+from .smoother import DEFAULT_ALPHA, Report, ResidualCore, SmootherConfig, residual_core, sums_guard
 from .special import chisq_quantile, chisq_sf, normal_two_sided_p
 from .weights import WeightSpec
 
@@ -47,71 +47,23 @@ CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreReport:
+class ScoreReport(Report):
     t_hat: float
     sigma_n2: float
-    t_bar: float
-    p_value: float
-    reject: bool
-    alpha: float
-    h: float
-    n: int
-    weight_kind: str
-    diagnostics: dict
+    d: int = 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "test": "score",
-            "statistic": self.t_bar,
-            "t_hat": self.t_hat,
-            "sigma_n2": self.sigma_n2,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "reject": bool(self.reject),
-            "calibration": "normal",
-            "h": self.h,
-            "n": self.n,
-            "d": 1,
-            "weight_kinds": [self.weight_kind],
-            "diagnostics": dict(self.diagnostics),
-        }
+    @property
+    def t_bar(self) -> float:
+        """The standardized statistic t_hat / sqrt(sigma_n2)."""
+        return self.statistic
 
 
 @dataclass(frozen=True, eq=False)
-class MaximinReport:
+class MaximinReport(Report):
+    c_alpha: float
+    d: int
     t_vec: np.ndarray
     sigma_mat: np.ndarray
-    statistic: float
-    c_alpha: float
-    p_value: float
-    reject: bool
-    alpha: float
-    h: float
-    n: int
-    weight_kinds: tuple[str, ...]
-    diagnostics: dict
-
-    @property
-    def d(self) -> int:
-        return self.t_vec.size
-
-    def to_json_dict(self) -> dict:
-        return {
-            "test": "maximin",
-            "statistic": self.statistic,
-            "c_alpha": self.c_alpha,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "reject": bool(self.reject),
-            "calibration": "chi-square",
-            "h": self.h,
-            "n": self.n,
-            "d": self.d,
-            "weight_kinds": list(self.weight_kinds),
-            "t_vec": [float(t) for t in self.t_vec],
-            "sigma_mat": [[float(v) for v in row] for row in self.sigma_mat],
-            "diagnostics": dict(self.diagnostics),
-        }
 
 
 def score_statistic(eps_hat, w_values) -> float:
@@ -200,16 +152,18 @@ def standardized_test(
     t_bar = t_hat / math.sqrt(sigma2)
     p_value = normal_two_sided_p(t_bar)
     return ScoreReport(
-        t_hat=t_hat,
-        sigma_n2=sigma2,
-        t_bar=t_bar,
+        test="score",
+        statistic=t_bar,
         p_value=p_value,
         reject=bool(p_value <= alpha),
         alpha=alpha,
+        calibration="normal",
         h=cfg.h,
         n=data.n,
-        weight_kind=weight.label,
+        weight_kinds=(weight.label,),
         diagnostics=core.diagnostics,
+        t_hat=t_hat,
+        sigma_n2=sigma2,
     )
 
 
@@ -249,15 +203,18 @@ def maximin_test(
     c_alpha = chisq_quantile(1.0 - alpha, len(weights))
     p_value = chisq_sf(statistic, len(weights))
     return MaximinReport(
-        t_vec=t_vec,
-        sigma_mat=sigma,
+        test="maximin",
         statistic=statistic,
-        c_alpha=c_alpha,
         p_value=p_value,
         reject=bool(statistic >= c_alpha),
         alpha=alpha,
+        calibration="chi-square",
         h=cfg.h,
         n=data.n,
         weight_kinds=labels,
         diagnostics=core.diagnostics,
+        c_alpha=c_alpha,
+        d=len(weights),
+        t_vec=t_vec,
+        sigma_mat=sigma,
     )

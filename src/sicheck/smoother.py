@@ -1,5 +1,5 @@
 """Leave-one-out kernel smoothing on rank-transformed projections, and the
-residual core that the score, maximin and omnibus tests share.
+residual core and the report that the score, maximin and omnibus tests share.
 
 For observation j the smoother averages the remaining values with kernel
 weights on the rank scale,
@@ -25,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -199,6 +199,38 @@ class ResidualCore:
             "empty_windows": int(np.count_nonzero(self.smoother.empty)),
             "n_interior": int(self.keep.sum()),
         }
+
+
+@dataclass(frozen=True, eq=False)
+class Report:
+    """What every test reports: its ``statistic``, the ``p_value`` and the
+    decision at level ``alpha`` under its ``calibration``, the bandwidth, the
+    sample size, the weight functions and the core's ``diagnostics``.  Each
+    test's report adds its own fields."""
+
+    test: str
+    statistic: float
+    p_value: float
+    reject: bool
+    alpha: float
+    calibration: str
+    h: float
+    n: int
+    weight_kinds: tuple[str, ...]
+    diagnostics: dict
+
+    def to_json_dict(self) -> dict:
+        """Every field under its own name: arrays as nested lists, tuples as
+        lists, dicts copied."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    return dict(value) if isinstance(value, dict) else value
 
 
 def residual_core(

@@ -18,7 +18,7 @@ from sicheck import (
 )
 from sicheck import simulate
 from sicheck.cli import build_check, main, run_check, run_simulation
-from sicheck.simulate import _replicate_reject
+from sicheck.simulate import _replicate_reject, apply_check
 from sicheck.smoother import DEFAULT_ALPHA
 
 
@@ -165,6 +165,23 @@ def test_check_agrees_with_simulate_replicates(tmp_path, test, check):
         assert reject == _replicate_reject(AGREE_SCN, check, 0.05, r)
 
 
+COMMON_KEYS = {"test", "statistic", "p_value", "reject", "alpha", "calibration", "h", "n",
+               "weight_kinds", "diagnostics"}
+
+
+@pytest.mark.parametrize("check, own_keys", [
+    (ScoreCheck(), {"t_hat", "sigma_n2", "d"}),
+    (MaximinCheck(), {"c_alpha", "d", "t_vec", "sigma_mat"}),
+    (OmnibusCheck(boot_m=100), {"critical_value", "m", "seed", "grid"}),
+], ids=["score", "maximin", "omnibus"])
+def test_report_json_is_exactly_its_fields_and_strict_json(check, own_keys):
+    data = generate(Scenario(model=ModelKind.CUBIC, n=60, p=2, seed=7))
+    report, _ = apply_check(data, check, DEFAULT_ALPHA, seed=3)
+    js = report.to_json_dict()
+    assert set(js) == COMMON_KEYS | own_keys
+    assert json.loads(json.dumps(js, allow_nan=False)) == js  # every value JSON-native
+
+
 def test_main_score_writes_report(tmp_path, csv_path, capsys):
     out = tmp_path / "report.json"
     code = main([
@@ -190,6 +207,18 @@ def test_main_rejects_bad_alpha(csv_path, capsys):
 def test_main_reports_missing_file(tmp_path, capsys):
     code = main(["check", "--input", str(tmp_path / "nope.csv"), "--test", "score"])
     assert code != 0
+
+
+def test_main_refuses_a_cell_beyond_the_csv_field_limit(csv_path, capsys):
+    # the '1_000' cell sends the file to the Python reader, whose csv module
+    # refuses the 200 001-character cell of row 2
+    lines = csv_path.read_text().split("\n")
+    lines[1] = "0" * 200_000 + "1," + lines[1].split(",", 1)[1]
+    lines[5] = "1_000," + lines[5].split(",", 1)[1]
+    csv_path.write_text("\n".join(lines))
+    code = main(["check", "--input", str(csv_path), "--test", "score"])
+    assert code == 2
+    assert "row 2: field larger than field limit" in capsys.readouterr().err
 
 
 def test_main_bad_h_string(csv_path, capsys):

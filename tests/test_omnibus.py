@@ -159,7 +159,7 @@ def zero_response_report(rng):
 
 
 def test_sup_statistic_zero_residuals(rng):
-    assert zero_response_report(rng).t_tilde == 0.0
+    assert zero_response_report(rng).statistic == 0.0
 
 
 def test_sup_statistic_origin_column(rng):
@@ -182,7 +182,7 @@ def test_sup_statistic_origin_column(rng):
     keep = (u > 3 * h) & (u <= 1 - 3 * h + 1e-12)
     expected = abs((eps * centered)[keep].sum()) / np.sqrt(keep.sum())
     assert abs(column.sum()) / np.sqrt(column.size) == pytest.approx(expected, rel=1e-12)
-    assert rep.t_tilde >= expected * (1 - 1e-12)
+    assert rep.statistic >= expected * (1 - 1e-12)
 
 
 def _sorted_rows(pts):
@@ -222,13 +222,13 @@ def test_sup_statistic_half_grid_lossless(rng):
     eps = core.eps[core.keep]
     summands = eps[:, None] * core.centered(np.exp(1j * (standardize_columns(data.x) @ grid.points.T)))
     scale = np.sqrt(eps.size)
-    assert rep.t_tilde == pytest.approx(np.abs(summands.sum(axis=0)).max() / scale, rel=1e-12)
+    assert rep.statistic == pytest.approx(np.abs(summands.sum(axis=0)).max() / scale, rel=1e-12)
     reps = [
         np.abs(np.random.default_rng([4, r]).standard_normal(eps.size) @ summands).max() / scale
         for r in range(boot.m)
     ]
     assert rep.critical_value == pytest.approx(bootstrap_critical_value(reps, 0.05), rel=1e-12)
-    assert rep.p_value == (1 + sum(v >= rep.t_tilde for v in reps)) / (boot.m + 1)
+    assert rep.p_value == (1 + sum(v >= rep.statistic for v in reps)) / (boot.m + 1)
 
 
 def test_one_column_chunks_match_one_chunk(rng, monkeypatch):
@@ -237,7 +237,7 @@ def test_one_column_chunks_match_one_chunk(rng, monkeypatch):
     whole = omnibus_test(*args)
     monkeypatch.setattr(omnibus, "CHUNK_BYTES", 1)
     split = omnibus_test(*args)
-    assert split.t_tilde == pytest.approx(whole.t_tilde, rel=1e-12)
+    assert split.statistic == pytest.approx(whole.statistic, rel=1e-12)
     assert split.critical_value == pytest.approx(whole.critical_value, rel=1e-12)
     assert (split.p_value, split.reject) == (whole.p_value, whole.reject)
     assert split.diagnostics == whole.diagnostics
@@ -311,7 +311,7 @@ def test_omnibus_matches_brute_force(rng):
         t_tilde, n_int, critical, p_value = brute_omnibus(data, fit, h, grid, boot)
         assert n_int == n_interior
         assert rep.diagnostics["n_interior"] == n_int
-        assert rep.t_tilde == pytest.approx(t_tilde, rel=1e-12)
+        assert rep.statistic == pytest.approx(t_tilde, rel=1e-12)
         assert rep.critical_value == pytest.approx(critical, rel=1e-12)
         assert rep.p_value == pytest.approx(p_value, rel=1e-12)
 
@@ -398,7 +398,7 @@ def test_omnibus_deterministic(rng):
     boot = BootstrapConfig(m=150, alpha=0.05, seed=99)
     a = omnibus_test(data, fit, cfg, boot)
     b = omnibus_test(data, fit, cfg, boot)
-    assert a.t_tilde == b.t_tilde
+    assert a.statistic == b.statistic
     assert a.critical_value == b.critical_value
     assert a.p_value == b.p_value
     assert a.reject == b.reject
@@ -418,7 +418,7 @@ def test_omnibus_report_contract(rng):
     boot = BootstrapConfig(m=150, alpha=0.05, seed=5)
     rep = omnibus_test(data, fit, SmootherConfig(h=0.25), boot)
     assert 0.0 < rep.p_value <= 1.0
-    assert rep.t_tilde >= 0.0
+    assert rep.statistic >= 0.0
     assert rep.m == 150 and rep.seed == 5
     assert rep.grid["size"] == 49
     assert rep.grid["standardized_covariates"] is True
