@@ -12,7 +12,9 @@ order that keeps smoothing bias out of the test statistics.
 The search sorts the grid and walks it in blocks of bandwidths under a
 workspace budget of BLOCK_BYTES.  One ``LatticeSmoother`` per block fits
 the block's bandwidths in one batched FFT pass, so memory stays O(n) and
-every fit is the exact lattice convolution of a single smooth.
+every fit is the exact lattice convolution of a single smooth.  A stack
+of datasets of one size (``mise_rows``, ``select_bandwidths``) shares that
+pass: the grid and its kernel spectra depend on n alone.
 """
 
 from __future__ import annotations
@@ -39,24 +41,37 @@ def mise_curve(data: Dataset, fit: IndexFit, w_values, grid) -> np.ndarray:
     of ``grid``, in the grid's order.  A curve that overflows is refused
     with a DataError: its argmin would be the grid's first candidate
     whatever the data."""
-    w2 = np.asarray(w_values, dtype=float) ** 2
-    if w2.shape != (data.n,):
-        raise ConfigError("weight values must be one per observation")
-    if fit.n != data.n:
-        raise DataError("index fit and dataset sizes differ")
+    w = _one_weight_per_observation(data, fit, w_values)
     hs = np.asarray(grid, dtype=float)
     if not (hs.ndim == 1 and hs.size and hs.min() > 0 and hs.max() < np.inf):
         raise ConfigError(f"bandwidth grid must be nonempty, positive and finite, got {grid}")
+    return mise_rows(data.y[None], fit.slots[None], w[None], hs)[0]
+
+
+def _one_weight_per_observation(data: Dataset, fit: IndexFit, w_values) -> np.ndarray:
+    w = np.asarray(w_values, dtype=float)
+    if w.shape != (data.n,):
+        raise ConfigError("weight values must be one per observation")
+    if fit.n != data.n:
+        raise DataError("index fit and dataset sizes differ")
+    return w
+
+
+def mise_rows(y, slots, w_values, hs) -> np.ndarray:
+    """``mise_curve`` of each dataset of a stack: responses, rank slots and
+    weight values (B, n), one curve row each over the 1-D grid ``hs``."""
+    w2 = w_values**2
+    n = y.shape[1]
     by_h = np.argsort(hs, kind="stable")
-    radius = int(min(np.ceil(data.n * hs.max()), data.n)) - 1  # of the widest window
-    rows = max(1, BLOCK_BYTES // (48 * (data.n + radius)))
-    curve = np.empty(hs.size)
+    radius = int(min(np.ceil(n * hs.max()), n)) - 1  # of the widest window
+    rows = max(1, BLOCK_BYTES // (48 * (n + radius)))
+    curve = np.empty((len(y), hs.size))
     with range_guard("the bandwidth search overflows"):
         for lo in range(0, hs.size, rows):
             block = by_h[lo:lo + rows]
-            fits = LatticeSmoother(fit.slots, hs[block]).smooth(data.y)
-            np.subtract(data.y, fits, out=fits)
-            curve[block] = np.square(fits, out=fits) @ w2
+            fits = LatticeSmoother(slots, hs[block][None]).smooth(y)
+            np.subtract(y[:, None], fits, out=fits)
+            curve[:, block] = np.matmul(np.square(fits, out=fits), w2[..., None])[..., 0]
     return curve
 
 
@@ -90,8 +105,14 @@ def select_bandwidth(data: Dataset, fit: IndexFit, w_values) -> tuple[float, flo
     """Return (h1, h_final): the minimizer of MISE over
     ``default_bandwidth_grid(n)``, then undersmoothed.  The grid ascends, so
     ties go to the smallest candidate."""
-    grid = default_bandwidth_grid(data.n)
-    scores = mise_curve(data, fit, w_values, grid)
-    h1 = float(grid[int(np.argmin(scores))])
-    h_final = h1 * data.n**UNDERSMOOTH_EXPONENT
-    return h1, h_final
+    w = _one_weight_per_observation(data, fit, w_values)
+    h1, h = select_bandwidths(data.y[None], fit.slots[None], w[None])
+    return float(h1[0]), float(h[0])
+
+
+def select_bandwidths(y, slots, w_values) -> tuple[np.ndarray, np.ndarray]:
+    """``select_bandwidth`` of each dataset of a stack (see ``mise_rows``):
+    the pilot and final bandwidths, (B,) each."""
+    grid = default_bandwidth_grid(y.shape[1])
+    h1 = grid[np.argmin(mise_rows(y, slots, w_values, grid), axis=1)]
+    return h1, h1 * y.shape[1]**UNDERSMOOTH_EXPONENT

@@ -70,6 +70,20 @@ def project(data: Dataset, beta) -> np.ndarray:
     return data.x @ beta
 
 
+def rank_slots(t) -> np.ndarray:
+    """Integer ranks #{j : t_j <= t_i} along the last axis, one sort per row."""
+    order = np.argsort(t, axis=-1, kind="stable")
+    ordered = np.take_along_axis(t, order, axis=-1)
+    n = t.shape[-1]
+    # a sorted position's rank is one past the last position holding its value
+    ends = np.full(t.shape, n)
+    ends[..., :-1] = np.where(ordered[..., 1:] != ordered[..., :-1], np.arange(1, n), n)
+    slots = np.empty(t.shape, dtype=np.intp)
+    np.put_along_axis(slots, order, np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1],
+                      axis=-1)
+    return slots
+
+
 def rank_transform(t) -> np.ndarray:
     """Empirical-distribution values #{j : t_j <= t_i} / n, in (0, 1]."""
     t = np.asarray(t, dtype=float)
@@ -77,8 +91,7 @@ def rank_transform(t) -> np.ndarray:
         raise DataError("rank transform needs a nonempty vector")
     if not np.all(np.isfinite(t)):
         raise DataError("rank transform requires finite values")
-    ordered = np.sort(t)
-    return np.searchsorted(ordered, t, side="right") / t.size
+    return rank_slots(t) / t.size
 
 
 def fit_from_direction(data: Dataset, beta) -> IndexFit:
@@ -100,14 +113,29 @@ def fit_index_ols(data: Dataset) -> IndexFit:
     with absolute value above 1e-10 is made positive (the direction is
     identified only up to sign).
     """
-    n, p = data.n, data.p
+    beta, proj, slots = fit_stack(data.x[None], data.y[None])
+    return IndexFit(beta_hat=beta[0], projections=proj[0], ranks_u=slots[0] / data.n)
+
+
+def fit_stack(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fit_index_ols`` for each dataset of a stack, x (B, n, p) and y (B, n):
+    the directions (B, p), projections (B, n) and integer ranks (B, n)."""
+    _, n, p = x.shape
     if n <= p + 1:
         raise InsufficientDataError(
             f"need n > p + 1 observations to fit a direction (n={n}, p={p})"
         )
-    design = np.column_stack([np.ones(n), data.x])
-    coef, _, rank, _ = np.linalg.lstsq(design, data.y, rcond=None)
-    if rank < p + 1:
+    design = np.concatenate((np.ones(x.shape[:2] + (1,)), x), axis=2)
+    beta = np.stack([_ols_direction(d, v) for d, v in zip(design, y)])
+    proj = np.matmul(x, beta[..., None])[..., 0]
+    if not np.all(np.isfinite(proj)):
+        raise DataError("rank transform requires finite values")
+    return beta, proj, rank_slots(proj)
+
+
+def _ols_direction(design, y) -> np.ndarray:
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
         raise SingularDesignError(
             "covariate design (with intercept) is rank deficient"
         )
@@ -115,7 +143,7 @@ def fit_index_ols(data: Dataset) -> IndexFit:
     if not np.isfinite(slope).all():
         raise DataError(
             f"least-squares slope is not finite: responses up to |y| = "
-            f"{np.abs(data.y).max():.3g} are too large for the float range; rescale y"
+            f"{np.abs(y).max():.3g} are too large for the float range; rescale y"
         )
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(slope)
@@ -133,5 +161,4 @@ def fit_index_ols(data: Dataset) -> IndexFit:
             if b < 0:
                 unit = -unit
             break
-    proj = project(data, unit)
-    return IndexFit(beta_hat=unit, projections=proj, ranks_u=rank_transform(proj))
+    return unit

@@ -52,7 +52,8 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError, DataError
 from .index import IndexFit
-from .smoother import DEFAULT_ALPHA, Report, SmootherConfig, residual_core, sums_guard
+from .smoother import DEFAULT_ALPHA, Block, LatticeSmoother, Report, ResidualCore, SmootherConfig
+from .smoother import sums_guard
 
 #: Largest dense frequency grid; beyond this the grid falls back to
 #: quasi-random symmetric points.
@@ -221,10 +222,11 @@ def cf_process(eps_hat, x, gamma) -> complex:
 
 
 def standardize_columns(x) -> np.ndarray:
-    """Zero-mean, unit-variance columns; constant columns are left at scale 1."""
+    """Zero-mean, unit-variance columns, of a matrix or of each matrix of a
+    stack; constant columns are left at scale 1."""
     x = np.asarray(x, dtype=float)
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
+    mu = x.mean(axis=-2, keepdims=True)
+    sd = x.std(axis=-2, keepdims=True)
     sd = np.where(sd > 0, sd, 1.0)
     return (x - mu) / sd
 
@@ -316,39 +318,64 @@ def omnibus_test(
     Replicate r draws its multipliers from the stream (seed, r), so the
     result is bit-reproducible regardless of evaluation order.
     """
-    z = standardize_columns(data.x)
+    return omnibus_reports(Block.of(data, fit, cfg), [boot], grid)[0]
+
+
+def omnibus_reports(block: Block, boots, grid: GammaGrid | None = None) -> list[OmnibusReport]:
+    """``omnibus_test`` of every dataset of a block, the i-th under the
+    bootstrap settings ``boots[i]``.  The residual cores come from one pass
+    over the block; each dataset's frequency columns and bootstrap then run
+    on their own."""
+    _, n, p = block.x.shape
     if grid is None:
-        grid = gamma_grid(data.p)
-    if grid.p != data.p:
+        grid = gamma_grid(p)
+    if grid.p != p:
         raise DataError(
-            f"grid dimension {grid.p} does not match covariate dimension {data.p}"
+            f"grid dimension {grid.p} does not match covariate dimension {p}"
         )
-    with sums_guard(data.n, cfg.h):
-        core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
-        eps = core.eps[core.keep]
-        n_int = eps.size
-        half = grid.half_points
-        # per complex column: the weights, their slot-binned copy and gathered
-        # fits (n each), the spectrum and its inverse (each below 2.31 n: the
-        # padded length fft_length(n + r) is at most 1.154 (n + r), and r < n),
-        # and the replicate products (m)
-        column_bytes = 16 * (8 * data.n + boot.m)
-        width = max(1, CHUNK_BYTES // column_bytes)
-        t_max = 0.0
-        reps = np.zeros(boot.m)
-        e = None
-        for start in range(0, half.shape[0], width):
-            try:  # the sums guard makes numpy raise here
-                phases = z @ half[start:start + width].T
-            except FloatingPointError:
-                raise ConfigError(f"grid bound {grid.bound} overflows the phases gamma'z") from None
-            summands = core.centered(np.exp(1j * phases))
-            summands *= eps[:, None]
-            t_max = max(t_max, float(np.abs(summands.sum(axis=0)).max()))
-            if e is None:  # drawn once the first block's FFT workspace is freed
-                e = _multipliers(boot.seed, boot.m, n_int)
-            prod = e @ summands.view(float)  # real and imaginary parts interleaved
-            np.maximum(reps, np.hypot(prod[:, 0::2], prod[:, 1::2]).max(axis=1), out=reps)
+    z = standardize_columns(block.x)
+    with sums_guard(n, block.h):
+        core = block.core(margin=SUP_INTERIOR_MARGIN)
+        return [
+            _omnibus_report(z[b], ResidualCore(LatticeSmoother(block.slots[b], h), core.eps[b],
+                                               core.keep[b]), boot, grid, h, diagnostics)
+            for b, (h, boot, diagnostics)
+            in enumerate(zip(block.h.tolist(), boots, core.diagnostics))
+        ]
+
+
+def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> OmnibusReport:
+    """One dataset's sup statistic and bootstrap at bandwidth ``h``, from its
+    standardized covariates ``z`` and its own residual core."""
+    eps = core.eps[core.keep]
+    n, n_int = z.shape[0], eps.size
+    half = grid.half_points
+    # per complex column: the weights, their slot-binned copy and gathered
+    # fits (n each), the spectrum and its inverse (each below 2.31 n: the
+    # padded length fft_length(n + r) is at most 1.154 (n + r), and r < n),
+    # and the replicate products (m)
+    width = max(1, CHUNK_BYTES // (16 * (8 * n + boot.m)))
+    t_max = 0.0
+    reps = np.zeros(boot.m)
+    e = None
+    for start in range(0, half.shape[0], width):
+        try:  # the sums guard makes numpy raise here
+            phases = z @ half[start:start + width].T
+        except FloatingPointError:
+            raise ConfigError(f"grid bound {grid.bound} overflows the phases gamma'z") from None
+        summands = core.centered(np.exp(1j * phases))
+        summands *= eps[:, None]
+        t_max = max(t_max, float(np.abs(summands.sum(axis=0)).max()))
+        if e is None:  # drawn once the first block's FFT workspace is freed
+            e = _multipliers(boot.seed, boot.m, n_int)
+        prod = e @ summands.view(float)  # real and imaginary parts interleaved
+        re, im = prod[:, 0::2], prod[:, 1::2]
+        with np.errstate(over="ignore"):
+            square = re * re + im * im
+        # the largest modulus of each replicate is among its near-largest squares
+        near = square >= square.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+        moduli = np.hypot(re, im, out=np.zeros_like(re), where=near)
+        np.maximum(reps, moduli.max(axis=1), out=reps)
     scale = math.sqrt(n_int)
     t_tilde = t_max / scale
     reps /= scale
@@ -361,10 +388,10 @@ def omnibus_test(
         reject=bool(t_tilde >= critical),
         alpha=boot.alpha,
         calibration=f"bootstrap-m={boot.m}",
-        h=cfg.h,
-        n=data.n,
+        h=h,
+        n=n,
         weight_kinds=("cf",),
-        diagnostics=core.diagnostics,
+        diagnostics=diagnostics,
         critical_value=critical,
         m=boot.m,
         seed=boot.seed,

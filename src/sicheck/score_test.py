@@ -37,7 +37,7 @@ from .exceptions import (
     NearSingularCovarianceError,
 )
 from .index import IndexFit
-from .smoother import DEFAULT_ALPHA, Report, ResidualCore, SmootherConfig, residual_core, sums_guard
+from .smoother import DEFAULT_ALPHA, Block, Report, ResidualCore, SmootherConfig, sums_guard
 from .special import chisq_quantile, chisq_sf, normal_two_sided_p
 from .weights import WeightSpec
 
@@ -106,36 +106,70 @@ def covariance_matrix(eps_hat, s_values, s_smoothed) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-def maximin_statistic(t_vec, sigma_mat) -> float:
-    """Quadratic form t' Sigma^{-1} t via the Cholesky factor of Sigma."""
+def maximin_statistic(t_vec, sigma_mat):
+    """Quadratic form t' Sigma^{-1} t via the Cholesky factor of Sigma; one
+    per row of a stack of vectors (B, d) and matrices (B, d, d)."""
     t = np.asarray(t_vec, dtype=float)
     chol = np.linalg.cholesky(np.asarray(sigma_mat, dtype=float))
-    z = np.linalg.solve(chol, t)
-    return float(z @ z)
+    z = np.linalg.solve(chol, t[..., None])
+    form = np.matmul(np.swapaxes(z, -1, -2), z)[..., 0, 0]
+    return float(form) if form.ndim == 0 else form
 
 
-def _scores(data, fit, weights, cfg, alpha) -> tuple[ResidualCore, np.ndarray, np.ndarray]:
-    """Residual core, interior score vector and its covariance for a tuple
-    of d weights: the one score path of both tests.  Refuses a level outside
-    (0, 1), names h where the windows reach no neighbouring rank or the sums
-    overflow, and names the first weight whose score variance is zero."""
+def _scores(block: Block, weights, alpha) -> tuple[ResidualCore, np.ndarray, np.ndarray]:
+    """Residual core, interior score vectors (B, d) and their covariances
+    (B, d, d) of a block for a tuple of d weights: the one score path of
+    both tests.  The smooths run once over the block; each dataset's
+    interior sums then run over its own interior rows.  Refuses a level
+    outside (0, 1), names h where the windows reach no neighbouring rank or
+    the sums overflow, and names the first weight whose score variance is
+    zero."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    with sums_guard(data.n, cfg.h):
-        core = residual_core(data, fit, cfg)
-        values = np.column_stack([w.evaluate(data.x) for w in weights])
+    t_vec, sigma = [], []
+    with sums_guard(block.n, block.h):
+        core = block.core()
+        values = np.stack([w.evaluate(block.x) for w in weights], axis=-1)
         smoothed = core.smoother.smooth(values)
-        keep = core.keep
-        eps = core.eps[keep]
-        t_vec = (values - smoothed)[keep].T @ eps / math.sqrt(eps.size)
-        sigma = covariance_matrix(eps, values[keep], smoothed[keep])
-    for weight, variance in zip(weights, sigma.diagonal().tolist()):
-        if variance <= 0.0:
-            raise DegenerateVarianceError(
-                f"weight {weight.label!r} has zero score variance: it is fully "
-                "explained by the projection, or the residuals vanish"
-            )
-    return core, t_vec, sigma
+        for v, s, eps, keep in zip(values, smoothed, core.eps, core.keep):
+            eps = eps[keep]
+            t_vec.append((v - s)[keep].T @ eps / math.sqrt(eps.size))
+            sigma.append(covariance_matrix(eps, v[keep], s[keep]))
+    sigma = np.array(sigma)
+    for variances in np.diagonal(sigma, axis1=1, axis2=2).tolist():
+        for weight, variance in zip(weights, variances):
+            if variance <= 0.0:
+                raise DegenerateVarianceError(
+                    f"weight {weight.label!r} has zero score variance: it is fully "
+                    "explained by the projection, or the residuals vanish"
+                )
+    return core, np.array(t_vec), sigma
+
+
+def score_reports(block: Block, weight: WeightSpec,
+                  alpha: float = DEFAULT_ALPHA) -> list[ScoreReport]:
+    """``standardized_test`` of every dataset of a block."""
+    core, t_vec, sigma = _scores(block, (weight,), alpha)
+    reports = []
+    for t_hat, sigma2, h, diagnostics in zip(t_vec[:, 0].tolist(), sigma[:, 0, 0].tolist(),
+                                             block.h.tolist(), core.diagnostics):
+        t_bar = t_hat / math.sqrt(sigma2)
+        p_value = normal_two_sided_p(t_bar)
+        reports.append(ScoreReport(
+            test="score",
+            statistic=t_bar,
+            p_value=p_value,
+            reject=bool(p_value <= alpha),
+            alpha=alpha,
+            calibration="normal",
+            h=h,
+            n=block.n,
+            weight_kinds=(weight.label,),
+            diagnostics=diagnostics,
+            t_hat=t_hat,
+            sigma_n2=sigma2,
+        ))
+    return reports
 
 
 def standardized_test(
@@ -147,24 +181,7 @@ def standardized_test(
 ) -> ScoreReport:
     """Two-sided standardized score test against the normal quantiles: the
     d = 1 case of the maximin test."""
-    core, t_vec, sigma = _scores(data, fit, (weight,), cfg, alpha)
-    t_hat, sigma2 = float(t_vec[0]), float(sigma[0, 0])
-    t_bar = t_hat / math.sqrt(sigma2)
-    p_value = normal_two_sided_p(t_bar)
-    return ScoreReport(
-        test="score",
-        statistic=t_bar,
-        p_value=p_value,
-        reject=bool(p_value <= alpha),
-        alpha=alpha,
-        calibration="normal",
-        h=cfg.h,
-        n=data.n,
-        weight_kinds=(weight.label,),
-        diagnostics=core.diagnostics,
-        t_hat=t_hat,
-        sigma_n2=sigma2,
-    )
+    return score_reports(Block.of(data, fit, cfg), weight, alpha)[0]
 
 
 def _most_collinear_pair(sigma: np.ndarray) -> tuple[int, int]:
@@ -175,6 +192,49 @@ def _most_collinear_pair(sigma: np.ndarray) -> tuple[int, int]:
     return int(min(i, j)), int(max(i, j))
 
 
+def maximin_reports(block: Block, weights, alpha: float = DEFAULT_ALPHA) -> list[MaximinReport]:
+    """``maximin_test`` of every dataset of a block."""
+    weights = tuple(weights)
+    if not weights:
+        raise ConfigError("maximin test needs at least one weight function")
+    core, t_vec, sigma = _scores(block, weights, alpha)
+    labels = tuple(w.label for w in weights)
+    cond = np.linalg.cond(sigma)
+    try:
+        if not np.all(cond <= CONDITION_LIMIT):  # also an infinite or undefined one
+            raise np.linalg.LinAlgError
+        statistics = maximin_statistic(t_vec, sigma)
+    except np.linalg.LinAlgError:
+        b = int(np.argmin(cond <= CONDITION_LIMIT))  # the first refused dataset
+        i, j = _most_collinear_pair(sigma[b])
+        raise NearSingularCovarianceError(
+            f"score covariance is numerically singular (condition number "
+            f"{cond[b]:.3g}); weights {labels[i]!r} and {labels[j]!r} are "
+            "linearly dependent"
+        ) from None
+    c_alpha = chisq_quantile(1.0 - alpha, len(weights))
+    return [
+        MaximinReport(
+            test="maximin",
+            statistic=statistic,
+            p_value=chisq_sf(statistic, len(weights)),
+            reject=bool(statistic >= c_alpha),
+            alpha=alpha,
+            calibration="chi-square",
+            h=h,
+            n=block.n,
+            weight_kinds=labels,
+            diagnostics=diagnostics,
+            c_alpha=c_alpha,
+            d=len(weights),
+            t_vec=t_vec[b],
+            sigma_mat=sigma[b],
+        )
+        for b, (statistic, h, diagnostics)
+        in enumerate(zip(statistics.tolist(), block.h.tolist(), core.diagnostics))
+    ]
+
+
 def maximin_test(
     data: Dataset,
     fit: IndexFit,
@@ -183,38 +243,4 @@ def maximin_test(
     alpha: float = DEFAULT_ALPHA,
 ) -> MaximinReport:
     """Chi-square test on the vector of score statistics for d weights."""
-    weights = tuple(weights)
-    if not weights:
-        raise ConfigError("maximin test needs at least one weight function")
-    core, t_vec, sigma = _scores(data, fit, weights, cfg, alpha)
-    labels = tuple(w.label for w in weights)
-    cond = np.linalg.cond(sigma)
-    try:
-        if not cond <= CONDITION_LIMIT:  # also an infinite or undefined one
-            raise np.linalg.LinAlgError
-        statistic = maximin_statistic(t_vec, sigma)
-    except np.linalg.LinAlgError:
-        i, j = _most_collinear_pair(sigma)
-        raise NearSingularCovarianceError(
-            f"score covariance is numerically singular (condition number "
-            f"{cond:.3g}); weights {labels[i]!r} and {labels[j]!r} are "
-            "linearly dependent"
-        ) from None
-    c_alpha = chisq_quantile(1.0 - alpha, len(weights))
-    p_value = chisq_sf(statistic, len(weights))
-    return MaximinReport(
-        test="maximin",
-        statistic=statistic,
-        p_value=p_value,
-        reject=bool(statistic >= c_alpha),
-        alpha=alpha,
-        calibration="chi-square",
-        h=cfg.h,
-        n=data.n,
-        weight_kinds=labels,
-        diagnostics=core.diagnostics,
-        c_alpha=c_alpha,
-        d=len(weights),
-        t_vec=t_vec,
-        sigma_mat=sigma,
-    )
+    return maximin_reports(Block.of(data, fit, cfg), weights, alpha)[0]

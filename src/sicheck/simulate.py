@@ -11,14 +11,21 @@ model holds exactly when c = 0):
 with x ~ N(0, I) and e ~ N(0, sigma_eps^2) independent of x; the binary
 model has no additive noise and refuses a sigma_eps other than 1.
 
-The harness generates each replicate and runs ``apply_check`` on it (fit
-the direction, pick the bandwidth, run the test), the same pipeline that
-``sicheck check`` runs on a CSV, and reports the rejection fraction with
-its binomial standard error.  Replicate r draws from the
-stream (seed, r), so results are identical under any thread count.  A
-thread count is an upper bound: a line with n below ``THREADED_MIN_N``
-runs in the calling thread, since its replicates are too small to pay
-for threads.
+The harness runs a line's replicates in blocks of consecutive ones.
+Replicate r draws from the stream (seed, r): x, then the response, then
+the bootstrap seed of an omnibus check.  A block stacks its B datasets and
+runs ``run_block`` on them: one pass fits every direction and ranks every
+projection, one batched search picks every bandwidth (the kernel spectra
+of the pilot grid depend on n alone, so the block shares them), and the
+check's ``run`` takes the whole block.  ``sicheck check`` runs the same
+pipeline on one CSV, as a block of one (``apply_check``).  Each replicate
+is computed as it would be alone, so its result does not depend on the
+block it falls in, and the rejection fraction, reported with its binomial
+standard error, is identical under any thread count.  Block boundaries
+depend on n and r alone (``block_size``); a thread count is an upper
+bound, each thread takes whole blocks, and a line with n below
+``THREADED_MIN_N`` runs in the calling thread, since its blocks are too
+small to pay for threads.
 """
 
 from __future__ import annotations
@@ -31,20 +38,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandwidth import select_bandwidth
+from .bandwidth import default_bandwidth_grid, select_bandwidths
 from .dataset import Dataset
 from .exceptions import ConfigError
-from .index import fit_index_ols
+from .index import fit_stack
 from .omnibus import (
     DEFAULT_BOOT_M,
     DEFAULT_GRID_BOUND,
     DEFAULT_GRID_PER_AXIS,
     BootstrapConfig,
     gamma_grid,
-    omnibus_test,
+    omnibus_reports,
 )
-from .score_test import maximin_test, standardized_test
-from .smoother import DEFAULT_ALPHA, SmootherConfig, narrow_bandwidth
+from .score_test import maximin_reports, score_reports
+from .smoother import DEFAULT_ALPHA, Block, SmootherConfig, narrow_bandwidth
 from .weights import WeightSpec
 
 
@@ -195,8 +202,8 @@ class ScoreCheck:
     def label(self) -> str:
         return f"score[{self.weight.label}]"
 
-    def run(self, data, fit, cfg, alpha, seed):
-        return standardized_test(data, fit, self.weight, cfg, alpha)
+    def run(self, block, alpha, seeds):
+        return score_reports(block, self.weight, alpha)
 
 
 @dataclass(frozen=True)
@@ -217,8 +224,8 @@ class MaximinCheck:
     def label(self) -> str:
         return "maximin[" + "+".join(w.label for w in self.weights) + "]"
 
-    def run(self, data, fit, cfg, alpha, seed):
-        return maximin_test(data, fit, self.weights, cfg, alpha)
+    def run(self, block, alpha, seeds):
+        return maximin_reports(block, self.weights, alpha)
 
 
 @dataclass(frozen=True)
@@ -240,10 +247,10 @@ class OmnibusCheck:
     def label(self) -> str:
         return f"omnibus[m={self.boot_m}]"
 
-    def run(self, data, fit, cfg, alpha, seed):
-        boot = BootstrapConfig(m=self.boot_m, alpha=alpha, seed=seed)
-        grid = gamma_grid(data.p, self.grid_bound, self.grid_per_axis)
-        return omnibus_test(data, fit, cfg, boot, grid)
+    def run(self, block, alpha, seeds):
+        boots = [BootstrapConfig(m=self.boot_m, alpha=alpha, seed=seed) for seed in seeds]
+        return omnibus_reports(block, boots, gamma_grid(block.x.shape[2], self.grid_bound,
+                                                         self.grid_per_axis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,33 +297,78 @@ def validate_run(check, alpha: float, reps: int = 1, seed: int = 0, p: int | Non
 
 
 def apply_check(data: Dataset, check, alpha: float, seed: int = 0):
-    """Run one check on one dataset and return ``(report, h1)``.
+    """Run one check on one dataset and return ``(report, h1)``: the block
+    of one of ``run_block``."""
+    reports, h1 = run_block(data.x[None], data.y[None], check, alpha, [seed])
+    return reports[0], None if h1 is None else float(h1[0])
 
-    A check is any object with ``h``, ``label`` and ``run(data, fit, cfg,
-    alpha, seed)``, where ``seed`` seeds the omnibus bootstrap.  Fits the
-    least-squares index, picks the bandwidth by the MISE search unless the
-    check fixes ``h`` (then ``h1`` is None), and returns the report of ``run``.
+
+def run_block(x, y, check, alpha: float, seeds):
+    """Run one check on each dataset of a stack, x (B, n, p) and y (B, n),
+    and return its B reports and pilot bandwidths h1 (None when the check
+    fixes ``h``).
+
+    A check is any object with ``h``, ``label`` and ``run(block, alpha,
+    seeds)``, which returns one report per dataset of a ``Block``; seed i
+    seeds dataset i's omnibus bootstrap.  Fits the least-squares index of
+    every dataset and picks each bandwidth by the MISE search unless the
+    check fixes ``h``, in one pass over the stack.
     """
-    fit = fit_index_ols(data)
-    h1, h = None, check.h
-    if h is None:
-        h1, h = select_bandwidth(data, fit, mise_weight_values(check, data.x))
-    return check.run(data, fit, SmootherConfig(h=h), alpha, seed), h1
+    _, _, slots = fit_stack(x, y)
+    h1, h = None, np.full(len(x), check.h)
+    if check.h is None:
+        h1, h = select_bandwidths(y, slots, mise_weight_values(check, x))
+    return check.run(Block(x, y, slots, h), alpha, seeds), h1
 
 
-def _replicate_reject(scn: Scenario, check, alpha: float, r: int) -> bool:
+def _replicate(scn: Scenario, r: int) -> tuple[Dataset, int]:
+    """Replicate r's dataset and bootstrap seed, both from the stream (seed, r)."""
     rng = np.random.default_rng([scn.seed, r])
     data = generate(scn, rng=rng)
-    # The bootstrap seed is the stream's first draw after the data.
-    report, _ = apply_check(data, check, alpha, int(rng.integers(2**63)))
-    return report.reject
+    return data, int(rng.integers(2**63))  # the stream's first draw after the data
 
 
-#: Smallest line size n that runs on threads.  Below it a replicate is many
+def _block_rejects(scn: Scenario, check, alpha: float, lo: int, hi: int) -> list[bool]:
+    """Decisions of replicates lo, ..., hi - 1, run as one block.  When the
+    block fails, each replicate runs as a block of its own, so that the
+    error names the first replicate that fails."""
+    try:
+        rows = [_replicate(scn, r) for r in range(lo, hi)]
+        reports, _ = run_block(np.stack([data.x for data, _ in rows]),
+                               np.stack([data.y for data, _ in rows]),
+                               check, alpha, [seed for _, seed in rows])
+        return [bool(report.reject) for report in reports]
+    except Exception as exc:
+        if hi - lo == 1:
+            raise RuntimeError(f"replicate {lo} failed for scenario {scn}: {exc}") from exc
+        for r in range(lo, hi):
+            _block_rejects(scn, check, alpha, r, r + 1)
+        raise RuntimeError(
+            f"replicates {lo} to {hi - 1} failed as one block for scenario {scn}: {exc}"
+        ) from exc
+
+
+#: Bytes of bandwidth-search workspace one block of replicates may hold, at
+#: 48 bytes per grid row and slot as in ``bandwidth.BLOCK_BYTES``.  It also
+#: bounds what the rest of a block holds: the search's (B, 30, n + r) rows
+#: are its largest arrays.
+REPLICATE_BLOCK_BYTES = 4 << 20
+
+
+def block_size(n: int) -> int:
+    """Replicates per block of a line of size n: as many as the search of
+    all of them fits in REPLICATE_BLOCK_BYTES, at least one."""
+    grid = default_bandwidth_grid(n)
+    radius = min(math.ceil(n * grid[-1]), n) - 1
+    return max(1, REPLICATE_BLOCK_BYTES // (48 * (n + radius) * grid.size))
+
+
+#: Smallest line size n that runs on threads.  Below it a block is many
 #: short Python and numpy calls that serialise on the GIL: on 2 vCPUs with
-#: BLAS on one thread, 2 threads ran score, maximin and omnibus (m = 500)
-#: lines at n = 50 to 600 at 0.6 to 1.05 times serial speed, and at 1.2 to
-#: 1.8 times from n = 1000 up (the README gives the table).
+#: BLAS on one thread, 2 threads taking whole blocks ran score, maximin and
+#: omnibus (m = 500) lines at n = 50 and 400 at 0.75 to 1.0 times serial
+#: speed, at 1.0 to 1.35 times at n = 1000 and 1.4 to 1.7 times at
+#: n = 2000 (the README gives the table).
 THREADED_MIN_N = 1000
 
 
@@ -326,30 +378,29 @@ def monte_carlo(
     """Rejection rate of a check over ``reps`` seeded replicates at level
     ``alpha``, with its binomial standard error.
 
-    ``threads`` caps the worker count, as do ``reps`` and the CPU count; a
-    line with ``scn.n`` below ``THREADED_MIN_N`` runs in the calling thread
-    and starts no pool.  Any replicate-level failure aborts the run with
-    the replicate index and scenario attached.
+    The replicates run in blocks of ``block_size(scn.n)`` consecutive ones.
+    ``threads`` caps the worker count, as do the block count and the CPU
+    count; each worker takes whole blocks.  A line with ``scn.n`` below
+    ``THREADED_MIN_N`` runs in the calling thread and starts no pool.  Any
+    replicate-level failure aborts the run with the replicate index and
+    scenario attached.
     """
     validate_run(check, alpha, reps, p=scn.p, n=scn.n)
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
+    size = block_size(scn.n)
+    blocks = [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
     if scn.n < THREADED_MIN_N:
         threads = 1
-    threads = min(threads, reps, os.cpu_count() or 1)  # never more workers than CPUs
+    threads = min(threads, len(blocks), os.cpu_count() or 1)  # never more workers than CPUs
 
-    def one(r: int) -> bool:
-        try:
-            return bool(_replicate_reject(scn, check, alpha, r))
-        except Exception as exc:
-            raise RuntimeError(
-                f"replicate {r} failed for scenario {scn}: {exc}"
-            ) from exc
+    def one(block) -> list[bool]:
+        return _block_rejects(scn, check, alpha, *block)
 
     if threads == 1:
-        flags = [one(r) for r in range(reps)]
+        parts = [one(block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(one, range(reps)))
-    rate = sum(flags) / reps
+            parts = list(pool.map(one, blocks))
+    rate = sum(map(sum, parts)) / reps
     return MCResult(rejection_rate=rate, mc_stderr=math.sqrt(rate * (1.0 - rate) / reps))

@@ -17,7 +17,9 @@ binned into n integer slots, with the table K(d / (n h)), |d| < n h
 no binning error).  ``LatticeSmoother`` alone computes it, for the tests
 and the pilot search, in O(n log n) time and O(n) memory per column; no
 n x n matrix is built.  ``loo_matrix`` keeps the dense O(n^2) form as the
-reference the tests compare against.
+reference the tests compare against.  A ``Block`` stacks datasets of one
+size with their rank slots and bandwidths; the smoother and the residual
+core take it in one pass, each dataset computed as it would be alone.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ def loo_matrix(u_ranks, h: float) -> np.ndarray:
 DIRECT_MAX_TAPS = 255
 
 
+@functools.lru_cache(maxsize=1024)
 def fft_length(k: int) -> int:
     """Smallest 2^a 3^b 5^c >= k, a length numpy's FFT transforms about as
     fast as a power of two."""
@@ -92,94 +95,132 @@ def kernel_table(n: int, h) -> np.ndarray:
 
 class LatticeSmoother:
     """Leave-one-out smoothing on the integer rank slots k_i = n U_i of one
-    index fit, at a bandwidth ``h`` or, one row of fits each, at every
-    bandwidth of a 1-D block ``h``.
+    index fit (``slots`` of shape (n,)) or of each fit of a stack (B, n).
+
+    ``h`` gives one bandwidth per fit (a scalar, or shape (B,) for a stack)
+    or, one row of fits each, a block of bandwidths per fit (shape (G,), or
+    (B, G) or (1, G) for a stack); fits come out with the leading shape of
+    the slots' stack and the block.
 
     Every rank distance is a multiple of 1/n, so the smooth is an exact
     convolution on n slots: scatter the values into their slots (tied ranks
     add up), convolve with the table K(d / (n h)), |d| < n h, centre zeroed,
     gather each observation's slot and add back K(0) times the tied values
-    that share it.  The table is built once per smoother.  Real values at
+    that share it.  The tables are built once per smoother.  Real values at
     one bandwidth with a short table are convolved directly, which leaves
-    an empty window exactly 0; otherwise one FFT serves every bandwidth,
-    and the fits of the ``empty`` windows are set to 0.
+    an empty window exactly 0; otherwise one FFT of a fit's padded length
+    serves all its bandwidths, and the fits of the ``empty`` windows are set
+    to 0.  Each fit of a stack is computed as it would be alone: fits that
+    share a padded length share one batched transform.
     """
 
     def __init__(self, slots, h):
+        k = np.asarray(slots, dtype=np.intp) - 1
         hs = np.asarray(h, dtype=float)
-        if not (hs.ndim <= 1 and hs.size and hs.min() > 0 and hs.max() < np.inf):
+        lead = k.ndim - 1  # 1 for a stack of fits
+        if not (k.ndim in (1, 2) and hs.ndim <= k.ndim and hs.size and hs.min() > 0
+                and hs.max() < np.inf):
             raise ConfigError(f"bandwidth must be positive and finite, got {h}")
-        self._shape, self._hs = hs.shape, hs.reshape(-1)  # shape () at one bandwidth
-        self._k = np.asarray(slots, dtype=np.intp) - 1
-        n = self._k.size
+        n = k.shape[-1]
         if n < 2:
             raise InsufficientDataError("leave-one-out smoothing needs n >= 2")
-        self._counts = np.bincount(self._k, minlength=n)
-        self._tied = bool(self._counts.max() > 1)
-        self._table = kernel_table(n, self._hs)
+        rows = hs.shape[0] if lead and hs.ndim else 1
+        if rows not in (1, k.size // n):
+            raise ConfigError(f"{k.size // n} stacked fits take 1 or {k.size // n} bandwidth rows")
+        self._lead, self._fit_shape = lead, k.shape
+        self._shape = k.shape[:-1] + hs.shape[lead:]  # leading shape of the fits
+        self._k = k.reshape(-1, n)  # (B, n)
+        self._h = hs.reshape(rows, -1)  # (1 or B, G)
+        self._block = hs.ndim > lead  # a block of bandwidths per fit
+        cells = self._k + n * np.arange(len(self._k))[:, None]
+        self._counts = np.bincount(cells.ravel(), minlength=self._k.size).reshape(-1, n)
+        self._tied = self._counts.max(axis=1) > 1
+        self._any_tied = bool(self._tied.any())
+        self._table = kernel_table(n, self._h.ravel()).reshape(rows, self._h.shape[1], -1)
+        # each table row's radius ceil(n h) - 1 at its widest bandwidth
+        self._top = [min(math.ceil(n * h), n) - 1 for h in self._h.max(axis=1).tolist()]
 
     @functools.cached_property
+    def _empty(self) -> np.ndarray | None:
+        """The ``empty`` mask as (B, G, n), None when no window is empty."""
+        k, (b, n) = self._k, self._k.shape
+        r = np.minimum(np.ceil(n * self._h), n).astype(np.intp)[..., None] - 1
+        widest = 1  # the widest gap between occupied slots; untied, they are 1..n
+        for counts in self._counts[self._tied]:
+            widest = max(widest, int(np.diff(np.flatnonzero(counts)).max(initial=0)))
+        if r.min() >= widest:
+            return None
+        cum = np.zeros((b, 1, n + 1), dtype=np.intp)
+        np.cumsum(self._counts, axis=1, out=cum[:, 0, 1:])
+        k = k[:, None, :]
+        above = np.take_along_axis(cum, np.minimum(k + r + 1, n), axis=2)
+        mask = above - np.take_along_axis(cum, np.maximum(k - r, 0), axis=2) == 1
+        return mask if mask.any() else None
+
+    @property
     def empty(self) -> np.ndarray:
         """Mask of observations whose window |k_i - k_j| < n h holds no other
-        observation; one row per bandwidth of a block.  No window is empty
-        when every radius spans the widest gap between occupied slots."""
-        k, n = self._k, self._k.size
-        r = np.minimum(np.ceil(n * self._hs), n).astype(np.intp)[:, None] - 1
-        widest = 1  # untied, the occupied slots are 1..n
-        if self._tied:
-            widest = int(np.diff(np.flatnonzero(self._counts)).max(initial=0))
-        if r.min() >= widest:
-            mask = np.zeros((r.size, n), dtype=bool)
-        else:
-            cum = np.concatenate(([0], np.cumsum(self._counts)))
-            mask = cum[np.minimum(k + r + 1, n)] - cum[np.maximum(k - r, 0)] == 1
-        return mask.reshape(self._shape + self._k.shape)
+        observation, with the fits' leading shape."""
+        shape = self._shape + self._k.shape[1:]
+        return np.zeros(shape, dtype=bool) if self._empty is None else self._empty.reshape(shape)
 
     def smooth(self, values) -> np.ndarray:
         """Fits 1/((n-1) h) sum_{i != j} v_i K((U_j - U_i) / h) at every j,
-        for a vector or an (n, d) column stack, real or complex; one row of
-        them per bandwidth of a block."""
-        k, n, table = self._k, self._k.size, self._table
+        for a vector or an (n, d) column stack per fit, real or complex; one
+        row of them per bandwidth of a block."""
+        k, table, top = self._k, self._table, self._top
+        (b, n), lead = k.shape, self._lead
         v = np.asarray(values)
-        if v.ndim not in (1, 2) or v.shape[0] != n:
+        if v.ndim - lead not in (1, 2) or v.shape[:lead + 1] != self._fit_shape:
             raise DataError("values and ranks must have equal length")
-        cplx = np.iscomplexobj(v)
-        stack = np.ascontiguousarray(v, dtype=complex if cplx else float).reshape(n, -1)
-        real = stack.view(float) if cplx else stack  # (n, m) real columns
-        if self._tied:
-            m = real.shape[1]
-            binned = np.bincount(
-                (k[:, None] * m + np.arange(m)).ravel(), weights=real.ravel(), minlength=n * m
-            ).reshape(n, m)
-            tied = quartic_kernel(0.0) * (binned[k] - real)  # slot mates, at distance 0
-        else:  # the slots are a permutation of 1..n
+        cplx = v.dtype.kind == "c"
+        stack = np.ascontiguousarray(v, dtype=complex if cplx else float).reshape(b, n, -1)
+        real = stack.view(float) if cplx else stack  # (B, n, m) real columns
+        m, fit = real.shape[2], np.arange(b)[:, None]
+        if self._any_tied:
+            cells = ((k + n * fit)[..., None] * m + np.arange(m)).reshape(-1)
+            binned = np.bincount(cells, weights=real.reshape(-1), minlength=b * n * m)
+            binned = binned.reshape(b, n, m)
+            tied = quartic_kernel(0.0) * (binned[fit, k] - real)  # slot mates, at distance 0
+        else:  # each fit's slots are a permutation of 1..n
             binned = np.empty(real.shape)
-            binned[k] = real
-        top = table.shape[1] - 1
-        if not (self._shape or cplx) and 2 * top + 1 <= DIRECT_MAX_TAPS:
-            taps = np.concatenate((table[0, :0:-1], [0.0], table[0, 1:]))
-            out = np.empty((1,) + real.shape)
-            for c in range(real.shape[1]):
-                out[0, :, c] = np.convolve(binned[:, c], taps)[k + top]
-        else:
-            size = fft_length(n + top)
-            circ = np.zeros((self._hs.size, size))
-            circ[:, 1:top + 1] = table[:, 1:]
-            circ[:, size - top:] = table[:, :0:-1]
-            spectrum = np.fft.rfft(binned, size, axis=0) * np.fft.rfft(circ)[..., None]
-            out = np.take(np.fft.irfft(spectrum, size, axis=1), k, axis=1)
-            out[self.empty.reshape(out.shape[:2])] = 0.0
-        if self._tied:
-            out += tied
-        out /= ((n - 1) * self._hs)[:, None, None]
-        return (out.view(complex) if cplx else out).reshape(self._shape + v.shape)
+            binned[fit, k] = real
+        out = np.empty((b, self._h.shape[1], n, m))
+        by_size = {}  # fits whose FFT shares a padded length
+        for j in range(b):
+            row = j if len(top) > 1 else 0  # the fit's table row
+            if self._block or cplx or 2 * top[row] + 1 > DIRECT_MAX_TAPS:
+                by_size.setdefault(fft_length(n + top[row]), []).append(j)
+                continue
+            half = table[row, 0, :top[row] + 1]
+            taps = np.concatenate((half[:0:-1], [0.0], half[1:]))
+            for c in range(m):
+                out[j, 0, :, c] = np.convolve(binned[j, :, c], taps)[k[j] + top[row]]
+        for size, group in by_size.items():
+            rows = group if len(top) > 1 else slice(1)  # the group's table rows
+            r = max(top[i] for i in group) if len(top) > 1 else top[0]
+            circ = np.zeros(table[rows].shape[:2] + (size,))
+            circ[..., 1:r + 1] = table[rows, :, 1:r + 1]
+            circ[..., size - r:] = table[rows, :, r:0:-1]
+            part = binned[group] if len(group) < b else binned
+            spectrum = np.fft.rfft(part, size, axis=1)[:, None] * np.fft.rfft(circ)[..., None]
+            for j, fits in zip(group, np.fft.irfft(spectrum, size, axis=2)):
+                np.take(fits, k[j], axis=1, out=out[j], mode="clip")  # clip: k is in range
+            if self._empty is not None:
+                out[group] = np.where(self._empty[group, ..., None], 0.0, out[group])
+        if self._any_tied:
+            for j in np.flatnonzero(self._tied):
+                out[j] += tied[j]
+        out /= ((n - 1) * self._h)[..., None, None]
+        return (out.view(complex) if cplx else out).reshape(self._shape + v.shape[lead:])
 
 
 @dataclass(frozen=True, eq=False)
 class ResidualCore:
     """The lattice ``smoother`` (rank slots and bandwidth), residuals
     ``eps = y - fit(y)`` at every observation, and the interior mask
-    ``keep`` that the test sums run over.  No n x n matrix is held.
+    ``keep`` that the test sums run over, for one dataset or, with a leading
+    axis on each, for every dataset of a ``Block``.  No n x n matrix is held.
     """
 
     smoother: LatticeSmoother
@@ -192,13 +233,42 @@ class ResidualCore:
         return (v - self.smoother.smooth(v))[self.keep]
 
     @property
-    def diagnostics(self) -> dict:
+    def diagnostics(self):
         """Empty kernel windows (nonzero flags undersmoothing: those residuals
-        reduce to the raw responses) and the interior count."""
-        return {
-            "empty_windows": int(np.count_nonzero(self.smoother.empty)),
-            "n_interior": int(self.keep.sum()),
-        }
+        reduce to the raw responses) and the interior count: one dict, or
+        one per dataset of a block."""
+        empty = np.count_nonzero(self.smoother.empty, axis=-1).tolist()
+        kept = np.count_nonzero(self.keep, axis=-1).tolist()
+        if isinstance(kept, int):
+            return {"empty_windows": empty, "n_interior": kept}
+        return [{"empty_windows": e, "n_interior": k} for e, k in zip(empty, kept)]
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """B datasets of one size n and dimension p, stacked, each with the rank
+    slots of its index fit and its bandwidth: what a test runs on.  ``x`` is
+    (B, n, p), ``y`` and ``slots`` are (B, n) and ``h`` is (B,)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    slots: np.ndarray
+    h: np.ndarray
+
+    @staticmethod
+    def of(data: Dataset, fit: IndexFit, cfg: SmootherConfig) -> "Block":
+        """The block of one dataset, its index fit and its bandwidth."""
+        if fit.n != data.n:
+            raise DataError("index fit and dataset sizes differ")
+        return Block(data.x[None], data.y[None], fit.slots[None], np.array([cfg.h]))
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[1]
+
+    def core(self, margin: float = 1.0) -> ResidualCore:
+        """The residual core of every dataset; ``margin`` as in ``residual_core``."""
+        return _core(self.y, self.slots, self.h, margin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,12 +309,13 @@ def residual_core(
     """Build the shared core; ``margin`` is the interior margin in bandwidths."""
     if fit.n != data.n:
         raise DataError("index fit and dataset sizes differ")
-    smoother = LatticeSmoother(fit.slots, cfg.h)
-    return ResidualCore(
-        smoother=smoother,
-        eps=data.y - smoother.smooth(data.y),
-        keep=interior_mask(fit.ranks_u, cfg.h, margin),
-    )
+    return _core(data.y, fit.slots, cfg.h, margin)
+
+
+def _core(y, slots, h, margin: float) -> ResidualCore:
+    smoother = LatticeSmoother(slots, h)
+    return ResidualCore(smoother=smoother, eps=y - smoother.smooth(y),
+                        keep=interior_mask(slots / y.shape[-1], h, margin))
 
 
 def narrow_bandwidth(n: int, h: float) -> str | None:
@@ -274,10 +345,11 @@ def range_guard(what: str):
 
 
 @contextlib.contextmanager
-def sums_guard(n: int, h: float):
+def sums_guard(n: int, h):
     """Refuse with a DataError naming ``h`` a bandwidth at which the test sums
     mean nothing (``narrow_bandwidth``), and test sums in the block that
-    overflow (``range_guard``)."""
+    overflow (``range_guard``); of several bandwidths, the narrowest is named."""
+    h = float(np.min(h))
     reason = narrow_bandwidth(n, h)
     if reason is not None:
         raise DataError(reason)
@@ -306,9 +378,10 @@ DEFAULT_ALPHA = 0.05
 MIN_INTERIOR = 5
 
 
-def interior_mask(u_ranks, h: float, margin: float = 1.0) -> np.ndarray:
+def interior_mask(u_ranks, h, margin: float = 1.0) -> np.ndarray:
     """Boolean mask of observations whose kernel window avoids the rank
-    boundary by ``margin * h``.
+    boundary by ``margin * h``; for a stack of rank vectors (B, n), one
+    bandwidth each (B,).
 
     Windows that stick out past rank 0 or 1 are truncated, and their
     fitted values carry a mass deficit that leaks the response level into
@@ -317,8 +390,9 @@ def interior_mask(u_ranks, h: float, margin: float = 1.0) -> np.ndarray:
     survive, the mask degenerates to all-true.
     """
     u = np.asarray(u_ranks, dtype=float)
-    b = margin * h
+    b = margin * np.asarray(h, dtype=float)[..., None]
     keep = (u > b) & (u <= 1.0 - b + 1e-12)
-    if int(keep.sum()) < MIN_INTERIOR:
-        return np.ones(u.size, dtype=bool)
+    few = np.count_nonzero(keep, axis=-1) < MIN_INTERIOR
+    if few.any():
+        keep[few] = True
     return keep

@@ -1,9 +1,9 @@
 """Per-observation weight functions W(x) of the covariate vector.
 
 A weight is a label and a function from an (n, p) matrix to its n row
-values.  The functions are module-level and a combination is a
-``functools.partial`` of one, so weights, and the checks that hold them,
-pickle.  The built-in weights:
+values, or from a stack of them, (..., n, p), to (..., n).  The functions
+are module-level and a combination is a ``functools.partial`` of one, so
+weights, and the checks that hold them, pickle.  The built-in weights:
 
     sumabs      W(x) = sum_l |x_l|
     sumsq       W(x) = sum_l x_l^2
@@ -22,11 +22,11 @@ from .exceptions import ConfigError, DataError
 
 
 def _sum_abs(x: np.ndarray) -> np.ndarray:
-    return np.abs(x).sum(axis=1)
+    return np.abs(x).sum(axis=-1)
 
 
 def _sum_squares(x: np.ndarray) -> np.ndarray:
-    return (x**2).sum(axis=1)
+    return (x**2).sum(axis=-1)
 
 
 def _linear_combo(terms, x: np.ndarray) -> np.ndarray:
@@ -55,11 +55,15 @@ class WeightSpec:
         return WeightSpec(label, functools.partial(_linear_combo, terms))
 
     def evaluate(self, x) -> np.ndarray:
-        """Per-observation weight values W(x_i) for an (n, p) matrix."""
+        """Per-observation weight values W(x_i) for an (n, p) matrix, or for
+        each matrix of a stack (..., n, p)."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
+        if x.ndim < 2:
             raise DataError("weight evaluation needs an (n, p) matrix")
-        out = self.function(x)
+        out = np.asarray(self.function(x))
+        if out.shape != x.shape[:-1]:
+            raise DataError(f"weight {self.label} gave values of shape {out.shape} for "
+                            f"covariates of shape {x.shape}; it must reduce the last axis")
         if not np.all(np.isfinite(out)):
             raise DataError(f"weight {self.label} produced non-finite values")
         return out

@@ -18,7 +18,7 @@ from sicheck import (
 )
 from sicheck import simulate
 from sicheck.cli import build_check, main, run_check, run_simulation
-from sicheck.simulate import _replicate_reject, apply_check
+from sicheck.simulate import apply_check
 from sicheck.smoother import DEFAULT_ALPHA
 
 
@@ -153,6 +153,7 @@ AGREE_SCN = Scenario(model=ModelKind.CUBIC, n=60, p=2, c=0.3, seed=809)
 ])
 def test_check_agrees_with_simulate_replicates(tmp_path, test, check):
     """`check` on replicate r's data decides as replicate r of `simulate` does."""
+    rejects = simulate._block_rejects(AGREE_SCN, check, 0.05, 0, 4)
     for r in range(4):
         rng = np.random.default_rng([AGREE_SCN.seed, r])
         path, out = tmp_path / f"rep{r}.csv", tmp_path / f"rep{r}.json"
@@ -162,7 +163,7 @@ def test_check_agrees_with_simulate_replicates(tmp_path, test, check):
                      "--seed", str(boot_seed), "--out", str(out)])
         assert code == 0
         reject = json.loads(out.read_text())["reject"]
-        assert reject == _replicate_reject(AGREE_SCN, check, 0.05, r)
+        assert reject == rejects[r]
 
 
 COMMON_KEYS = {"test", "statistic", "p_value", "reject", "alpha", "calibration", "h", "n",
@@ -432,7 +433,7 @@ def test_main_simulate_unwritable_out_fails_before_any_replicate(tmp_path, capsy
     def never(*args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(simulate, "_replicate_reject", never)
+    monkeypatch.setattr(simulate, "_replicate", never)
     batch = tmp_path / "batch.jsonl"
     batch.write_text(BATCH.splitlines()[0] + "\n")
     out = tmp_path / "missing" / "mc.csv"
@@ -442,12 +443,14 @@ def test_main_simulate_unwritable_out_fails_before_any_replicate(tmp_path, capsy
 
 
 def test_main_simulate_keeps_rows_of_finished_lines(tmp_path, capsys, monkeypatch):
-    def fail_seed_6(scn, check, alpha, r):
+    replicate = simulate._replicate
+
+    def fail_seed_6(scn, r):
         if scn.seed == 6:
             raise ValueError("boom")
-        return _replicate_reject(scn, check, alpha, r)
+        return replicate(scn, r)
 
-    monkeypatch.setattr(simulate, "_replicate_reject", fail_seed_6)
+    monkeypatch.setattr(simulate, "_replicate", fail_seed_6)
     line = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "test": "score", "reps": 2}
     batch = tmp_path / "batch.jsonl"
     batch.write_text(json.dumps(line) + "\n" + json.dumps(dict(line, seed=6)) + "\n")
@@ -455,6 +458,32 @@ def test_main_simulate_keeps_rows_of_finished_lines(tmp_path, capsys, monkeypatc
     code = main(["simulate", "--batch", str(batch), "--out", str(out)])
     assert code == 1
     assert "replicate 0 failed" in capsys.readouterr().err
+    first = tmp_path / "first.jsonl"
+    first.write_text(json.dumps(line) + "\n")
+    run_simulation(first, tmp_path / "first.csv")
+    assert out.read_bytes() == (tmp_path / "first.csv").read_bytes()  # header and row 1
+
+
+def test_main_simulate_names_the_failing_replicate_of_a_block(tmp_path, capsys, monkeypatch):
+    # the second line's replicate 7 fails inside a block of 20; the first
+    # line's row stays written
+    replicate = simulate._replicate
+
+    def flat_7(scn, r):
+        data, seed = replicate(scn, r)
+        if scn.seed == 6 and r == 7:
+            data = Dataset(x=data.x, y=np.zeros(scn.n))
+        return data, seed
+
+    monkeypatch.setattr(simulate, "_replicate", flat_7)
+    line = {"model": "cubic", "n": 50, "p": 2, "seed": 5, "test": "score", "reps": 20}
+    assert simulate.block_size(50) >= 20
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(json.dumps(line) + "\n" + json.dumps(dict(line, seed=6)) + "\n")
+    out = tmp_path / "mc.csv"
+    assert main(["simulate", "--batch", str(batch), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "replicate 7 failed" in err and "least-squares slope vector is zero" in err
     first = tmp_path / "first.jsonl"
     first.write_text(json.dumps(line) + "\n")
     run_simulation(first, tmp_path / "first.csv")

@@ -210,7 +210,7 @@ def test_maximin_rejects_dependent_weights(rng):
 def test_zero_score_variance_names_the_weight(rng):
     data, fit = pipeline_data(rng)
     cfg = SmootherConfig(h=0.3)
-    zero = WeightSpec("zero", lambda x: np.zeros(x.shape[0]))
+    zero = WeightSpec("zero", lambda x: np.zeros(x.shape[:-1]))
     with pytest.raises(DegenerateVarianceError, match="weight 'zero' has zero score variance"):
         standardized_test(data, fit, zero, cfg)
     family = [WeightSpec.sum_abs(), zero, WeightSpec.sum_squares()]

@@ -7,6 +7,8 @@ import pytest
 
 from sicheck import (
     ConfigError,
+    Dataset,
+    DegenerateDirectionError,
     MaximinCheck,
     ModelKind,
     OmnibusCheck,
@@ -26,7 +28,7 @@ from sicheck.simulate import mise_weight_values
 
 
 class Stub:
-    """A check that skips the test: ``decide(seed)`` is its decision."""
+    """A check that skips the test: ``decide(seed)`` is each dataset's decision."""
 
     h = None
     label = "stub"
@@ -34,8 +36,8 @@ class Stub:
     def __init__(self, decide):
         self.decide = decide
 
-    def run(self, data, fit, cfg, alpha, seed):
-        return SimpleNamespace(reject=self.decide(seed))
+    def run(self, block, alpha, seeds):
+        return [SimpleNamespace(reject=self.decide(seed)) for seed in seeds]
 
 
 def flip(seed):
@@ -233,10 +235,11 @@ def test_monte_carlo_deterministic_across_threads():
 
 
 @pytest.mark.parametrize(
-    "cpus, threads, reps, workers",
+    "cpus, threads, blocks, workers",
     [(3, 100_000, 10, [3]), (3, 100_000, 2, [2]), (8, 4, 10, [4]), (None, 100_000, 10, [])],
 )
-def test_monte_carlo_never_starts_more_workers_than_cpus(monkeypatch, cpus, threads, reps, workers):
+def test_monte_carlo_never_starts_more_workers_than_cpus(monkeypatch, cpus, threads, blocks,
+                                                         workers):
     # a stand-in executor records the pool size and runs serially, so no
     # thread is ever started whatever size is asked for
     started = []
@@ -255,12 +258,35 @@ def test_monte_carlo_never_starts_more_workers_than_cpus(monkeypatch, cpus, thre
             return list(map(fn, items))
 
     scn = Scenario(model=ModelKind.CUBIC, n=simulate.THREADED_MIN_N, p=2, seed=5)
+    reps = blocks * simulate.block_size(scn.n)
     serial = monte_carlo(scn, Stub(flip), reps=reps)
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
     capped = monte_carlo(scn, Stub(flip), reps=reps, threads=threads)
     assert capped.rejection_rate == serial.rejection_rate
     assert started == workers
+
+
+@pytest.mark.parametrize("n", [50, simulate.THREADED_MIN_N])
+def test_monte_carlo_blocks_depend_only_on_the_line_size(monkeypatch, n):
+    # whatever the thread count, a line runs as the same blocks of
+    # consecutive replicates, each of block_size(n) but the last
+    ranges = []
+    run_block = simulate._block_rejects
+
+    def record(scn, check, alpha, lo, hi):
+        ranges.append((lo, hi))
+        return run_block(scn, check, alpha, lo, hi)
+
+    monkeypatch.setattr(simulate, "_block_rejects", record)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    size = simulate.block_size(n)
+    reps = 2 * size + 1
+    scn = Scenario(model=ModelKind.CUBIC, n=n, p=2, seed=5)
+    for threads in (1, 3):
+        ranges.clear()
+        monte_carlo(scn, Stub(flip), reps=reps, threads=threads)
+        assert sorted(ranges) == [(0, size), (size, 2 * size), (2 * size, reps)]
 
 
 def test_monte_carlo_runs_a_line_below_the_threshold_serially(monkeypatch):
@@ -334,7 +360,7 @@ def test_monte_carlo_builds_the_omnibus_grid_before_any_replicate(monkeypatch):
     def never(*args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(simulate, "_replicate_reject", never)
+    monkeypatch.setattr(simulate, "_replicate", never)
     scn = Scenario(model=ModelKind.CUBIC, n=40, p=26)
     with pytest.raises(ConfigError, match="dimension 26 exceeds the supported maximum 25"):
         monte_carlo(scn, OmnibusCheck(boot_m=100), reps=2)
@@ -344,7 +370,7 @@ def test_monte_carlo_refuses_an_overflowing_grid_bound_before_any_replicate(monk
     def never(*args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(simulate, "_replicate_reject", never)
+    monkeypatch.setattr(simulate, "_replicate", never)
     scn = Scenario(model=ModelKind.CUBIC, n=40, p=2)
     with pytest.raises(ConfigError, match="grid bound 1e\\+308 overflows the phases"):
         monte_carlo(scn, OmnibusCheck(boot_m=100, grid_bound=1e308), reps=2)
@@ -360,7 +386,7 @@ def test_monte_carlo_refuses_a_fixed_h_reaching_no_neighbour_before_any_replicat
     def never(*args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(simulate, "_replicate_reject", never)
+    monkeypatch.setattr(simulate, "_replicate", never)
     scn = Scenario(model=ModelKind.CUBIC, n=200, p=2)
     with pytest.raises(ConfigError, match=f"h={check.h!r} reaches no neighbouring rank at n=200"):
         monte_carlo(scn, check, reps=2)
@@ -374,3 +400,80 @@ def test_maximin_null_rate_is_sane():
     check = MaximinCheck(weights=(WeightSpec.sum_abs(), WeightSpec.sum_squares()))
     res = monte_carlo(scn, check, reps=300, threads=4)
     assert 0.012 <= res.rejection_rate <= 0.088
+
+
+def _stacked(scn, replicates, tie=False):
+    """Replicates of a line stacked for ``run_block``, with covariates
+    rounded to 0.5 when ``tie`` is set."""
+    rows = [simulate._replicate(scn, r) for r in replicates]
+    x = np.stack([data.x for data, _ in rows])
+    x = np.round(2.0 * x) / 2.0 if tie else x
+    return x, np.stack([data.y for data, _ in rows]), [seed for _, seed in rows]
+
+
+BUMP_11 = Scenario(model=ModelKind.BUMP, n=50, p=2, c=0.5, sigma_eps=0.3, seed=11)
+CUBIC_12 = Scenario(model=ModelKind.CUBIC, n=50, p=2, c=0.5, seed=12)
+
+
+@pytest.mark.parametrize("scn, tie", [(BUMP_11, False), (CUBIC_12, True)],
+                         ids=["bump-seed-11", "tied"])
+@pytest.mark.parametrize("check", [ScoreCheck(), MaximinCheck(), OmnibusCheck(boot_m=100)],
+                         ids=["score", "maximin", "omnibus"])
+def test_a_replicate_does_not_depend_on_its_block(scn, tie, check):
+    # replicates 130-149 of each line, run as one block, as blocks of one and
+    # as blocks of 7 and 13: each replicate's decision, h1 and statistic agree
+    x, y, seeds = _stacked(scn, range(130, 150), tie)
+    if tie:  # the rounded covariates tie projections: the smoother's tied-slot path
+        _, _, slots = simulate.fit_stack(x, y)
+        assert any(np.unique(row).size < scn.n for row in slots)
+
+    def run(cuts):
+        reports, h1 = [], []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            part, part_h1 = simulate.run_block(x[lo:hi], y[lo:hi], check, 0.05, seeds[lo:hi])
+            reports += part
+            h1 += part_h1.tolist()
+        return reports, h1
+
+    whole, h1 = run([0, 20])
+    if scn is BUMP_11 and isinstance(check, ScoreCheck):
+        # replicate 136 keeps fewer than MIN_INTERIOR interior points: all n enter its sums
+        assert whole[6].diagnostics["n_interior"] == scn.n
+    for cuts in ([*range(21)], [0, 7, 20]):
+        reports, other_h1 = run(cuts)
+        assert other_h1 == h1
+        assert [rep.reject for rep in reports] == [rep.reject for rep in whole]
+        assert [rep.statistic for rep in reports] == pytest.approx(
+            [rep.statistic for rep in whole], rel=1e-13, abs=1e-13)
+
+
+def test_a_failure_inside_a_block_names_its_replicate(monkeypatch):
+    # replicate 7 of a 20-replicate block has a constant response, whose
+    # least-squares slope is zero
+    replicate = simulate._replicate
+
+    def flat_7(scn, r):
+        data, seed = replicate(scn, r)
+        return (Dataset(x=data.x, y=np.zeros(scn.n)) if r == 7 else data), seed
+
+    monkeypatch.setattr(simulate, "_replicate", flat_7)
+    scn = Scenario(model=ModelKind.CUBIC, n=50, p=2, seed=3)
+    assert simulate.block_size(scn.n) >= 20
+    with pytest.raises(RuntimeError, match="replicate 7 failed for scenario .*: least-squares "
+                                           "slope vector is zero") as err:
+        monte_carlo(scn, ScoreCheck(), reps=20)
+    assert isinstance(err.value.__cause__, DegenerateDirectionError)
+
+
+def test_a_block_that_fails_only_as_a_whole_names_its_replicates():
+    class WholeBlocksFail(Stub):
+        def run(self, block, alpha, seeds):
+            if len(seeds) > 1:
+                raise ValueError("boom")
+            return super().run(block, alpha, seeds)
+
+    scn = Scenario(model=ModelKind.CUBIC, n=30, p=2, seed=1)
+    assert simulate.block_size(scn.n) >= 12
+    with pytest.raises(RuntimeError, match="replicates 0 to 11 failed as one block for scenario "
+                                           ".*: boom"):
+        monte_carlo(scn, WholeBlocksFail(flip), reps=12)

@@ -38,3 +38,14 @@ def test_evaluate_needs_matrix():
         WeightSpec.sum_abs().evaluate(np.ones(5))
     with pytest.raises(DataError, match="non-finite"):
         WeightSpec.sum_abs().evaluate(np.array([[np.inf, 0.0]]))
+
+
+def test_evaluate_takes_a_stack_and_refuses_a_weight_that_keeps_the_last_axis():
+    stack = np.stack([X, -2.0 * X])
+    combo = WeightSpec.linear_combo([(2.0, WeightSpec.sum_abs()), (-1.0, WeightSpec.sum_squares())])
+    for spec in (WeightSpec.sum_abs(), WeightSpec.sum_squares(), combo):
+        assert np.array_equal(spec.evaluate(stack), [spec.evaluate(X), spec.evaluate(-2.0 * X)])
+    rows = WeightSpec("rows", lambda x: np.zeros(x.shape[0]))  # one value per matrix of a stack
+    with pytest.raises(DataError, match="weight rows gave values of shape \\(2,\\) for covariates "
+                                        "of shape \\(2, 3, 2\\)"):
+        rows.evaluate(stack)
