@@ -23,22 +23,33 @@ evaluation so the grid box is scale-meaningful; every report records the
 grid convention.
 
 Evaluation.  Replicate r draws its multipliers from its own stream
-``default_rng([seed, r])``; the m draws form the rows of one (m, n_int)
-matrix E.  The m streams are seeded in one vectorised pass: NumPy's
-``SeedSequence`` hash runs over arrays holding every r at once, and each
-stream's PCG64 is seeded from its row of words, so E is bit for bit what
-the m ``default_rng`` calls would draw.  Every replicate of a block of
-frequencies comes out of one matrix product with E (the
-multiplier-bootstrap maxima of Chernozhukov, Chetverikov and Kato, 2013).
-Only one frequency of each +/-gamma pair is evaluated, plus the origin:
-the residuals, the multipliers and the smoothing weights are real, so the
+``default_rng([seed, r])``; the m draws form the rows of an (m, n_int)
+matrix E.  The streams of a range of rows are seeded in one vectorised
+pass: NumPy's ``SeedSequence`` hash runs over arrays holding every r at
+once, and each stream's PCG64 is seeded from its row of words, so every
+row is bit for bit what its ``default_rng`` call would draw.  Only one
+frequency of each +/-gamma pair is evaluated, plus the origin: the
+residuals, the multipliers and the smoothing weights are real, so the
 summands at -gamma are the complex conjugates of those at gamma and
 T(-gamma), T_r(-gamma) have the same modulus as T(gamma), T_r(gamma).
-The sup over half the grid is the sup over all of it.  The half grid is
-walked in blocks of columns sized so that a block's complex weights, their
-FFT workspace and their replicate products fit in CHUNK_BYTES, keeping a
-running max of the statistic and of each replicate.  Memory is then
-8 m n_int bytes for E plus CHUNK_BYTES, whatever the grid size.
+The sup over half the grid is the sup over all of it.
+
+Every replicate at every frequency is an entry of the matrix product E S
+(the multiplier-bootstrap maxima of Chernozhukov, Chetverikov and Kato,
+2013), where S holds the centered interior summands at the K half-grid
+frequencies, one complex column each.  E is 8 m n_int bytes and S
+16 K n_int.  The smaller of the two is held whole and the other is
+streamed in blocks that fit in CHUNK_BYTES with their workspace.  When
+2K <= m, S is built once, its columns smoothed a few per FFT pass, and E
+is drawn in blocks of rows, each block giving its replicates' maxima.
+Otherwise E is drawn once, and the half grid is walked in blocks of
+columns whose weights, FFT workspace and replicate products fit in the
+budget, keeping a running max of the statistic and of each replicate.
+Memory is then min(8 m n_int, 16 K n_int) bytes plus CHUNK_BYTES, so it
+stops growing with m once E outweighs S.  Two floors outgrow the budget
+at large n: an FFT pass smooths at least one column, about 128 n bytes,
+and a streamed block may hold MIN_BLOCK rows or columns, 128 n_int or
+256 n_int bytes.
 """
 
 from __future__ import annotations
@@ -68,9 +79,15 @@ DEFAULT_BOOT_M = 500
 #: Interior margin for the sup statistic, in units of the bandwidth.
 SUP_INTERIOR_MARGIN = 3.0
 
-#: Bytes one block of frequency columns may hold: its complex weights, their
-#: FFT workspace and the replicate products.
-CHUNK_BYTES = 64 << 20
+#: Bytes the bootstrap may hold beyond its one held operand: a block of
+#: frequency columns with its FFT workspace and replicate products, or a block
+#: of multiplier rows with its products.
+CHUNK_BYTES = 4 << 20
+
+#: Rows of E, or columns of summands, that a streamed block may hold whatever
+#: the budget: every block rereads the whole held operand, and one-row blocks
+#: would make the product m matrix-vector passes over it.
+MIN_BLOCK = 16
 
 #: NumPy's ``SeedSequence`` constants: the entropy pool size in 32-bit
 #: words and the hash and mix multipliers (numpy/random/bit_generator.pyx).
@@ -244,9 +261,9 @@ def bootstrap_critical_value(replicate_values, alpha: float) -> float:
     return float(values[k - 1])
 
 
-def _multipliers(seed: int, m: int, n_int: int) -> np.ndarray:
-    """Rows r = 0..m-1 of ``default_rng([seed, r]).standard_normal(n_int)``,
-    bit for bit, as one (m, n_int) matrix.
+def _multipliers(seed: int, lo: int, hi: int, n_int: int) -> np.ndarray:
+    """Rows r = lo..hi-1 of ``default_rng([seed, r]).standard_normal(n_int)``,
+    bit for bit, as one (hi - lo, n_int) matrix.
 
     Building m ``SeedSequence`` objects costs more than drawing from them:
     NumPy exposes its seed hash one Python object per stream.  This runs the
@@ -281,9 +298,10 @@ def _multipliers(seed: int, m: int, n_int: int) -> np.ndarray:
         value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return value ^ (value >> np.uint32(16))
 
+    m = hi - lo
     entropy = [np.full(m, seed >> shift & _MASK32, dtype=np.uint32)
                for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(np.arange(m, dtype=np.uint32))
+    entropy.append(np.arange(lo, hi, dtype=np.uint32))
     entropy += [np.zeros(m, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
     pool = [hashmix(word) for word in entropy]
     for src in range(_POOL_SIZE):
@@ -344,38 +362,68 @@ def omnibus_reports(block: Block, boots, grid: GammaGrid | None = None) -> list[
         ]
 
 
+def _blocks(total: int, fit: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the fewest blocks of ``total`` items that hold at
+    most max(MIN_BLOCK, fit) each, their sizes differing by at most one: a
+    sliver of a last block would be a small product, which BLAS computes
+    with another kernel whose sums round differently."""
+    count = -(-total // max(MIN_BLOCK, fit))
+    edges = [total * i // count for i in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _summands(z, core: ResidualCore, eps, gammas, width, bound) -> np.ndarray:
+    """The centered interior summands eps_j [W_j(gamma) - Wbar_j(gamma)], one
+    complex column per frequency of ``gammas``, smoothed ``width`` columns per
+    FFT pass."""
+    s = np.empty((eps.size, gammas.shape[0]), dtype=complex)
+    for start in range(0, gammas.shape[0], width):
+        try:  # the sums guard makes numpy raise here
+            phases = z @ gammas[start:start + width].T
+        except FloatingPointError:
+            raise ConfigError(f"grid bound {bound} overflows the phases gamma'z") from None
+        s[:, start:start + width] = core.centered(np.exp(1j * phases))
+    s *= eps[:, None]
+    return s
+
+
 def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> OmnibusReport:
     """One dataset's sup statistic and bootstrap at bandwidth ``h``, from its
     standardized covariates ``z`` and its own residual core."""
     eps = core.eps[core.keep]
-    n, n_int = z.shape[0], eps.size
+    n, n_int, m = z.shape[0], eps.size, boot.m
     half = grid.half_points
-    # per complex column: the weights, their slot-binned copy and gathered
-    # fits (n each), the spectrum and its inverse (each below 2.31 n: the
-    # padded length fft_length(n + r) is at most 1.154 (n + r), and r < n),
-    # and the replicate products (m)
-    width = max(1, CHUNK_BYTES // (16 * (8 * n + boot.m)))
-    t_max = 0.0
-    reps = np.zeros(boot.m)
-    e = None
-    for start in range(0, half.shape[0], width):
-        try:  # the sums guard makes numpy raise here
-            phases = z @ half[start:start + width].T
-        except FloatingPointError:
-            raise ConfigError(f"grid bound {grid.bound} overflows the phases gamma'z") from None
-        summands = core.centered(np.exp(1j * phases))
-        summands *= eps[:, None]
-        t_max = max(t_max, float(np.abs(summands.sum(axis=0)).max()))
-        if e is None:  # drawn once the first block's FFT workspace is freed
-            e = _multipliers(boot.seed, boot.m, n_int)
-        prod = e @ summands.view(float)  # real and imaginary parts interleaved
-        re, im = prod[:, 0::2], prod[:, 1::2]
-        with np.errstate(over="ignore"):
-            square = re * re + im * im
-        # the largest modulus of each replicate is among its near-largest squares
-        near = square >= square.max(axis=1, keepdims=True) * (1.0 - 1e-12)
-        moduli = np.hypot(re, im, out=np.zeros_like(re), where=near)
-        np.maximum(reps, moduli.max(axis=1), out=reps)
+    k = half.shape[0]
+    # per complex column of an FFT pass: the weights, their slot-binned copy
+    # and gathered fits (n each), the spectrum and its inverse (each below
+    # 2.31 n: the padded length fft_length(n + r) is at most 1.154 (n + r),
+    # and r < n)
+    fft_width = max(1, CHUNK_BYTES // (16 * 8 * n))
+    if 2 * k <= m:  # hold the summands, 16 k n_int bytes, and stream E by rows
+        # per replicate row: its multipliers, its products (2 k) and their
+        # squares, mask and moduli (under 3 k)
+        cols, rows = [(0, k)], _blocks(m, CHUNK_BYTES // (8 * (n_int + 5 * k)))
+    else:  # hold E, 8 m n_int bytes, and stream the summands by columns
+        # per frequency column: its summands and its products, squares, mask
+        # and moduli (under 5 m doubles)
+        cols, rows = _blocks(k, CHUNK_BYTES // (8 * (2 * n_int + 5 * m))), [(0, m)]
+    t_max, reps, e = 0.0, np.zeros(m), None
+    for start, stop in cols:
+        s = _summands(z, core, eps, half[start:stop], fft_width, grid.bound)
+        t_max = max(t_max, float(np.abs(s.sum(axis=0)).max()))
+        for lo, hi in rows:
+            if len(rows) > 1:
+                e = None  # free the last row block before drawing the next
+            if e is None:  # a held E is drawn once the first block's FFT workspace is freed
+                e = _multipliers(boot.seed, lo, hi, n_int)
+            prod = e @ s.view(float)  # real and imaginary parts interleaved
+            re, im = prod[:, 0::2], prod[:, 1::2]
+            with np.errstate(over="ignore"):
+                square = re * re + im * im
+            # the largest modulus of each replicate is among its near-largest squares
+            near = square >= square.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+            moduli = np.hypot(re, im, out=np.zeros_like(re), where=near)
+            np.maximum(reps[lo:hi], moduli.max(axis=1), out=reps[lo:hi])
     scale = math.sqrt(n_int)
     t_tilde = t_max / scale
     reps /= scale

@@ -232,15 +232,36 @@ def test_sup_statistic_half_grid_lossless(rng):
 
 
 def test_one_column_chunks_match_one_chunk(rng, monkeypatch):
-    data, fit = pipeline_data(rng, n=300, p=3)
-    args = (data, fit, SmootherConfig(h=0.1), BootstrapConfig(m=200, seed=8))
-    whole = omnibus_test(*args)
-    monkeypatch.setattr(omnibus, "CHUNK_BYTES", 1)
-    split = omnibus_test(*args)
-    assert split.statistic == pytest.approx(whole.statistic, rel=1e-12)
-    assert split.critical_value == pytest.approx(whole.critical_value, rel=1e-12)
-    assert (split.p_value, split.reject) == (whole.p_value, whole.reject)
-    assert split.diagnostics == whole.diagnostics
+    # at m = 200 the p = 3 grid's 172 half-grid columns outweigh E, which is
+    # held while one column at a time streams; the p = 2 grid's 25 are held
+    # while E streams in blocks of MIN_BLOCK rows
+    for p in (3, 2):
+        data, fit = pipeline_data(rng, n=300, p=p)
+        args = (data, fit, SmootherConfig(h=0.1), BootstrapConfig(m=200, seed=8))
+        monkeypatch.setattr(omnibus, "CHUNK_BYTES", 64 << 20)
+        whole = omnibus_test(*args)
+        monkeypatch.setattr(omnibus, "CHUNK_BYTES", 1)
+        split = omnibus_test(*args)
+        assert split.statistic == pytest.approx(whole.statistic, rel=1e-12)
+        assert split.critical_value == pytest.approx(whole.critical_value, rel=1e-12)
+        assert (split.p_value, split.reject) == (whole.p_value, whole.reject)
+        assert split.diagnostics == whole.diagnostics
+
+
+def _omnibus_peak(data, fit, m):
+    tracemalloc.start()
+    try:
+        omnibus_test(data, fit, SmootherConfig(h=0.05), BootstrapConfig(m=m))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_omnibus_memory_does_not_grow_with_m():
+    # E alone would be 8 m n_int bytes: 5.6 MB at m = 100 and 56 MB at m = 1000
+    rng = np.random.default_rng(21)
+    data, fit = pipeline_data(rng, n=10_000, p=2)
+    assert _omnibus_peak(data, fit, 1000) <= 1.25 * _omnibus_peak(data, fit, 100)
 
 
 def test_dense_p4_grid_memory_is_bounded():
@@ -368,18 +389,25 @@ def _stream_rows(seed, m, n):
     return np.stack([np.random.default_rng([seed, r]).standard_normal(n) for r in range(m)])
 
 
-@pytest.mark.parametrize("m", [1, 100, 1000])
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1])
-def test_multipliers_are_the_default_rng_streams(seed, m):
-    e = omnibus._multipliers(seed, m, 5)
-    assert e.shape == (m, 5)
-    assert e.tobytes() == _stream_rows(seed, m, 5).tobytes()
+_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "seed, lo, hi",
+    [pytest.param(seed, 0, m, id=f"{seed}-{m}") for seed in _SEEDS for m in (1, 100, 1000)]
+    + [pytest.param(seed, lo, hi, id=f"{seed}-{lo}:{hi}")
+       for seed in (0, 2**64 - 1) for lo, hi in ((1, 2), (37, 140), (999, 1000))],
+)
+def test_multipliers_are_the_default_rng_streams(seed, lo, hi):
+    e = omnibus._multipliers(seed, lo, hi, 5)
+    assert e.shape == (hi - lo, 5)
+    assert e.tobytes() == _stream_rows(seed, hi, 5)[lo:].tobytes()
 
 
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2**64 - 1), m=st.sampled_from([1, 100, 1000]))
 def test_multipliers_are_the_default_rng_streams_for_any_seed(seed, m):
-    assert omnibus._multipliers(seed, m, 3).tobytes() == _stream_rows(seed, m, 3).tobytes()
+    assert omnibus._multipliers(seed, 0, m, 3).tobytes() == _stream_rows(seed, m, 3).tobytes()
 
 
 def test_standardize_columns(rng):
