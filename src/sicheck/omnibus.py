@@ -16,11 +16,14 @@ e_i perturb exactly the same centered summands,
 
     T_r(gamma) = m^(-1/2) sum_{i interior} e_i eps_i [W_i(gamma) - Wbar_i(gamma)],
 
-and the critical value is an order statistic of the resampled sups, so
-statistic and reference distribution share one functional.  Covariate
-columns are standardized (zero mean, unit variance) before any frequency
-evaluation so the grid box is scale-meaningful; every report records the
-grid convention.
+and the p-value (1 + #{r : sup T_r >= sup T}) / (m + 1) counts the
+resampled sups at or above the statistic, so statistic and reference
+distribution share one functional.  The test rejects iff the p-value is
+at most alpha; the reported critical value is the order statistic of the
+resampled sups that a rejected statistic exceeds and a retained one does
+not.  Covariate columns are standardized (zero mean, unit variance)
+before any frequency evaluation so the grid box is scale-meaningful;
+every report records the grid convention.
 
 Evaluation.  Replicate r draws its multipliers from its own stream
 ``default_rng([seed, r])``; the m draws form the rows of an (m, n_int)
@@ -249,16 +252,22 @@ def standardize_columns(x) -> np.ndarray:
 
 
 def bootstrap_critical_value(replicate_values, alpha: float) -> float:
-    """The floor((1 - alpha) m)-th ascending order statistic.  The 1e-9 stops
-    binary rounding from putting a whole (1 - alpha) m one below: at m = 500,
-    alpha = 0.07 the product is 464.99999999999994, and the 465th is meant."""
+    """The replicate sup that a statistic must exceed to be rejected at level
+    ``alpha``.  The bootstrap p-value of a statistic t is
+    p = (1 + #{replicates >= t}) / (m + 1); with c the largest count for which
+    (1 + c) / (m + 1) <= alpha, in the float arithmetic of that p-value,
+    p <= alpha holds iff t exceeds the (m - c)-th smallest replicate, which is
+    returned.  At m = 1000, alpha = 0.05, c = 49 and the 951st is returned."""
     values = np.sort(np.asarray(replicate_values, dtype=float))
-    k = math.floor((1.0 - alpha) * values.size + 1e-9)
-    if k < 1:
+    m = values.size
+    c = math.floor(alpha * (m + 1))  # the count sought, or at most two above it
+    while c >= 0 and (1 + c) / (m + 1) > alpha:
+        c -= 1
+    if c < 0:
         raise ConfigError(
-            f"(1 - alpha) * m is below 1 (m={values.size}, alpha={alpha})"
+            f"alpha * (m + 1) is below 1: no p-value reaches alpha (m={m}, alpha={alpha})"
         )
-    return float(values[k - 1])
+    return float(values[m - 1 - c])
 
 
 def _multipliers(seed: int, lo: int, hi: int, n_int: int) -> np.ndarray:
@@ -427,20 +436,20 @@ def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> Omnibu
     scale = math.sqrt(n_int)
     t_tilde = t_max / scale
     reps /= scale
-    critical = bootstrap_critical_value(reps, boot.alpha)
-    p_value = (1 + int(np.count_nonzero(reps >= t_tilde))) / (boot.m + 1)
+    # p <= alpha iff t_tilde exceeds the critical value
+    p_value = (1 + int(np.count_nonzero(reps >= t_tilde))) / (m + 1)
     return OmnibusReport(
         test="omnibus",
         statistic=t_tilde,
         p_value=p_value,
-        reject=bool(t_tilde >= critical),
+        reject=bool(p_value <= boot.alpha),
         alpha=boot.alpha,
         calibration=f"bootstrap-m={boot.m}",
         h=h,
         n=n,
         weight_kinds=("cf",),
         diagnostics=diagnostics,
-        critical_value=critical,
+        critical_value=bootstrap_critical_value(reps, boot.alpha),
         m=boot.m,
         seed=boot.seed,
         grid=grid.summary(),

@@ -317,7 +317,9 @@ def brute_omnibus(data, fit, h, grid, boot):
         )
         for r in range(boot.m)
     )
-    critical = reps[int((1 - boot.alpha) * boot.m) - 1]
+    # the largest count c of replicates at or above t with (1 + c) / (m + 1) <= alpha
+    c = math.floor(Fraction(str(boot.alpha)) * (boot.m + 1)) - 1
+    critical = reps[boot.m - 1 - c]
     p_value = (1 + sum(v >= t_tilde for v in reps)) / (boot.m + 1)
     return t_tilde, len(keep), critical, p_value
 
@@ -335,6 +337,7 @@ def test_omnibus_matches_brute_force(rng):
         assert rep.statistic == pytest.approx(t_tilde, rel=1e-12)
         assert rep.critical_value == pytest.approx(critical, rel=1e-12)
         assert rep.p_value == pytest.approx(p_value, rel=1e-12)
+        assert rep.reject == (p_value <= boot.alpha) == (t_tilde > critical)
 
 
 def test_bootstrap_replicate_two_point_hand_case():
@@ -348,24 +351,31 @@ def test_bootstrap_replicate_two_point_hand_case():
 
 
 def test_bootstrap_critical_value_order_statistic():
+    # p = (1 + #{r >= t}) / 1001 <= 0.05 allows 49 replicates at or above t:
+    # t must exceed the 951st smallest
     values = np.arange(1.0, 1001.0)
-    assert bootstrap_critical_value(values, 0.05) == 950.0
+    assert bootstrap_critical_value(values, 0.05) == 951.0
+    assert (1 + np.count_nonzero(values >= 951.5)) / 1001 <= 0.05
+    assert (1 + np.count_nonzero(values >= 951.0)) / 1001 > 0.05
+    # at m = 10 and alpha = 0.05 even p = 1/11 is above alpha
     with pytest.raises(ConfigError):
-        bootstrap_critical_value(values[:10], 0.999)
+        bootstrap_critical_value(values[:10], 0.05)
+    assert bootstrap_critical_value(values[:10], 0.999) == 1.0
 
 
 def test_bootstrap_critical_value_counts_exact_decimal_levels():
-    # (1 - alpha) m in binary rounds just below a whole number at these
-    # levels; the order statistic is floor of the exact decimal product
+    # alpha (m + 1) in binary can round off a whole number; the count is the
+    # floor of the exact decimal product, less one
     for m in (170, 500, 1000, 20000, *range(100, 1000, 37)):
         values = np.arange(1.0, m + 1.0)
         for step in range(1, 100):
             alpha = step / 100
-            k = math.floor((1 - Fraction(str(alpha))) * m)
-            if k >= 1:
-                assert bootstrap_critical_value(values, alpha) == float(k), (m, alpha)
-    assert bootstrap_critical_value(np.arange(1.0, 501.0), 0.07) == 465.0
-    assert bootstrap_critical_value(np.arange(1.0, 171.0), 0.3) == 119.0
+            c = math.floor(Fraction(str(alpha)) * (m + 1)) - 1
+            if c >= 0:
+                assert bootstrap_critical_value(values, alpha) == float(m - c), (m, alpha)
+    assert bootstrap_critical_value(np.arange(1.0, 100.0), 0.05) == 95.0
+    assert bootstrap_critical_value(np.arange(1.0, 501.0), 0.07) == 466.0
+    assert bootstrap_critical_value(np.arange(1.0, 171.0), 0.3) == 120.0
 
 
 def test_bootstrap_config_validation():

@@ -477,3 +477,22 @@ def test_a_block_that_fails_only_as_a_whole_names_its_replicates():
     with pytest.raises(RuntimeError, match="replicates 0 to 11 failed as one block for scenario "
                                            ".*: boom"):
         monte_carlo(scn, WholeBlocksFail(flip), reps=12)
+
+
+@pytest.mark.parametrize("check", [ScoreCheck(), MaximinCheck(), OmnibusCheck()],
+                         ids=["score", "maximin", "omnibus"])
+def test_every_report_of_a_line_rejects_iff_p_is_at_most_alpha(check):
+    # replicate 2 of this null line once read "reject" with p = 26/501 > 0.05:
+    # its omnibus statistic lay between the 475th and the 476th replicate sups
+    scn = Scenario(model=ModelKind.CUBIC, n=50, p=2, c=0.0, seed=103)
+    rows = [simulate._replicate(scn, r) for r in range(40)]
+    reports, _ = simulate.run_block(np.stack([data.x for data, _ in rows]),
+                                    np.stack([data.y for data, _ in rows]),
+                                    check, 0.05, [seed for _, seed in rows])
+    assert any(report.reject for report in reports)
+    for report in reports:
+        assert report.reject == (report.p_value <= report.alpha)
+        if isinstance(check, MaximinCheck):
+            assert report.reject == (report.statistic >= report.c_alpha)
+        if isinstance(check, OmnibusCheck):
+            assert report.reject == (report.statistic > report.critical_value)
