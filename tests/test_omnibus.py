@@ -232,9 +232,10 @@ def test_sup_statistic_half_grid_lossless(rng):
 
 
 def test_one_column_chunks_match_one_chunk(rng, monkeypatch):
-    # at m = 200 the p = 3 grid's 172 half-grid columns outweigh E, which is
-    # held while one column at a time streams; the p = 2 grid's 25 are held
-    # while E streams in blocks of MIN_BLOCK rows
+    # under a one-byte budget each FFT pass smooths one column; at m = 200 the
+    # p = 3 grid's 172 half-grid columns outweigh E, which is held while they
+    # stream in blocks of MIN_BLOCK, and the p = 2 grid's 25 are held while E
+    # streams in blocks of MIN_BLOCK rows
     for p in (3, 2):
         data, fit = pipeline_data(rng, n=300, p=p)
         args = (data, fit, SmootherConfig(h=0.1), BootstrapConfig(m=200, seed=8))
