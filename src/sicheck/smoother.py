@@ -67,11 +67,6 @@ def loo_matrix(u_ranks, h: float) -> np.ndarray:
     return s / ((n - 1) * h)
 
 
-#: Longest kernel table (2r + 1 taps) that real values are convolved with
-#: directly; longer tables and complex values go through the FFT.
-DIRECT_MAX_TAPS = 255
-
-
 @functools.lru_cache(maxsize=1024)
 def fft_length(k: int) -> int:
     """Smallest 2^a 3^b 5^c >= k, a length numpy's FFT transforms about as
@@ -106,12 +101,12 @@ class LatticeSmoother:
     convolution on n slots: scatter the values into their slots (tied ranks
     add up), convolve with the table K(d / (n h)), |d| < n h, centre zeroed,
     gather each observation's slot and add back K(0) times the tied values
-    that share it.  The tables are built once per smoother.  Real values at
-    one bandwidth with a short table are convolved directly, which leaves
-    an empty window exactly 0; otherwise one FFT of a fit's padded length
-    serves all its bandwidths, and the fits of the ``empty`` windows are set
-    to 0.  Each fit of a stack is computed as it would be alone: fits that
-    share a padded length share one batched transform.
+    that share it.  Every convolution is one FFT of the fit's padded length
+    n + r (r its widest radius), serving all its bandwidths; the fits of the
+    ``empty`` windows are set to exactly 0.  The smoother transforms its
+    tables once, so a smooth transforms only the values.  Each fit of a
+    stack is computed as it would be alone: fits that share a padded length
+    share one batched transform.
     """
 
     def __init__(self, slots, h):
@@ -131,14 +126,24 @@ class LatticeSmoother:
         self._shape = k.shape[:-1] + hs.shape[lead:]  # leading shape of the fits
         self._k = k.reshape(-1, n)  # (B, n)
         self._h = hs.reshape(rows, -1)  # (1 or B, G)
-        self._block = hs.ndim > lead  # a block of bandwidths per fit
         cells = self._k + n * np.arange(len(self._k))[:, None]
         self._counts = np.bincount(cells.ravel(), minlength=self._k.size).reshape(-1, n)
         self._tied = self._counts.max(axis=1) > 1
         self._any_tied = bool(self._tied.any())
-        self._table = kernel_table(n, self._h.ravel()).reshape(rows, self._h.shape[1], -1)
+        table = kernel_table(n, self._h.ravel()).reshape(rows, self._h.shape[1], -1)
         # each table row's radius ceil(n h) - 1 at its widest bandwidth
-        self._top = [min(math.ceil(n * h), n) - 1 for h in self._h.max(axis=1).tolist()]
+        top = [min(math.ceil(n * h), n) - 1 for h in self._h.max(axis=1).tolist()]
+        by_size = {}  # fits whose FFT shares a padded length
+        for j in range(len(self._k)):
+            by_size.setdefault(fft_length(n + top[j if rows > 1 else 0]), []).append(j)
+        self._groups = []  # (padded length, fits, spectra of their circulant tables)
+        for size, group in by_size.items():
+            part = table[group] if rows > 1 else table
+            r = max(top[j] for j in group) if rows > 1 else top[0]
+            circ = np.zeros(part.shape[:2] + (size,))
+            circ[..., 1:r + 1] = part[..., 1:r + 1]
+            circ[..., size - r:] = part[..., r:0:-1]
+            self._groups.append((size, group, np.fft.rfft(circ)))
 
     @functools.cached_property
     def _empty(self) -> np.ndarray | None:
@@ -168,7 +173,7 @@ class LatticeSmoother:
         """Fits 1/((n-1) h) sum_{i != j} v_i K((U_j - U_i) / h) at every j,
         for a vector or an (n, d) column stack per fit, real or complex; one
         row of them per bandwidth of a block."""
-        k, table, top = self._k, self._table, self._top
+        k = self._k
         (b, n), lead = k.shape, self._lead
         v = np.asarray(values)
         if v.ndim - lead not in (1, 2) or v.shape[:lead + 1] != self._fit_shape:
@@ -186,28 +191,13 @@ class LatticeSmoother:
             binned = np.empty(real.shape)
             binned[fit, k] = real
         out = np.empty((b, self._h.shape[1], n, m))
-        by_size = {}  # fits whose FFT shares a padded length
-        for j in range(b):
-            row = j if len(top) > 1 else 0  # the fit's table row
-            if self._block or cplx or 2 * top[row] + 1 > DIRECT_MAX_TAPS:
-                by_size.setdefault(fft_length(n + top[row]), []).append(j)
-                continue
-            half = table[row, 0, :top[row] + 1]
-            taps = np.concatenate((half[:0:-1], [0.0], half[1:]))
-            for c in range(m):
-                out[j, 0, :, c] = np.convolve(binned[j, :, c], taps)[k[j] + top[row]]
-        for size, group in by_size.items():
-            rows = group if len(top) > 1 else slice(1)  # the group's table rows
-            r = max(top[i] for i in group) if len(top) > 1 else top[0]
-            circ = np.zeros(table[rows].shape[:2] + (size,))
-            circ[..., 1:r + 1] = table[rows, :, 1:r + 1]
-            circ[..., size - r:] = table[rows, :, r:0:-1]
+        for size, group, kernel in self._groups:
             part = binned[group] if len(group) < b else binned
-            spectrum = np.fft.rfft(part, size, axis=1)[:, None] * np.fft.rfft(circ)[..., None]
+            spectrum = np.fft.rfft(part, size, axis=1)[:, None] * kernel[..., None]
             for j, fits in zip(group, np.fft.irfft(spectrum, size, axis=2)):
                 np.take(fits, k[j], axis=1, out=out[j], mode="clip")  # clip: k is in range
-            if self._empty is not None:
-                out[group] = np.where(self._empty[group, ..., None], 0.0, out[group])
+        if self._empty is not None:
+            out[self._empty] = 0.0
         if self._any_tied:
             for j in np.flatnonzero(self._tied):
                 out[j] += tied[j]

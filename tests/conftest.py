@@ -8,6 +8,8 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# CI fuzzes the dense-oracle suites harder: pytest --hypothesis-profile=ci
+settings.register_profile("ci", parent=settings.get_profile("default"), max_examples=500)
 settings.load_profile("default")
 
 

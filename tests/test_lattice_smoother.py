@@ -23,20 +23,19 @@ from sicheck import (
     rank_transform,
 )
 from sicheck.simulate import apply_check
-from sicheck.smoother import DIRECT_MAX_TAPS, LatticeSmoother, fft_length, kernel_table, sums_guard
+from sicheck.smoother import LatticeSmoother, fft_length, kernel_table, sums_guard
 
-RADIUS = DIRECT_MAX_TAPS // 2  # widest window |d| <= RADIUS the direct branch takes
+RADIUS = 127  # narrow windows reach |d| <= RADIUS slots, wide ones beyond
 
 
 @st.composite
-def lattice_cases(draw, branch):
+def lattice_cases(draw, width):
     """Ranks (tied when the projections are rounded), a bandwidth and a few
-    more for a block; ``branch`` picks n and h on one side of the
-    direct/FFT switch for real values at one bandwidth (complex values and
-    blocks always take the FFT).  The block may hold a window narrower than
-    one slot; without one, untied ranks leave no window empty and the
-    smoother skips its empty-window count."""
-    if branch == "direct":
+    more for a block; ``width`` picks n and h so that the window's radius is
+    at most RADIUS slots ("narrow") or beyond it ("wide").  The block may
+    hold a window narrower than one slot; without one, untied ranks leave no
+    window empty and the smoother skips its empty-window count."""
+    if width == "narrow":
         n = draw(st.integers(2, 400))
         h = draw(st.floats(1.0 / (2 * n), min(2.0, (RADIUS + 0.5) / n)))
     else:
@@ -73,11 +72,9 @@ def _on_window_edge(n, h):
     return abs(nh - round(nh)) <= 1e-9 * nh
 
 
-def _check_case(case, kind, branch):
+def _check_case(case, kind):
     u, h, rng, block = case
     n = u.size
-    taps = 2 * min(math.ceil(n * h), n) - 1
-    assert (taps <= DIRECT_MAX_TAPS) == (branch == "direct")
     values = _values(rng, n, kind)
     ref, dense_empty = _dense(values, u, h)
     slots = np.rint(u * n).astype(np.intp)
@@ -101,15 +98,15 @@ def _check_case(case, kind, branch):
 
 
 @pytest.mark.parametrize("kind", ["vector", "stack", "complex"])
-@given(case=lattice_cases("direct"))
+@given(case=lattice_cases("narrow"))
 def test_lattice_matches_dense_narrow_windows(case, kind):
-    _check_case(case, kind, "direct")
+    _check_case(case, kind)
 
 
 @pytest.mark.parametrize("kind", ["vector", "stack", "complex"])
-@given(case=lattice_cases("fft"))
+@given(case=lattice_cases("wide"))
 def test_lattice_matches_dense_wide_windows(case, kind):
-    _check_case(case, kind, "fft")
+    _check_case(case, kind)
 
 
 @pytest.mark.parametrize("h", [np.inf, [0.3, np.inf]])
@@ -137,6 +134,54 @@ def test_every_window_empty_at_half_a_slot(kind):
         smoother = LatticeSmoother(np.rint(u * n).astype(np.intp), h)
         assert np.all(smoother.smooth(values) == 0.0)
         assert smoother.empty.all()
+
+
+def _stack(rng, n, h):
+    """Rank slots of len(h) fits, every other one tied, whose radii
+    ceil(n h) - 1 fall on three padded lengths or more."""
+    assert len({fft_length(n + min(math.ceil(n * hb), n) - 1) for hb in h}) >= 3
+    t = rng.standard_normal((len(h), n))
+    t[::2] = np.round(t[::2], 1)
+    return np.rint([rank_transform(row) * n for row in t]).astype(np.intp)
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["one_h", "block_of_h"])
+@pytest.mark.parametrize("kind", ["vector", "stack", "complex"])
+def test_a_stacked_fit_does_not_depend_on_its_stack(kind, block):
+    rng = np.random.default_rng(7)
+    n, h = 200, np.array([0.02, 0.3, 0.1, 0.6, 0.005, 0.1])
+    slots = _stack(rng, n, h)
+    hs = np.stack([h, h / 3], axis=1) if block else h
+    values = np.stack([_values(rng, n, kind) for _ in h])
+    smoother = LatticeSmoother(slots, hs)
+    assert smoother.empty.any()  # the empty-window mask is exercised
+    for fit, s, hb, v in zip(smoother.smooth(values), slots, hs, values):
+        assert np.array_equal(fit, LatticeSmoother(s, hb).smooth(v))
+
+
+def test_a_smooth_transforms_only_the_values(monkeypatch):
+    rfft, shapes = np.fft.rfft, []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    rng = np.random.default_rng(8)
+    n, h = 200, np.array([0.02, 0.3, 0.1, 0.6, 0.02, 0.1])
+    slots = _stack(rng, n, h)
+    shapes.clear()
+    smoother = LatticeSmoother(slots, h)
+    sizes = {fft_length(n + math.ceil(n * hb) - 1) for hb in h}
+    assert len(shapes) == len(sizes)  # one per padded length: the kernel tables
+    values = rng.uniform(-10.0, 10.0, (h.size, n, 2))
+    fits = []
+    for _ in range(2):
+        shapes.clear()
+        fits.append(smoother.smooth(values))
+        assert len(shapes) == len(sizes)  # one per padded length: the values
+        assert all(shape[1:] == (n, 2) for shape in shapes)
+    assert np.array_equal(*fits)
 
 
 @pytest.mark.parametrize("n", [7, 200, 1001])
