@@ -27,15 +27,15 @@ every report records the grid convention.
 
 Evaluation.  Replicate r draws its multipliers from its own stream
 ``default_rng([seed, r])``; the m draws form the rows of an (m, n_int)
-matrix E.  The streams of a range of rows are seeded in one vectorised
+matrix E.  The m streams are seeded once per bootstrap in one vectorised
 pass: NumPy's ``SeedSequence`` hash runs over arrays holding every r at
-once, and each stream's PCG64 is seeded from its row of words, so every
-row is bit for bit what its ``default_rng`` call would draw.  Only one
-frequency of each +/-gamma pair is evaluated, plus the origin: the
-residuals, the multipliers and the smoothing weights are real, so the
-summands at -gamma are the complex conjugates of those at gamma and
-T(-gamma), T_r(-gamma) have the same modulus as T(gamma), T_r(gamma).
-The sup over half the grid is the sup over all of it.
+once, and a stream's PCG64 is seeded from its row of words when its row
+is drawn, so every row is bit for bit what its ``default_rng`` call would
+draw.  Only one frequency of each +/-gamma pair is evaluated, plus the
+origin: the residuals, the multipliers and the smoothing weights are
+real, so the summands at -gamma are the complex conjugates of those at
+gamma and T(-gamma), T_r(-gamma) have the same modulus as T(gamma),
+T_r(gamma).  The sup over half the grid is the sup over all of it.
 
 Every replicate at every frequency is an entry of the matrix product E S
 (the multiplier-bootstrap maxima of Chernozhukov, Chetverikov and Kato,
@@ -53,6 +53,17 @@ stops growing with m once E outweighs S.  Two floors outgrow the budget
 at large n: an FFT pass smooths at least one column, about 128 n bytes,
 and a streamed block may hold MIN_BLOCK rows or columns, 128 n_int or
 256 n_int bytes.
+
+A statistic is rejected iff at most c replicate sups reach it, c the
+largest count with (1 + c) / (m + 1) <= alpha.  The row blocks of E
+therefore start at c + 1 rows and double up to the widest block the
+budget allows.  A report walks every block.  A decision alone
+(``omnibus_decisions``, which ``simulate`` uses) stops after the first
+block at which more than c sups reach the statistic, since the retain is
+then certain: the curtailed sequential Monte Carlo test (Besag and
+Clifford, 1991).  Both walk the same blocks, so the decision is the
+report's, bit for bit; a reject, and any bootstrap that holds E, draws
+all m streams.
 """
 
 from __future__ import annotations
@@ -251,6 +262,21 @@ def standardize_columns(x) -> np.ndarray:
     return (x - mu) / sd
 
 
+def _retain_count(m: int, alpha: float) -> int:
+    """The largest count c of replicate sups at or above a statistic with
+    which it is rejected at level ``alpha``: the largest c for which the
+    p-value (1 + c) / (m + 1) <= alpha, in the float arithmetic of that
+    p-value.  A statistic is rejected iff at most c of the m sups reach it."""
+    c = math.floor(alpha * (m + 1))  # the count sought, or at most two above it
+    while c >= 0 and (1 + c) / (m + 1) > alpha:
+        c -= 1
+    if c < 0:
+        raise ConfigError(
+            f"alpha * (m + 1) is below 1: no p-value reaches alpha (m={m}, alpha={alpha})"
+        )
+    return c
+
+
 def bootstrap_critical_value(replicate_values, alpha: float) -> float:
     """The replicate sup that a statistic must exceed to be rejected at level
     ``alpha``.  The bootstrap p-value of a statistic t is
@@ -260,19 +286,12 @@ def bootstrap_critical_value(replicate_values, alpha: float) -> float:
     returned.  At m = 1000, alpha = 0.05, c = 49 and the 951st is returned."""
     values = np.sort(np.asarray(replicate_values, dtype=float))
     m = values.size
-    c = math.floor(alpha * (m + 1))  # the count sought, or at most two above it
-    while c >= 0 and (1 + c) / (m + 1) > alpha:
-        c -= 1
-    if c < 0:
-        raise ConfigError(
-            f"alpha * (m + 1) is below 1: no p-value reaches alpha (m={m}, alpha={alpha})"
-        )
-    return float(values[m - 1 - c])
+    return float(values[m - 1 - _retain_count(m, alpha)])
 
 
-def _multipliers(seed: int, lo: int, hi: int, n_int: int) -> np.ndarray:
-    """Rows r = lo..hi-1 of ``default_rng([seed, r]).standard_normal(n_int)``,
-    bit for bit, as one (hi - lo, n_int) matrix.
+def _stream_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """The PCG64 seed words of the streams ``default_rng([seed, r])``,
+    r = lo..hi-1, bit for bit, one (4,) uint64 row per stream.
 
     Building m ``SeedSequence`` objects costs more than drawing from them:
     NumPy exposes its seed hash one Python object per stream.  This runs the
@@ -280,20 +299,8 @@ def _multipliers(seed: int, lo: int, hi: int, n_int: int) -> np.ndarray:
     a pool of four, mix the pool, hash it out to four 64-bit words) over
     uint32 arrays holding every r at once; a test pins it bit for bit to
     NumPy.  The seed takes at most two words and r one, so the entropy never
-    overflows the pool.  PCG64's own code then seeds each stream from its
-    words.
+    overflows the pool.
     """
-    # numpy.random loads on first use here, which keeps ``import sicheck`` light
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PresetWords(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
     seed, const = int(seed), _INIT_A
 
     def hashmix(value):
@@ -324,10 +331,36 @@ def _multipliers(seed: int, lo: int, hi: int, n_int: int) -> np.ndarray:
         const = const * _MULT_B & _MASK32
         value = value * np.uint32(const)
         words[:, i] = value ^ (value >> np.uint32(16))
-    words = words.astype("<u4").view("<u8").astype(np.uint64)  # (m, 4)
-    e = np.empty((m, n_int))
-    for r in range(m):
-        Generator(PCG64(PresetWords(words[r]))).standard_normal(out=e[r])
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _stream_types():
+    """``Generator``, ``PCG64`` and a seed sequence that hands PCG64 words
+    already hashed.  numpy.random loads on first use here, which keeps
+    ``import sicheck`` light."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Generator, PCG64, PresetWords
+
+
+def _multipliers(words: np.ndarray, n_int: int) -> np.ndarray:
+    """One row of ``n_int`` standard normals per stream of ``_stream_words``,
+    as one (len(words), n_int) matrix: the row of stream (seed, r) is
+    ``default_rng([seed, r]).standard_normal(n_int)``, bit for bit, since
+    PCG64's own code seeds each stream from its words."""
+    generator, pcg64, preset = _stream_types()
+    e = np.empty((len(words), n_int))
+    for row, row_words in zip(e, words):
+        generator(pcg64(preset(row_words))).standard_normal(out=row)
     return e
 
 
@@ -353,6 +386,21 @@ def omnibus_reports(block: Block, boots, grid: GammaGrid | None = None) -> list[
     bootstrap settings ``boots[i]``.  The residual cores come from one pass
     over the block; each dataset's frequency columns and bootstrap then run
     on their own."""
+    return _per_dataset(block, boots, grid, _omnibus_report)
+
+
+def omnibus_decisions(block: Block, boots, grid: GammaGrid | None = None) -> list[bool]:
+    """The ``reject`` of each report of ``omnibus_reports``, bit for bit,
+    without the rest of the report.  A dataset's bootstrap stops after the
+    first row block at which more replicate sups reach the statistic than a
+    rejected statistic allows, so a retained dataset draws fewer than m
+    streams."""
+    return _per_dataset(block, boots, grid, _decide)
+
+
+def _per_dataset(block: Block, boots, grid, one) -> list:
+    """``one(z, core, boot, grid, h, diagnostics)`` of every dataset of a
+    block, from its standardized covariates and its own residual core."""
     _, n, p = block.x.shape
     if grid is None:
         grid = gamma_grid(p)
@@ -364,8 +412,8 @@ def omnibus_reports(block: Block, boots, grid: GammaGrid | None = None) -> list[
     with sums_guard(n, block.h):
         core = block.core(margin=SUP_INTERIOR_MARGIN)
         return [
-            _omnibus_report(z[b], ResidualCore(LatticeSmoother(block.slots[b], h), core.eps[b],
-                                               core.keep[b]), boot, grid, h, diagnostics)
+            one(z[b], ResidualCore(LatticeSmoother(block.slots[b], h), core.eps[b], core.keep[b]),
+                boot, grid, h, diagnostics)
             for b, (h, boot, diagnostics)
             in enumerate(zip(block.h.tolist(), boots, core.diagnostics))
         ]
@@ -378,6 +426,23 @@ def _blocks(total: int, fit: int) -> list[tuple[int, int]]:
     with another kernel whose sums round differently."""
     count = -(-total // max(MIN_BLOCK, fit))
     edges = [total * i // count for i in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _row_blocks(m: int, first: int, fit: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the row blocks of E: sizes that double from
+    ``first`` while they stay below the widest block of ``_blocks(m, fit)``,
+    then the rows left in the fewest blocks no wider, their sizes differing
+    by at most one.  A report walks every block; a decision stops after the
+    first block that makes it certain, so the early blocks are small."""
+    widest = max(hi - lo for lo, hi in _blocks(m, fit))
+    edges, size = [0], first
+    while size < widest and edges[-1] + size < m:
+        edges.append(edges[-1] + size)
+        size *= 2
+    lo = edges[-1]
+    count = -(-(m - lo) // widest)
+    edges += [lo + (m - lo) * i // count for i in range(1, count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -396,9 +461,10 @@ def _summands(z, core: ResidualCore, eps, gammas, width, bound) -> np.ndarray:
     return s
 
 
-def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> OmnibusReport:
-    """One dataset's sup statistic and bootstrap at bandwidth ``h``, from its
-    standardized covariates ``z`` and its own residual core."""
+def _sups(z, core: ResidualCore, boot, grid):
+    """The scaled statistic with the scaled sups of a run of consecutive
+    replicates, yielded run after run in replicate order: one run of all m
+    when E is held, one per row block when the summands are."""
     eps = core.eps[core.keep]
     n, n_int, m = z.shape[0], eps.size, boot.m
     half = grid.half_points
@@ -411,11 +477,15 @@ def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> Omnibu
     if 2 * k <= m:  # hold the summands, 16 k n_int bytes, and stream E by rows
         # per replicate row: its multipliers, its products (2 k) and their
         # squares, mask and moduli (under 3 k)
-        cols, rows = [(0, k)], _blocks(m, CHUNK_BYTES // (8 * (n_int + 5 * k)))
+        cols = [(0, k)]
+        rows = _row_blocks(m, _retain_count(m, boot.alpha) + 1,
+                           CHUNK_BYTES // (8 * (n_int + 5 * k)))
     else:  # hold E, 8 m n_int bytes, and stream the summands by columns
         # per frequency column: its summands and its products, squares, mask
         # and moduli (under 5 m doubles)
         cols, rows = _blocks(k, CHUNK_BYTES // (8 * (2 * n_int + 5 * m))), [(0, m)]
+    words = _stream_words(boot.seed, 0, m)
+    scale = math.sqrt(n_int)
     t_max, reps, e = 0.0, np.zeros(m), None
     for start, stop in cols:
         s = _summands(z, core, eps, half[start:stop], fft_width, grid.bound)
@@ -424,7 +494,7 @@ def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> Omnibu
             if len(rows) > 1:
                 e = None  # free the last row block before drawing the next
             if e is None:  # a held E is drawn once the first block's FFT workspace is freed
-                e = _multipliers(boot.seed, lo, hi, n_int)
+                e = _multipliers(words[lo:hi], n_int)
             prod = e @ s.view(float)  # real and imaginary parts interleaved
             re, im = prod[:, 0::2], prod[:, 1::2]
             with np.errstate(over="ignore"):
@@ -433,11 +503,29 @@ def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> Omnibu
             near = square >= square.max(axis=1, keepdims=True) * (1.0 - 1e-12)
             moduli = np.hypot(re, im, out=np.zeros_like(re), where=near)
             np.maximum(reps[lo:hi], moduli.max(axis=1), out=reps[lo:hi])
-    scale = math.sqrt(n_int)
-    t_tilde = t_max / scale
-    reps /= scale
+            if stop == k:  # these replicates have seen every frequency
+                yield t_max / scale, reps[lo:hi] / scale
+
+
+def _decide(z, core: ResidualCore, boot, grid, h, diagnostics) -> bool:
+    """The decision of ``_omnibus_report``: reject iff at most c of the m
+    replicate sups reach the statistic, c = ``_retain_count``.  Draws no
+    row block after the first at which more than c have."""
+    c, reached = _retain_count(boot.m, boot.alpha), 0
+    for t_tilde, reps in _sups(z, core, boot, grid):
+        reached += int(np.count_nonzero(reps >= t_tilde))
+        if reached > c:
+            return False
+    return True
+
+
+def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> OmnibusReport:
+    """One dataset's sup statistic and bootstrap at bandwidth ``h``, from its
+    standardized covariates ``z`` and its own residual core."""
+    runs = list(_sups(z, core, boot, grid))
+    t_tilde, reps = runs[0][0], np.concatenate([sups for _, sups in runs])
     # p <= alpha iff t_tilde exceeds the critical value
-    p_value = (1 + int(np.count_nonzero(reps >= t_tilde))) / (m + 1)
+    p_value = (1 + int(np.count_nonzero(reps >= t_tilde))) / (boot.m + 1)
     return OmnibusReport(
         test="omnibus",
         statistic=t_tilde,
@@ -446,7 +534,7 @@ def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> Omnibu
         alpha=boot.alpha,
         calibration=f"bootstrap-m={boot.m}",
         h=h,
-        n=n,
+        n=z.shape[0],
         weight_kinds=("cf",),
         diagnostics=diagnostics,
         critical_value=bootstrap_critical_value(reps, boot.alpha),

@@ -48,6 +48,7 @@ from .omnibus import (
     DEFAULT_GRID_PER_AXIS,
     BootstrapConfig,
     gamma_grid,
+    omnibus_decisions,
     omnibus_reports,
 )
 from .score_test import maximin_reports, score_reports
@@ -248,9 +249,17 @@ class OmnibusCheck:
         return f"omnibus[m={self.boot_m}]"
 
     def run(self, block, alpha, seeds):
+        return omnibus_reports(block, *self._settings(block, alpha, seeds))
+
+    def decisions(self, block, alpha, seeds):
+        """The ``reject`` of each report of ``run``, without the rest of the
+        report: a retained dataset's bootstrap stops once its retain is
+        certain."""
+        return omnibus_decisions(block, *self._settings(block, alpha, seeds))
+
+    def _settings(self, block, alpha, seeds):
         boots = [BootstrapConfig(m=self.boot_m, alpha=alpha, seed=seed) for seed in seeds]
-        return omnibus_reports(block, boots, gamma_grid(block.x.shape[2], self.grid_bound,
-                                                         self.grid_per_axis))
+        return boots, gamma_grid(block.x.shape[2], self.grid_bound, self.grid_per_axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,11 +323,30 @@ def run_block(x, y, check, alpha: float, seeds):
     every dataset and picks each bandwidth by the MISE search unless the
     check fixes ``h``, in one pass over the stack.
     """
+    block, h1 = _fitted_block(x, y, check)
+    return check.run(block, alpha, seeds), h1
+
+
+def decide_block(x, y, check, alpha: float, seeds) -> list[bool]:
+    """The ``reject`` of each report of ``run_block``.  A check may also
+    have ``decisions(block, alpha, seeds)``, which returns them
+    without the rest of the reports; any other check decides through
+    ``run``."""
+    block, _ = _fitted_block(x, y, check)
+    decisions = getattr(check, "decisions", None)
+    if decisions is None:
+        return [bool(report.reject) for report in check.run(block, alpha, seeds)]
+    return [bool(reject) for reject in decisions(block, alpha, seeds)]
+
+
+def _fitted_block(x, y, check):
+    """The ``Block`` of a stack and its pilot bandwidths h1 (None when the
+    check fixes ``h``)."""
     _, _, slots = fit_stack(x, y)
     h1, h = None, np.full(len(x), check.h)
     if check.h is None:
         h1, h = select_bandwidths(y, slots, mise_weight_values(check, x))
-    return check.run(Block(x, y, slots, h), alpha, seeds), h1
+    return Block(x, y, slots, h), h1
 
 
 def _replicate(scn: Scenario, r: int) -> tuple[Dataset, int]:
@@ -334,10 +362,9 @@ def _block_rejects(scn: Scenario, check, alpha: float, lo: int, hi: int) -> list
     error names the first replicate that fails."""
     try:
         rows = [_replicate(scn, r) for r in range(lo, hi)]
-        reports, _ = run_block(np.stack([data.x for data, _ in rows]),
-                               np.stack([data.y for data, _ in rows]),
-                               check, alpha, [seed for _, seed in rows])
-        return [bool(report.reject) for report in reports]
+        return decide_block(np.stack([data.x for data, _ in rows]),
+                            np.stack([data.y for data, _ in rows]),
+                            check, alpha, [seed for _, seed in rows])
     except Exception as exc:
         if hi - lo == 1:
             raise RuntimeError(f"replicate {lo} failed for scenario {scn}: {exc}") from exc

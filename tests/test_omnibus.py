@@ -231,6 +231,19 @@ def test_sup_statistic_half_grid_lossless(rng):
     assert rep.p_value == (1 + sum(v >= rep.statistic for v in reps)) / (boot.m + 1)
 
 
+@given(m=st.integers(100, 5000), first=st.integers(1, 100), fit=st.integers(0, 3000))
+def test_row_blocks_tile_the_rows_within_the_budget(m, first, fit):
+    # the early blocks start at `first` rows and no block is wider than the
+    # budget's own partition allows
+    blocks = omnibus._row_blocks(m, first, fit)
+    widest = max(hi - lo for lo, hi in omnibus._blocks(m, fit))
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == m
+    assert all(0 < hi - lo <= widest for lo, hi in blocks)
+    if first < widest:
+        assert blocks[0] == (0, first)
+
+
 def test_one_column_chunks_match_one_chunk(rng, monkeypatch):
     # under a one-byte budget each FFT pass smooths one column; at m = 200 the
     # p = 3 grid's 172 half-grid columns outweigh E, which is held while they
@@ -410,7 +423,7 @@ _SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
        for seed in (0, 2**64 - 1) for lo, hi in ((1, 2), (37, 140), (999, 1000))],
 )
 def test_multipliers_are_the_default_rng_streams(seed, lo, hi):
-    e = omnibus._multipliers(seed, lo, hi, 5)
+    e = omnibus._multipliers(omnibus._stream_words(seed, lo, hi), 5)
     assert e.shape == (hi - lo, 5)
     assert e.tobytes() == _stream_rows(seed, hi, 5)[lo:].tobytes()
 
@@ -418,7 +431,8 @@ def test_multipliers_are_the_default_rng_streams(seed, lo, hi):
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2**64 - 1), m=st.sampled_from([1, 100, 1000]))
 def test_multipliers_are_the_default_rng_streams_for_any_seed(seed, m):
-    assert omnibus._multipliers(seed, 0, m, 3).tobytes() == _stream_rows(seed, m, 3).tobytes()
+    e = omnibus._multipliers(omnibus._stream_words(seed, 0, m), 3)
+    assert e.tobytes() == _stream_rows(seed, m, 3).tobytes()
 
 
 def test_standardize_columns(rng):

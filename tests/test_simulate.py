@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sicheck import (
     ConfigError,
@@ -23,7 +24,7 @@ from sicheck import (
     interaction_mean,
     monte_carlo,
 )
-from sicheck import simulate
+from sicheck import omnibus, simulate
 from sicheck.simulate import mise_weight_values
 
 
@@ -496,3 +497,92 @@ def test_every_report_of_a_line_rejects_iff_p_is_at_most_alpha(check):
             assert report.reject == (report.statistic >= report.c_alpha)
         if isinstance(check, OmnibusCheck):
             assert report.reject == (report.statistic > report.critical_value)
+
+
+NULL_103 = Scenario(model=ModelKind.CUBIC, n=50, p=2, c=0.0, seed=103)
+
+
+def _decisions_and_reports(x, y, check, alpha, seeds):
+    reports, _ = simulate.run_block(x, y, check, alpha, seeds)
+    return simulate.decide_block(x, y, check, alpha, seeds), [rep.reject for rep in reports]
+
+
+@pytest.mark.parametrize("scn, replicates, check, alpha, tie", [
+    (NULL_103, range(40), OmnibusCheck(), 0.05, False),
+    (Scenario(model=ModelKind.CUBIC, n=200, p=2, c=1.0, seed=9), range(8), OmnibusCheck(), 0.05,
+     False),
+    (Scenario(model=ModelKind.CUBIC, n=50, p=4, c=0.0, seed=4), range(6), OmnibusCheck(), 0.05,
+     False),
+    (Scenario(model=ModelKind.CUBIC, n=50, p=2, c=0.0, seed=17), range(40),
+     OmnibusCheck(boot_m=100), 0.1, False),
+    (CUBIC_12, range(130, 150), OmnibusCheck(), 0.05, True),
+], ids=["null-n50", "power-n200", "p4-held-multipliers", "alpha-0.1-m100", "tied"])
+def test_omnibus_decisions_are_the_reports_decisions(scn, replicates, check, alpha, tie):
+    x, y, seeds = _stacked(scn, replicates, tie)
+    decisions, rejects = _decisions_and_reports(x, y, check, alpha, seeds)
+    assert decisions == rejects
+    if scn.c == 1.0:
+        assert all(decisions)
+    elif scn.p == 4:  # 2K > m: E is held and the bootstrap cannot stop early
+        assert 2 * omnibus.gamma_grid(4).half_points.shape[0] > check.boot_m
+    else:
+        assert True in decisions and False in decisions
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 120),
+       c=st.sampled_from([0.0, 0.25, 0.5, 1.0]), alpha=st.sampled_from([0.01, 0.05, 0.1, 0.3]))
+def test_omnibus_decisions_are_the_reports_decisions_on_any_line(seed, n, c, alpha):
+    scn = Scenario(model=ModelKind.CUBIC, n=n, p=2, c=c, seed=seed)
+    x, y, seeds = _stacked(scn, range(4))
+    decisions, rejects = _decisions_and_reports(x, y, OmnibusCheck(boot_m=100), alpha, seeds)
+    assert decisions == rejects
+
+
+def _count_streams(monkeypatch):
+    """Rows of E drawn, one entry per draw."""
+    drawn = []
+    multipliers = omnibus._multipliers
+
+    def counting(words, n_int):
+        drawn.append(len(words))
+        return multipliers(words, n_int)
+
+    monkeypatch.setattr(omnibus, "_multipliers", counting)
+    return drawn
+
+
+def test_a_retained_replicate_stops_drawing_streams(monkeypatch):
+    # replicates 0-39 of a null line, each decided as a block of one: a
+    # reject draws all m streams, a clear retain (p > 2 alpha) fewer; a
+    # retain near alpha may need the last block too, as replicate 2 does
+    drawn = _count_streams(monkeypatch)
+    x, y, seeds = _stacked(NULL_103, range(40))
+    reports, _ = simulate.run_block(x, y, OmnibusCheck(), 0.05, seeds)
+    counts, decisions = [], []
+    for i in range(40):
+        drawn.clear()
+        decisions += simulate.decide_block(x[i:i + 1], y[i:i + 1], OmnibusCheck(), 0.05,
+                                           seeds[i:i + 1])
+        counts.append(sum(drawn))
+    assert decisions == [rep.reject for rep in reports]
+    assert True in decisions and False in decisions
+    assert (decisions[2], counts[2]) == (False, 500)
+    for rep, count in zip(reports, counts):
+        if rep.reject:
+            assert count == 500
+        elif rep.p_value > 0.1:
+            assert count < 500
+        else:
+            assert count <= 500
+    assert sum(counts) < 300 * 40
+    # the same line through monte_carlo, run twice on one thread and twice
+    # on two (the line is below THREADED_MIN_N, so the rule is lowered), draws
+    # the same streams each time
+    monkeypatch.setattr(simulate, "THREADED_MIN_N", 1)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    assert simulate.block_size(NULL_103.n) < 40  # two blocks, one per thread
+    for threads in (1, 2, 1, 2):
+        drawn.clear()
+        res = monte_carlo(NULL_103, OmnibusCheck(), reps=40, threads=threads)
+        assert res.rejection_rate == sum(decisions) / 40
+        assert sum(drawn) == sum(counts)
