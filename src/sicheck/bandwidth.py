@@ -9,12 +9,12 @@ over a grid, then undersmooth to h = h1 * n^(-2/15).  The pilot rate is
 n^(-1/5); the extra factor takes the final bandwidth to the n^(-1/3)
 order that keeps smoothing bias out of the test statistics.
 
-The search sorts the grid and walks it in blocks of bandwidths under a
-workspace budget of BLOCK_BYTES.  One ``LatticeSmoother`` per block fits
-the block's bandwidths in one batched FFT pass, so memory stays O(n) and
-every fit is the exact lattice convolution of a single smooth.  A stack
-of datasets of one size (``mise_rows``, ``select_bandwidths``) shares that
-pass: the grid and its kernel spectra depend on n alone.
+The search sorts the grid and walks it in passes of bandwidths that fit in
+``smoother.WORKSPACE_BYTES`` (``search_rows``).  One ``LatticeSmoother``
+per pass fits them in one batched FFT, so memory stays O(n) and every fit
+is the exact lattice convolution of a single smooth.  A stack of datasets
+of one size (``mise_rows``, ``select_bandwidths``) shares each pass: the
+grid and its kernel spectra depend on n alone.
 """
 
 from __future__ import annotations
@@ -26,14 +26,9 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError, DataError
 from .index import IndexFit
-from .smoother import LatticeSmoother, range_guard
+from .smoother import WORKSPACE_BYTES, LatticeSmoother, kernel_radius, range_guard
 
 UNDERSMOOTH_EXPONENT = -2.0 / 15.0  # -1/3 + 1/5
-
-#: Bytes one block of grid rows may hold, at 48 bytes per row and slot of
-#: the grid's widest padded length n + r: the kernel table, its spectrum,
-#: the inverse transform and the gathered fits, with room for temporaries.
-BLOCK_BYTES = 16 << 20
 
 
 def mise_curve(data: Dataset, fit: IndexFit, w_values, grid) -> np.ndarray:
@@ -61,10 +56,8 @@ def mise_rows(y, slots, w_values, hs) -> np.ndarray:
     """``mise_curve`` of each dataset of a stack: responses, rank slots and
     weight values (B, n), one curve row each over the 1-D grid ``hs``."""
     w2 = w_values**2
-    n = y.shape[1]
     by_h = np.argsort(hs, kind="stable")
-    radius = int(min(np.ceil(n * hs.max()), n)) - 1  # of the widest window
-    rows = max(1, BLOCK_BYTES // (48 * (n + radius)))
+    rows = max(1, search_rows(y.shape[1], hs) // len(y))  # bandwidths per pass
     curve = np.empty((len(y), hs.size))
     with range_guard("the bandwidth search overflows"):
         for lo in range(0, hs.size, rows):
@@ -73,6 +66,13 @@ def mise_rows(y, slots, w_values, hs) -> np.ndarray:
             np.subtract(y[:, None], fits, out=fits)
             curve[:, block] = np.matmul(np.square(fits, out=fits), w2[..., None])[..., 0]
     return curve
+
+
+def search_rows(n: int, hs) -> int:
+    """Rows, one dataset of size n at one bandwidth of ``hs`` each, that fit in
+    WORKSPACE_BYTES at 48 bytes a row and slot of the widest padded length
+    n + r: table, spectrum, inverse transform and fits, with room to spare."""
+    return WORKSPACE_BYTES // (48 * (n + int(kernel_radius(n, np.max(hs)))))
 
 
 def mise(data: Dataset, fit: IndexFit, w_values, h: float) -> float:

@@ -42,13 +42,13 @@ Every replicate at every frequency is an entry of the matrix product E S
 2013), where S holds the centered interior summands at the K half-grid
 frequencies, one complex column each.  E is 8 m n_int bytes and S
 16 K n_int.  The smaller of the two is held whole and the other is
-streamed in blocks that fit in CHUNK_BYTES with their workspace.  When
+streamed in blocks that fit in WORKSPACE_BYTES with their workspace.  When
 2K <= m, S is built once, its columns smoothed a few per FFT pass, and E
 is drawn in blocks of rows, each block giving its replicates' maxima.
 Otherwise E is drawn once, and the half grid is walked in blocks of
 columns whose weights, FFT workspace and replicate products fit in the
 budget, keeping a running max of the statistic and of each replicate.
-Memory is then min(8 m n_int, 16 K n_int) bytes plus CHUNK_BYTES, so it
+Memory is then min(8 m n_int, 16 K n_int) bytes plus the budget, so it
 stops growing with m once E outweighs S.  Two floors outgrow the budget
 at large n: an FFT pass smooths at least one column, about 128 n bytes,
 and a streamed block may hold MIN_BLOCK rows or columns, 128 n_int or
@@ -78,7 +78,7 @@ from .dataset import Dataset
 from .exceptions import ConfigError, DataError
 from .index import IndexFit
 from .smoother import DEFAULT_ALPHA, Block, LatticeSmoother, Report, ResidualCore, SmootherConfig
-from .smoother import sums_guard
+from .smoother import WORKSPACE_BYTES, sums_guard
 
 #: Largest dense frequency grid; beyond this the grid falls back to
 #: quasi-random symmetric points.
@@ -92,11 +92,6 @@ DEFAULT_BOOT_M = 500
 
 #: Interior margin for the sup statistic, in units of the bandwidth.
 SUP_INTERIOR_MARGIN = 3.0
-
-#: Bytes the bootstrap may hold beyond its one held operand: a block of
-#: frequency columns with its FFT workspace and replicate products, or a block
-#: of multiplier rows with its products.
-CHUNK_BYTES = 4 << 20
 
 #: Rows of E, or columns of summands, that a streamed block may hold whatever
 #: the budget: every block rereads the whole held operand, and one-row blocks
@@ -473,17 +468,17 @@ def _sups(z, core: ResidualCore, boot, grid):
     # and gathered fits (n each), the spectrum and its inverse (each below
     # 2.31 n: the padded length fft_length(n + r) is at most 1.154 (n + r),
     # and r < n)
-    fft_width = max(1, CHUNK_BYTES // (16 * 8 * n))
+    fft_width = max(1, WORKSPACE_BYTES // (16 * 8 * n))
     if 2 * k <= m:  # hold the summands, 16 k n_int bytes, and stream E by rows
         # per replicate row: its multipliers, its products (2 k) and their
         # squares, mask and moduli (under 3 k)
         cols = [(0, k)]
         rows = _row_blocks(m, _retain_count(m, boot.alpha) + 1,
-                           CHUNK_BYTES // (8 * (n_int + 5 * k)))
+                           WORKSPACE_BYTES // (8 * (n_int + 5 * k)))
     else:  # hold E, 8 m n_int bytes, and stream the summands by columns
         # per frequency column: its summands and its products, squares, mask
         # and moduli (under 5 m doubles)
-        cols, rows = _blocks(k, CHUNK_BYTES // (8 * (2 * n_int + 5 * m))), [(0, m)]
+        cols, rows = _blocks(k, WORKSPACE_BYTES // (8 * (2 * n_int + 5 * m))), [(0, m)]
     words = _stream_words(boot.seed, 0, m)
     scale = math.sqrt(n_int)
     t_max, reps, e = 0.0, np.zeros(m), None

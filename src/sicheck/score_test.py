@@ -38,7 +38,7 @@ from .exceptions import (
 )
 from .index import IndexFit
 from .smoother import DEFAULT_ALPHA, Block, Report, ResidualCore, SmootherConfig, sums_guard
-from .special import chisq_quantile, chisq_sf, normal_two_sided_p
+from .special import chisq_isf, chisq_sf, normal_two_sided_p
 from .weights import WeightSpec
 
 #: Condition-number ceiling beyond which the weight covariance is treated
@@ -212,13 +212,14 @@ def maximin_reports(block: Block, weights, alpha: float = DEFAULT_ALPHA) -> list
             f"{cond[b]:.3g}); weights {labels[i]!r} and {labels[j]!r} are "
             "linearly dependent"
         ) from None
-    c_alpha = chisq_quantile(1.0 - alpha, len(weights))
+    c_alpha = chisq_isf(alpha, len(weights))
+    p_values = [chisq_sf(statistic, len(weights)) for statistic in statistics.tolist()]
     return [
         MaximinReport(
             test="maximin",
             statistic=statistic,
-            p_value=chisq_sf(statistic, len(weights)),
-            reject=bool(statistic >= c_alpha),
+            p_value=p_value,
+            reject=bool(p_value <= alpha),
             alpha=alpha,
             calibration="chi-square",
             h=h,
@@ -230,8 +231,8 @@ def maximin_reports(block: Block, weights, alpha: float = DEFAULT_ALPHA) -> list
             t_vec=t_vec[b],
             sigma_mat=sigma[b],
         )
-        for b, (statistic, h, diagnostics)
-        in enumerate(zip(statistics.tolist(), block.h.tolist(), core.diagnostics))
+        for b, (statistic, p_value, h, diagnostics)
+        in enumerate(zip(statistics.tolist(), p_values, block.h.tolist(), core.diagnostics))
     ]
 
 

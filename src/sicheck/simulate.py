@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandwidth import default_bandwidth_grid, select_bandwidths
+from .bandwidth import default_bandwidth_grid, search_rows, select_bandwidths
 from .dataset import Dataset
 from .exceptions import ConfigError
 from .index import fit_stack
@@ -375,19 +375,11 @@ def _block_rejects(scn: Scenario, check, alpha: float, lo: int, hi: int) -> list
         ) from exc
 
 
-#: Bytes of bandwidth-search workspace one block of replicates may hold, at
-#: 48 bytes per grid row and slot as in ``bandwidth.BLOCK_BYTES``.  It also
-#: bounds what the rest of a block holds: the search's (B, 30, n + r) rows
-#: are its largest arrays.
-REPLICATE_BLOCK_BYTES = 4 << 20
-
-
 def block_size(n: int) -> int:
-    """Replicates per block of a line of size n: as many as the search of
-    all of them fits in REPLICATE_BLOCK_BYTES, at least one."""
+    """Replicates per block of a line of size n: as many as one search pass
+    holds at every pilot bandwidth (``search_rows``), at least one."""
     grid = default_bandwidth_grid(n)
-    radius = min(math.ceil(n * grid[-1]), n) - 1
-    return max(1, REPLICATE_BLOCK_BYTES // (48 * (n + radius) * grid.size))
+    return max(1, search_rows(n, grid) // grid.size)
 
 
 #: Smallest line size n that runs on threads.  Below it a block is many

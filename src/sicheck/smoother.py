@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -82,10 +81,21 @@ def fft_length(k: int) -> int:
     return best
 
 
+#: Bytes of workspace a blocked stage may hold: a pass of the pilot search, or
+#: a block of the omnibus bootstrap beyond its one held operand.
+WORKSPACE_BYTES = 4 << 20
+
+
+def kernel_radius(n: int, h):
+    """min(ceil(n h), n) - 1, the widest slot distance |d| < n h that a window
+    reaches at bandwidth ``h``, elementwise."""
+    return np.minimum(np.ceil(n * np.asarray(h, dtype=float)), n).astype(np.intp) - 1
+
+
 def kernel_table(n: int, h) -> np.ndarray:
     """K(d / (n h)), d = 0, 1, ..., one row per bandwidth of the 1-D block
     ``h``, each positive up to its radius and 0 beyond."""
-    return quartic_kernel(np.arange(min(math.ceil(n * h.max()), n)) / (n * h)[:, None])
+    return quartic_kernel(np.arange(kernel_radius(n, h.max()) + 1) / (n * h)[:, None])
 
 
 class LatticeSmoother:
@@ -131,8 +141,7 @@ class LatticeSmoother:
         self._tied = self._counts.max(axis=1) > 1
         self._any_tied = bool(self._tied.any())
         table = kernel_table(n, self._h.ravel()).reshape(rows, self._h.shape[1], -1)
-        # each table row's radius ceil(n h) - 1 at its widest bandwidth
-        top = [min(math.ceil(n * h), n) - 1 for h in self._h.max(axis=1).tolist()]
+        top = kernel_radius(n, self._h.max(axis=1)).tolist()  # at each row's widest bandwidth
         by_size = {}  # fits whose FFT shares a padded length
         for j in range(len(self._k)):
             by_size.setdefault(fft_length(n + top[j if rows > 1 else 0]), []).append(j)
@@ -149,7 +158,7 @@ class LatticeSmoother:
     def _empty(self) -> np.ndarray | None:
         """The ``empty`` mask as (B, G, n), None when no window is empty."""
         k, (b, n) = self._k, self._k.shape
-        r = np.minimum(np.ceil(n * self._h), n).astype(np.intp)[..., None] - 1
+        r = kernel_radius(n, self._h)[..., None]
         widest = 1  # the widest gap between occupied slots; untied, they are 1..n
         for counts in self._counts[self._tied]:
             widest = max(widest, int(np.diff(np.flatnonzero(counts)).max(initial=0)))

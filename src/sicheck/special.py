@@ -58,20 +58,22 @@ def chisq_cdf(x: float, df: int) -> float:
 
 
 @lru_cache(maxsize=256)
+def chisq_isf(alpha: float, df: int) -> float:
+    """The smallest float x whose tail ``chisq_sf(x, df)`` is at most ``alpha``,
+    by bisection in the tail's own arithmetic down to neighbouring floats: a
+    p-value at most alpha at x, and above alpha one float below it."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"tail probability must lie in (0, 1), got {alpha}")
+    lo, hi = 0.0, df + 10.0
+    while chisq_sf(hi, df) > alpha:
+        hi *= 2.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if chisq_sf(mid, df) > alpha else (lo, mid)
+    return hi
+
+
 def chisq_quantile(p: float, df: int) -> float:
-    """Chi-square quantile by bisection on the distribution function."""
+    """Chi-square quantile at level ``p``: ``chisq_isf(1 - p, df)``."""
     if not 0.0 < p < 1.0:
         raise ConfigError(f"quantile level must lie in (0, 1), got {p}")
-    if df < 1:
-        raise ConfigError(f"degrees of freedom must be >= 1, got {df}")
-    hi = df + 10.0
-    while chisq_cdf(hi, df) < p:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chisq_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return chisq_isf(1.0 - p, df)

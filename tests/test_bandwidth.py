@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from sicheck import (
     IndexFit,
     ModelKind,
     Scenario,
+    WeightSpec,
     default_bandwidth_grid,
     fit_from_direction,
     fit_index_ols,
@@ -19,7 +22,7 @@ from sicheck import (
 )
 from sicheck import bandwidth
 from sicheck.bandwidth import mise_curve
-from sicheck.smoother import LatticeSmoother
+from sicheck.smoother import LatticeSmoother, kernel_radius
 
 from helpers import brute_residuals
 
@@ -177,7 +180,7 @@ def test_mise_curve_one_row_blocks_match_one_block(monkeypatch, rng):
     w = np.abs(x).sum(axis=1)
     grid = rng.permutation(default_bandwidth_grid(300))
     whole = mise_curve(data, fit, w, grid)
-    monkeypatch.setattr(bandwidth, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(bandwidth, "WORKSPACE_BYTES", 1)
     rows = mise_curve(data, fit, w, grid)
     assert rows == pytest.approx(whole, rel=1e-12, abs=1e-12)
     assert rows == pytest.approx([_mise_by_smoother(data, fit, w, h) for h in grid], rel=1e-12)
@@ -197,6 +200,53 @@ def test_mise_curve_empty_window_fits_exactly_zero(rng):
     w = np.zeros(n)
     w[0] = 2.0
     assert mise_curve(data, fit, w, [0.5, 0.01]).tolist() == [4.0, 4.0]
+
+
+@pytest.mark.parametrize("n, stack, budget", [
+    (50, 29, None), (50, 30, None), (300, 3, None), (2000, 1, None), (300, 4, 1), (300, 2, 200_000),
+])
+def test_every_search_pass_fits_the_workspace(monkeypatch, rng, n, stack, budget):
+    # a pass smooths B datasets at `rows` bandwidths, B x rows x 48 (n + r)
+    # bytes with r the grid's widest radius: within the budget, or one row
+    # per dataset; the first pass is as wide as the budget allows, and the
+    # passes cover the grid once
+    if budget is not None:
+        monkeypatch.setattr(bandwidth, "WORKSPACE_BYTES", budget)
+    passes = []
+
+    def recorded(slots, h):
+        passes.append((slots.shape[0], np.asarray(h)))
+        return LatticeSmoother(slots, h)
+
+    monkeypatch.setattr(bandwidth, "LatticeSmoother", recorded)
+    y = rng.standard_normal((stack, n))
+    slots = np.array([rng.permutation(n) + 1 for _ in range(stack)])
+    bandwidth.select_bandwidths(y, slots, np.ones((stack, n)))
+    grid = default_bandwidth_grid(n)
+    r = kernel_radius(n, grid.max())
+    for b, hs in passes:
+        assert b == stack and hs.shape[0] == 1
+        rows = hs.shape[1]
+        assert b * rows * 48 * (n + r) <= bandwidth.WORKSPACE_BYTES or rows == 1
+    widest = max(1, bandwidth.WORKSPACE_BYTES // (stack * 48 * (n + r)))
+    assert passes[0][1].shape[1] == min(widest, grid.size)
+    assert sorted(np.concatenate([hs[0] for _, hs in passes])) == sorted(grid)
+
+
+def test_search_memory_is_bounded_by_the_workspace():
+    # a one-row pass is 48 (n + r) bytes, 0.7 MB at n = 10^4, so every pass
+    # fits the 4 MB budget; a 16 MB search budget peaked at 8.8 MB here
+    data = generate(Scenario(model=ModelKind.CUBIC, n=10**4, p=2, seed=1))
+    fit = fit_index_ols(data)
+    w = WeightSpec.sum_abs().evaluate(data.x)
+    select_bandwidth(data, fit, w)  # the grid is cached
+    tracemalloc.start()
+    try:
+        select_bandwidth(data, fit, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("grid", [[], [0.5, -0.1], [0.1, -0.2], [0.1, np.nan], [0.0], [0.1, np.inf]])

@@ -252,9 +252,9 @@ def test_one_column_chunks_match_one_chunk(rng, monkeypatch):
     for p in (3, 2):
         data, fit = pipeline_data(rng, n=300, p=p)
         args = (data, fit, SmootherConfig(h=0.1), BootstrapConfig(m=200, seed=8))
-        monkeypatch.setattr(omnibus, "CHUNK_BYTES", 64 << 20)
+        monkeypatch.setattr(omnibus, "WORKSPACE_BYTES", 64 << 20)
         whole = omnibus_test(*args)
-        monkeypatch.setattr(omnibus, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(omnibus, "WORKSPACE_BYTES", 1)
         split = omnibus_test(*args)
         assert split.statistic == pytest.approx(whole.statistic, rel=1e-12)
         assert split.critical_value == pytest.approx(whole.critical_value, rel=1e-12)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,26 @@ def test_maximin_failed_factorization_is_the_singular_refusal(rng, monkeypatch):
             data, fit, [WeightSpec.sum_abs(), WeightSpec.sum_squares()], SmootherConfig(h=0.3)
         )
     assert "'sumabs' and 'sumsq'" in str(err.value)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+def test_maximin_rejects_iff_p_is_at_most_alpha_at_the_critical_value(rng, monkeypatch, d, alpha):
+    # the decision is the p-value's and c_alpha its edge: a c_alpha bisected on
+    # the cdf read reject = true with p = 0.05000000000000012 at alpha = 0.05
+    from sicheck import score_test
+
+    data, fit = pipeline_data(rng)
+    family = [WeightSpec("x1", lambda x: x[..., 0]), WeightSpec("x2", lambda x: x[..., 1]),
+              WeightSpec.sum_abs(), WeightSpec.sum_squares()][:d]
+    c_alpha = maximin_test(data, fit, family, SmootherConfig(h=0.3), alpha).c_alpha
+    below, above = math.nextafter(c_alpha, 0.0), math.nextafter(c_alpha, math.inf)
+    for statistic, reject in ((below, False), (c_alpha, True), (above, True)):
+        monkeypatch.setattr(score_test, "maximin_statistic",
+                            lambda t_vec, sigma_mat, s=statistic: np.array([s]))
+        rep = maximin_test(data, fit, family, SmootherConfig(h=0.3), alpha)
+        assert rep.statistic == statistic and rep.c_alpha == c_alpha
+        assert rep.reject == reject == (rep.p_value <= alpha) == (rep.statistic >= rep.c_alpha)
 
 
 def test_maximin_recombination_invariance(rng):

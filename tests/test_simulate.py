@@ -290,6 +290,13 @@ def test_monte_carlo_blocks_depend_only_on_the_line_size(monkeypatch, n):
         assert sorted(ranges) == [(0, size), (size, 2 * size), (2 * size, reps)]
 
 
+def test_block_sizes_are_pinned():
+    # as many replicates as one pass of the pilot search holds at all 30
+    # bandwidths under the 4 MB workspace; from n = 817 up a block is one
+    sizes = [simulate.block_size(n) for n in (50, 200, 400, 816, 817, 10**5)]
+    assert sizes == [29, 7, 3, 2, 1, 1]
+
+
 def test_monte_carlo_runs_a_line_below_the_threshold_serially(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool started")
