@@ -41,18 +41,19 @@ Every replicate at every frequency is an entry of the matrix product E S
 (the multiplier-bootstrap maxima of Chernozhukov, Chetverikov and Kato,
 2013), where S holds the centered interior summands at the K half-grid
 frequencies, one complex column each.  E is 8 m n_int bytes and S
-16 K n_int.  The smaller of the two is held whole and the other is
-streamed in blocks that fit in WORKSPACE_BYTES with their workspace.  When
-2K <= m, S is built once, its columns smoothed a few per FFT pass, and E
-is drawn in blocks of rows, each block giving its replicates' maxima.
-Otherwise E is drawn once, and the half grid is walked in blocks of
-columns whose weights, FFT workspace and replicate products fit in the
-budget, keeping a running max of the statistic and of each replicate.
-Memory is then min(8 m n_int, 16 K n_int) bytes plus the budget, so it
-stops growing with m once E outweighs S.  Two floors outgrow the budget
-at large n: an FFT pass smooths at least one column, about 128 n bytes,
-and a streamed block may hold MIN_BLOCK rows or columns, 128 n_int or
-256 n_int bytes.
+16 K n_int.  A dataset holds the smaller whole; a block of datasets
+smooths all their phase columns, a few per FFT pass, with one smoother.
+When 2K <= m, S is built once and E drawn in row blocks, each giving its
+replicates' maxima.  Otherwise E is drawn once and the half grid walked
+in column blocks, all datasets in step, with a running max of each
+statistic and replicate; n and the largest m size the column blocks, so
+where all share one m, as in ``simulate``, each rounds as it would alone.
+Per dataset, a streamed block and its workspace fit in WORKSPACE_BYTES.
+A block holds sum min(8 m, 16 K) n_int bytes, which stops growing with m
+once E outweighs S; ``simulate`` caps B n by the search budget, so it
+does not grow with n.  Two floors outgrow the budget at large n: an FFT
+pass smooths at least one column, about 128 n bytes, and a streamed block
+may hold MIN_BLOCK rows or columns, 128 n_int or 256 n_int bytes.
 
 A statistic is rejected iff at most c replicate sups reach it, c the
 largest count with (1 + c) / (m + 1) <= alpha.  The row blocks of E
@@ -69,6 +70,7 @@ all m streams.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,7 +79,7 @@ import numpy as np
 from .dataset import Dataset
 from .exceptions import ConfigError, DataError
 from .index import IndexFit
-from .smoother import DEFAULT_ALPHA, Block, LatticeSmoother, Report, ResidualCore, SmootherConfig
+from .smoother import DEFAULT_ALPHA, Block, Report, ResidualCore, SmootherConfig
 from .smoother import WORKSPACE_BYTES, sums_guard
 
 #: Largest dense frequency grid; beyond this the grid falls back to
@@ -377,41 +379,31 @@ def omnibus_test(
 
 
 def omnibus_reports(block: Block, boots, grid: GammaGrid | None = None) -> list[OmnibusReport]:
-    """``omnibus_test`` of every dataset of a block, the i-th under the
-    bootstrap settings ``boots[i]``.  The residual cores come from one pass
-    over the block; each dataset's frequency columns and bootstrap then run
-    on their own."""
+    """``omnibus_test`` of every dataset of a block, the i-th under the bootstrap
+    settings ``boots[i]``.  The residual cores and the frequency columns come from
+    one smoother over the block; each dataset's bootstrap runs on its own summands."""
     return _per_dataset(block, boots, grid, _omnibus_report)
 
 
 def omnibus_decisions(block: Block, boots, grid: GammaGrid | None = None) -> list[bool]:
-    """The ``reject`` of each report of ``omnibus_reports``, bit for bit,
-    without the rest of the report.  A dataset's bootstrap stops after the
-    first row block at which more replicate sups reach the statistic than a
-    rejected statistic allows, so a retained dataset draws fewer than m
-    streams."""
+    """The ``reject`` of each report of ``omnibus_reports``, bit for bit, without the
+    rest of the report.  A dataset's bootstrap stops after the first row block at which
+    more replicate sups reach the statistic than a rejected statistic allows, so a
+    retained dataset draws fewer than m streams."""
     return _per_dataset(block, boots, grid, _decide)
 
 
 def _per_dataset(block: Block, boots, grid, one) -> list:
-    """``one(z, core, boot, grid, h, diagnostics)`` of every dataset of a
-    block, from its standardized covariates and its own residual core."""
+    """``one(runs, boot, grid, h, n, diagnostics)`` of every dataset, ``runs`` from ``_sups``."""
     _, n, p = block.x.shape
-    if grid is None:
-        grid = gamma_grid(p)
+    grid = gamma_grid(p) if grid is None else grid
     if grid.p != p:
-        raise DataError(
-            f"grid dimension {grid.p} does not match covariate dimension {p}"
-        )
+        raise DataError(f"grid dimension {grid.p} does not match covariate dimension {p}")
     z = standardize_columns(block.x)
     with sums_guard(n, block.h):
         core = block.core(margin=SUP_INTERIOR_MARGIN)
-        return [
-            one(z[b], ResidualCore(LatticeSmoother(block.slots[b], h), core.eps[b], core.keep[b]),
-                boot, grid, h, diagnostics)
-            for b, (h, boot, diagnostics)
-            in enumerate(zip(block.h.tolist(), boots, core.diagnostics))
-        ]
+        return [one(runs, boot, grid, h, n, diagnostics) for runs, boot, h, diagnostics
+                in zip(_sups(z, core, boots, grid), boots, block.h.tolist(), core.diagnostics)]
 
 
 def _blocks(total: int, fit: int) -> list[tuple[int, int]]:
@@ -441,83 +433,91 @@ def _row_blocks(m: int, first: int, fit: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _summands(z, core: ResidualCore, eps, gammas, width, bound) -> np.ndarray:
-    """The centered interior summands eps_j [W_j(gamma) - Wbar_j(gamma)], one
-    complex column per frequency of ``gammas``, smoothed ``width`` columns per
-    FFT pass."""
-    s = np.empty((eps.size, gammas.shape[0]), dtype=complex)
-    for start in range(0, gammas.shape[0], width):
+def _summands(z, core: ResidualCore, eps, gammas, bound, datasets) -> list[np.ndarray]:
+    """The centered interior summands eps_j [W_j(gamma) - Wbar_j(gamma)] of each
+    dataset of ``datasets``, one complex column per frequency of ``gammas``; the
+    block's phase columns are smoothed a few per FFT pass, one smoother call each."""
+    b, n, _ = z.shape
+    # per complex column of each dataset: the weights, their slot-binned copy and gathered
+    # fits (n each), the spectrum and its inverse (each below 2.31 n: the padded length
+    # fft_length(n + r) is at most 1.154 (n + r), and r < n).  The phases are taken in the
+    # passes of a block of one, as BLAS rounds a column of a product by the product's width
+    alone = max(1, WORKSPACE_BYTES // (16 * 8 * n))
+    width, cuts = max(1, alone // b), np.cumsum([e.size for e in eps])[:-1]
+    s = [np.empty((eps[i].size, len(gammas)), dtype=complex) for i in datasets]
+    for lo in range(0, len(gammas), alone):
         try:  # the sums guard makes numpy raise here
-            phases = z @ gammas[start:start + width].T
+            phases = z @ gammas[lo:lo + alone].T
         except FloatingPointError:
             raise ConfigError(f"grid bound {bound} overflows the phases gamma'z") from None
-        s[:, start:start + width] = core.centered(np.exp(1j * phases))
-    s *= eps[:, None]
+        for start in range(0, phases.shape[2], width):
+            rows = np.split(core.centered(np.exp(1j * phases[..., start:start + width])), cuts)
+            for out, i in zip(s, datasets):
+                out[:, lo:lo + alone][:, start:start + width] = rows[i] * eps[i][:, None]
     return s
 
 
-def _sups(z, core: ResidualCore, boot, grid):
-    """The scaled statistic with the scaled sups of a run of consecutive
-    replicates, yielded run after run in replicate order: one run of all m
-    when E is held, one per row block when the summands are."""
-    eps = core.eps[core.keep]
-    n, n_int, m = z.shape[0], eps.size, boot.m
-    half = grid.half_points
-    k = half.shape[0]
-    # per complex column of an FFT pass: the weights, their slot-binned copy
-    # and gathered fits (n each), the spectrum and its inverse (each below
-    # 2.31 n: the padded length fft_length(n + r) is at most 1.154 (n + r),
-    # and r < n)
-    fft_width = max(1, WORKSPACE_BYTES // (16 * 8 * n))
-    if 2 * k <= m:  # hold the summands, 16 k n_int bytes, and stream E by rows
-        # per replicate row: its multipliers, its products (2 k) and their
-        # squares, mask and moduli (under 3 k)
-        cols = [(0, k)]
-        rows = _row_blocks(m, _retain_count(m, boot.alpha) + 1,
-                           WORKSPACE_BYTES // (8 * (n_int + 5 * k)))
-    else:  # hold E, 8 m n_int bytes, and stream the summands by columns
-        # per frequency column: its summands and its products, squares, mask
-        # and moduli (under 5 m doubles)
-        cols, rows = _blocks(k, WORKSPACE_BYTES // (8 * (2 * n_int + 5 * m))), [(0, m)]
-    words = _stream_words(boot.seed, 0, m)
+def _row_maxima(prod) -> np.ndarray:
+    """The largest modulus in each row of complex products, re and im interleaved."""
+    re, im = prod[:, 0::2], prod[:, 1::2]
+    with np.errstate(over="ignore"):
+        square = re * re + im * im
+    # the largest modulus of each replicate is among its near-largest squares
+    near = square >= square.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+    return np.hypot(re, im, out=np.zeros_like(re), where=near).max(axis=1)
+
+
+def _sups(z, core: ResidualCore, boots, grid) -> list:
+    """Each dataset's scaled statistic with the scaled sups of runs of consecutive
+    replicates: one run per row block of E, drawn when asked for, if it holds its
+    summands (2K <= m), and one run of all m if it holds E."""
+    eps = [e[keep] for e, keep in zip(core.eps, core.keep)]
+    half, runs = grid.half_points, [None] * len(boots)
+    held_e = [i for i, boot in enumerate(boots) if 2 * len(half) > boot.m]
+    held_s = [i for i in range(len(boots)) if i not in held_e]
+    for i, s in zip(held_s, _summands(z, core, eps, half, grid.bound, held_s) if held_s else []):
+        runs[i] = _row_walk(s, boots[i])
+    if held_e:
+        e = [_multipliers(_stream_words(boots[i].seed, 0, boots[i].m), eps[i].size)
+             for i in held_e]
+        t, reps = [0.0] * len(e), [np.zeros(len(rows)) for rows in e]
+        # per column: a dataset's summands (under 2 n doubles) and its products, squares,
+        # mask and moduli (under 5 m); n and the largest m, not B, size every product
+        fit = WORKSPACE_BYTES // (8 * (2 * z.shape[1] + 5 * max(map(len, e))))
+        for start, stop in _blocks(len(half), fit):
+            for j, s in enumerate(_summands(z, core, eps, half[start:stop], grid.bound, held_e)):
+                t[j] = max(t[j], float(np.abs(s.sum(axis=0)).max()))
+                np.maximum(reps[j], _row_maxima(e[j] @ s.view(float)), out=reps[j])
+        for i, t_max, sups in zip(held_e, t, reps):
+            runs[i] = [(t_max / math.sqrt(eps[i].size), sups / math.sqrt(eps[i].size))]
+    return runs
+
+
+def _row_walk(s, boot):
+    """The runs of a dataset that holds its summands ``s``: E is drawn in the
+    row blocks of ``_row_blocks``, each freed before the next is drawn."""
+    n_int, k = s.shape
     scale = math.sqrt(n_int)
-    t_max, reps, e = 0.0, np.zeros(m), None
-    for start, stop in cols:
-        s = _summands(z, core, eps, half[start:stop], fft_width, grid.bound)
-        t_max = max(t_max, float(np.abs(s.sum(axis=0)).max()))
-        for lo, hi in rows:
-            if len(rows) > 1:
-                e = None  # free the last row block before drawing the next
-            if e is None:  # a held E is drawn once the first block's FFT workspace is freed
-                e = _multipliers(words[lo:hi], n_int)
-            prod = e @ s.view(float)  # real and imaginary parts interleaved
-            re, im = prod[:, 0::2], prod[:, 1::2]
-            with np.errstate(over="ignore"):
-                square = re * re + im * im
-            # the largest modulus of each replicate is among its near-largest squares
-            near = square >= square.max(axis=1, keepdims=True) * (1.0 - 1e-12)
-            moduli = np.hypot(re, im, out=np.zeros_like(re), where=near)
-            np.maximum(reps[lo:hi], moduli.max(axis=1), out=reps[lo:hi])
-            if stop == k:  # these replicates have seen every frequency
-                yield t_max / scale, reps[lo:hi] / scale
+    t_tilde = float(np.abs(s.sum(axis=0)).max()) / scale
+    words = _stream_words(boot.seed, 0, boot.m)
+    # per replicate row: its multipliers and its products, squares, mask and moduli (under 5 K)
+    fit = WORKSPACE_BYTES // (8 * (n_int + 5 * k))
+    for lo, hi in _row_blocks(boot.m, _retain_count(boot.m, boot.alpha) + 1, fit):
+        yield t_tilde, _row_maxima(_multipliers(words[lo:hi], n_int) @ s.view(float)) / scale
 
 
-def _decide(z, core: ResidualCore, boot, grid, h, diagnostics) -> bool:
-    """The decision of ``_omnibus_report``: reject iff at most c of the m
-    replicate sups reach the statistic, c = ``_retain_count``.  Draws no
-    row block after the first at which more than c have."""
-    c, reached = _retain_count(boot.m, boot.alpha), 0
-    for t_tilde, reps in _sups(z, core, boot, grid):
-        reached += int(np.count_nonzero(reps >= t_tilde))
-        if reached > c:
-            return False
-    return True
+def _decide(runs, boot, *_) -> bool:
+    """The decision of ``_omnibus_report``: reject iff at most c = ``_retain_count`` of
+    the m replicate sups reach the statistic; draws no row block once more have."""
+    c = _retain_count(boot.m, boot.alpha)
+    reached = itertools.accumulate(int(np.count_nonzero(reps >= t)) for t, reps in runs)
+    return all(count <= c for count in reached)
 
 
-def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> OmnibusReport:
-    """One dataset's sup statistic and bootstrap at bandwidth ``h``, from its
-    standardized covariates ``z`` and its own residual core."""
-    runs = list(_sups(z, core, boot, grid))
+def _omnibus_report(runs, boot, grid, h, n, diagnostics) -> OmnibusReport:
+    """One dataset's report from its ``runs``: the sup statistic and the
+    bootstrap at bandwidth ``h`` and sample size ``n``."""
+    runs = list(runs)
     t_tilde, reps = runs[0][0], np.concatenate([sups for _, sups in runs])
     # p <= alpha iff t_tilde exceeds the critical value
     p_value = (1 + int(np.count_nonzero(reps >= t_tilde))) / (boot.m + 1)
@@ -529,7 +529,7 @@ def _omnibus_report(z, core: ResidualCore, boot, grid, h, diagnostics) -> Omnibu
         alpha=boot.alpha,
         calibration=f"bootstrap-m={boot.m}",
         h=h,
-        n=z.shape[0],
+        n=n,
         weight_kinds=("cf",),
         diagnostics=diagnostics,
         critical_value=bootstrap_critical_value(reps, boot.alpha),

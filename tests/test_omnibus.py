@@ -23,7 +23,7 @@ from sicheck import (
 )
 from sicheck import omnibus
 from sicheck.omnibus import SUP_INTERIOR_MARGIN
-from sicheck.smoother import residual_core
+from sicheck.smoother import Block, LatticeSmoother, residual_core
 
 from helpers import brute_cf, brute_multiplier_sup, brute_residuals, brute_smoothed
 
@@ -262,6 +262,73 @@ def test_one_column_chunks_match_one_chunk(rng, monkeypatch):
         assert split.diagnostics == whole.diagnostics
 
 
+def _block(rng, n, p, count, tied=False):
+    """A block of ``count`` pipeline datasets at h = 0.1, their covariates
+    rounded to 0.5 when ``tied`` is set."""
+    x, y = [], []
+    for _ in range(count):
+        data, _ = pipeline_data(rng, n=n, p=p)
+        x.append(np.round(2.0 * data.x) / 2.0 if tied else data.x)
+        y.append(data.y)
+    slots = [fit_index_ols(Dataset(x=xb, y=yb)).slots for xb, yb in zip(x, y)]
+    return Block(np.stack(x), np.stack(y), np.stack(slots), np.full(count, 0.1))
+
+
+def _part(block, lo, hi):
+    return Block(block.x[lo:hi], block.y[lo:hi], block.slots[lo:hi], block.h[lo:hi])
+
+
+def _statistics_and_sups(block, ms, first=0):
+    """Each dataset's statistic and replicate sups, as its report sees them;
+    dataset b runs m = ms[b] replicates from seed first + b."""
+    def collect(runs, *_):
+        runs = list(runs)
+        return runs[0][0], np.concatenate([sups for _, sups in runs])
+
+    boots = [BootstrapConfig(m=m, seed=first + b) for b, m in enumerate(ms)]
+    return omnibus._per_dataset(block, boots, None, collect)
+
+
+def test_a_block_builds_one_smoother(rng, monkeypatch):
+    # the block's residual core also smooths every dataset's frequency
+    # columns: at p = 2 each dataset holds its summands (2K = 50 <= m), at
+    # p = 3 it holds E (2K = 344 > 100) or, at m = 400, its summands
+    built = []
+    init = LatticeSmoother.__init__
+
+    def counting(self, slots, h):
+        built.append(np.shape(slots))
+        init(self, slots, h)
+
+    monkeypatch.setattr(LatticeSmoother, "__init__", counting)
+    for p, ms in ((2, [100] * 5), (3, [100] * 5), (3, [100, 400] * 2 + [100])):
+        block = _block(rng, 80, p, 5)
+        boots = [BootstrapConfig(m=m, seed=b) for b, m in enumerate(ms)]
+        for run in (omnibus.omnibus_reports, omnibus.omnibus_decisions):
+            built.clear()
+            run(block, boots)
+            assert built == [(5, 80)]
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_held_multipliers_and_held_summands_agree(rng, tied):
+    # at p = 3 (K = 172) m = 343 holds E while the summands stream by
+    # columns, and m = 344 holds the summands while E streams by rows; replicate
+    # r draws the same stream either way, so each dataset's statistic and first
+    # 343 sups agree, alone, in a block of four and in a block mixing both walks
+    assert gamma_grid(3).half_points.shape[0] == 172
+    block = _block(rng, 150, 3, 4, tied)
+    assert any(np.unique(row).size < 150 for row in block.slots) == tied
+    held_e = _statistics_and_sups(block, [343] * 4)
+    runs = [_statistics_and_sups(block, [344] * 4), _statistics_and_sups(block, [343, 344] * 2)]
+    for m in (343, 344):
+        runs.append([_statistics_and_sups(_part(block, b, b + 1), [m], b)[0] for b in range(4)])
+    for run in runs:
+        for (t, sups), (t_e, sups_e) in zip(run, held_e):
+            assert t == pytest.approx(t_e, rel=1e-12)
+            assert sups[:343] == pytest.approx(sups_e, rel=1e-12)
+
+
 def _omnibus_peak(data, fit, m):
     tracemalloc.start()
     try:
@@ -276,6 +343,36 @@ def test_omnibus_memory_does_not_grow_with_m():
     rng = np.random.default_rng(21)
     data, fit = pipeline_data(rng, n=10_000, p=2)
     assert _omnibus_peak(data, fit, 1000) <= 1.25 * _omnibus_peak(data, fit, 100)
+
+
+@pytest.mark.parametrize("n, p, m", [(50, 3, 500), (600, 3, 500), (50, 4, 100), (50, 4, 500)],
+                         ids=["p3-held-summands", "p3-n600", "p4-held-multipliers", "p4-m500"])
+def test_a_dataset_is_computed_as_in_its_block_of_one(n, p, m):
+    # bit for bit: at p = 4 BLAS rounds a few phases gamma'z by the width of
+    # the product that holds them, so a block takes them in the passes of a
+    # block of one, and its column blocks do not depend on its size; at
+    # n = 600 a block of one takes 54 columns a pass and a block of four 13
+    for seed in range(3):
+        block = _block(np.random.default_rng(seed), n, p, 4)
+        for b, (t, sups) in enumerate(_statistics_and_sups(block, [m] * 4)):
+            alone, alone_sups = _statistics_and_sups(_part(block, b, b + 1), [m], b)[0]
+            assert t == alone
+            assert np.array_equal(sups, alone_sups)
+
+
+def test_a_block_holding_every_multiplier_matrix_stays_bounded():
+    # a simulate-sized block of 29 at n = 50 and p = 4 holds every dataset's
+    # E (2K = 2402 > m = 500) while their summands stream by columns in step
+    block = _block(np.random.default_rng(5), 50, 4, 29)
+    boots = [BootstrapConfig(m=500, seed=b) for b in range(29)]
+    tracemalloc.start()
+    try:
+        reports = omnibus.omnibus_reports(block, boots)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 29
+    assert peak < 16 * 2**20
 
 
 def test_dense_p4_grid_memory_is_bounded():
