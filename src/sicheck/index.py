@@ -119,46 +119,48 @@ def fit_index_ols(data: Dataset) -> IndexFit:
 
 def fit_stack(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``fit_index_ols`` for each dataset of a stack, x (B, n, p) and y (B, n):
-    the directions (B, p), projections (B, n) and integer ranks (B, n)."""
-    _, n, p = x.shape
+    the directions (B, p), projections (B, n) and integer ranks (B, n).
+
+    One batched SVD of the designs (1, x) solves every least-squares problem.
+    A design is rank deficient by ``lstsq``'s rule: a singular value at most
+    eps max(n, p + 1) times the largest.  When datasets fail, the first of
+    them raises its own error: a rank-deficient design, a slope that is not
+    finite, or one too short to orient a direction.
+    """
+    b, n, p = x.shape
     if n <= p + 1:
         raise InsufficientDataError(
             f"need n > p + 1 observations to fit a direction (n={n}, p={p})"
         )
-    design = np.concatenate((np.ones(x.shape[:2] + (1,)), x), axis=2)
-    beta = np.stack([_ols_direction(d, v) for d, v in zip(design, y)])
-    proj = np.matmul(x, beta[..., None])[..., 0]
-    if not np.all(np.isfinite(proj)):
-        raise DataError("rank transform requires finite values")
-    return beta, proj, rank_slots(proj)
-
-
-def _ols_direction(design, y) -> np.ndarray:
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise SingularDesignError(
-            "covariate design (with intercept) is rank deficient"
-        )
-    slope = coef[1:]
-    if not np.isfinite(slope).all():
-        raise DataError(
-            f"least-squares slope is not finite: responses up to |y| = "
-            f"{np.abs(y).max():.3g} are too large for the float range; rescale y"
-        )
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(slope)
-    if not np.isfinite(norm):  # the squared norm overflows: scale by the largest entry first
-        slope = slope / np.abs(slope).max()
-        norm = np.linalg.norm(slope)
-    if norm < 1e-10:
+    u, s, vt = np.linalg.svd(np.concatenate((np.ones((b, n, 1)), x), axis=2),
+                             full_matrices=False)
+    singular = s[:, -1] <= np.finfo(float).eps * max(n, p + 1) * s[:, 0]
+    with np.errstate(all="ignore"):
+        slope = np.matmul(np.matmul(y[:, None], u) / s[:, None], vt)[:, 0, 1:]
+        finite = np.isfinite(slope).all(axis=1)
+        norm = np.linalg.norm(slope, axis=1)
+        # where the squared norm overflows, scale by the largest entry first
+        slope = slope / np.where(np.isfinite(norm), 1.0, np.abs(slope).max(axis=1))[:, None]
+        norm = np.linalg.norm(slope, axis=1)
+    failed = singular | ~finite | (norm < 1e-10)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if singular[i]:
+            raise SingularDesignError("covariate design (with intercept) is rank deficient")
+        if not finite[i]:
+            raise DataError(
+                f"least-squares slope is not finite: responses up to |y| = "
+                f"{np.abs(y[i]).max():.3g} are too large for the float range; rescale y"
+            )
         raise DegenerateDirectionError(
             "least-squares slope vector is zero; the response carries no "
             "linear signal to orient a direction"
         )
-    unit = slope / norm
-    for b in unit:
-        if abs(b) > 1e-10:
-            if b < 0:
-                unit = -unit
-            break
-    return unit
+    unit = slope / norm[:, None]
+    # sign convention: the first entry above 1e-10 in size is positive
+    lead = unit[np.arange(b), np.argmax(np.abs(unit) > 1e-10, axis=1)]
+    beta = np.where(lead[:, None] < 0, -unit, unit)
+    proj = np.matmul(x, beta[..., None])[..., 0]
+    if not np.all(np.isfinite(proj)):
+        raise DataError("rank transform requires finite values")
+    return beta, proj, rank_slots(proj)

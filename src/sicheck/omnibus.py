@@ -27,11 +27,11 @@ every report records the grid convention.
 
 Evaluation.  Replicate r draws its multipliers from its own stream
 ``default_rng([seed, r])``; the m draws form the rows of an (m, n_int)
-matrix E.  The m streams are seeded once per bootstrap in one vectorised
-pass: NumPy's ``SeedSequence`` hash runs over arrays holding every r at
-once, and a stream's PCG64 is seeded from its row of words when its row
-is drawn, so every row is bit for bit what its ``default_rng`` call would
-draw.  Only one frequency of each +/-gamma pair is evaluated, plus the
+matrix E.  The streams of every bootstrap of a block are seeded in one
+vectorised pass: NumPy's ``SeedSequence`` hash runs over arrays holding
+every seed and r at once, and a stream's PCG64 is seeded from its row of
+words when its row is drawn, so every row is bit for bit what its
+``default_rng`` call would draw.  Only one frequency of each +/-gamma pair is evaluated, plus the
 origin: the residuals, the multipliers and the smoothing weights are
 real, so the summands at -gamma are the complex conjugates of those at
 gamma and T(-gamma), T_r(-gamma) have the same modulus as T(gamma),
@@ -50,8 +50,9 @@ statistic and replicate; n and the largest m size the column blocks, so
 where all share one m, as in ``simulate``, each rounds as it would alone.
 Per dataset, a streamed block and its workspace fit in WORKSPACE_BYTES.
 A block holds sum min(8 m, 16 K) n_int bytes, which stops growing with m
-once E outweighs S; ``simulate`` caps B n by the search budget, so it
-does not grow with n.  Two floors outgrow the budget at large n: an FFT
+once E outweighs S, plus its streams' seed words, 32 m bytes a dataset;
+``simulate`` caps B n by the search budget, so it does not grow with n.
+Two floors outgrow the budget at large n: an FFT
 pass smooths at least one column, about 128 n bytes, and a streamed block
 may hold MIN_BLOCK rows or columns, 128 n_int or 256 n_int bytes.
 
@@ -286,19 +287,22 @@ def bootstrap_critical_value(replicate_values, alpha: float) -> float:
     return float(values[m - 1 - _retain_count(m, alpha)])
 
 
-def _stream_words(seed: int, lo: int, hi: int) -> np.ndarray:
-    """The PCG64 seed words of the streams ``default_rng([seed, r])``,
-    r = lo..hi-1, bit for bit, one (4,) uint64 row per stream.
+def _stream_words(seeds, lo: int, hi: int) -> np.ndarray:
+    """The PCG64 seed words of the streams ``default_rng([seed, r])`` of each
+    of the B ``seeds``, r = lo..hi-1, bit for bit: a (B, hi - lo, 4) uint64
+    array, one row of words per stream.
 
-    Building m ``SeedSequence`` objects costs more than drawing from them:
-    NumPy exposes its seed hash one Python object per stream.  This runs the
-    same published algorithm (hash the entropy words [seed words..., r] into
-    a pool of four, mix the pool, hash it out to four 64-bit words) over
-    uint32 arrays holding every r at once; a test pins it bit for bit to
-    NumPy.  The seed takes at most two words and r one, so the entropy never
+    Building a ``SeedSequence`` object per stream costs more than drawing
+    from it: NumPy exposes its seed hash one Python object per stream.  This
+    runs the same published algorithm (hash the entropy words [seed words...,
+    r] into a pool of four, mix the pool, hash it out to four 64-bit words)
+    over uint32 arrays holding every seed and r at once; a test pins it bit
+    for bit to NumPy.  A seed takes one word below 2^32 and two from there,
+    and r one word (callers keep r below 2^32), so the entropy never
     overflows the pool.
     """
-    seed, const = int(seed), _INIT_A
+    seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
+    shape, const = (len(seeds), hi - lo), _INIT_A
 
     def hashmix(value):
         nonlocal const
@@ -311,23 +315,24 @@ def _stream_words(seed: int, lo: int, hi: int) -> np.ndarray:
         value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return value ^ (value >> np.uint32(16))
 
-    m = hi - lo
-    entropy = [np.full(m, seed >> shift & _MASK32, dtype=np.uint32)
-               for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(np.arange(lo, hi, dtype=np.uint32))
-    entropy += [np.zeros(m, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    r = np.arange(lo, hi, dtype=np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    two = high != 0  # the seed's second word, where it has one, comes before r
+    entropy = [np.broadcast_to((seeds & np.uint64(_MASK32)).astype(np.uint32), shape),
+               np.where(two, high, r), np.where(two, r, np.uint32(0)),
+               np.zeros(shape, dtype=np.uint32)]
     pool = [hashmix(word) for word in entropy]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    words = np.empty((m, 2 * _POOL_SIZE), dtype=np.uint32)
+    words = np.empty(shape + (2 * _POOL_SIZE,), dtype=np.uint32)
     const = _INIT_B
     for i in range(2 * _POOL_SIZE):
         value = pool[i % _POOL_SIZE] ^ np.uint32(const)
         const = const * _MULT_B & _MASK32
         value = value * np.uint32(const)
-        words[:, i] = value ^ (value >> np.uint32(16))
+        words[..., i] = value ^ (value >> np.uint32(16))
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
@@ -473,13 +478,13 @@ def _sups(z, core: ResidualCore, boots, grid) -> list:
     summands (2K <= m), and one run of all m if it holds E."""
     eps = [e[keep] for e, keep in zip(core.eps, core.keep)]
     half, runs = grid.half_points, [None] * len(boots)
+    words = _stream_words([boot.seed for boot in boots], 0, max(boot.m for boot in boots))
     held_e = [i for i, boot in enumerate(boots) if 2 * len(half) > boot.m]
     held_s = [i for i in range(len(boots)) if i not in held_e]
     for i, s in zip(held_s, _summands(z, core, eps, half, grid.bound, held_s) if held_s else []):
-        runs[i] = _row_walk(s, boots[i])
+        runs[i] = _row_walk(s, boots[i], words[i, :boots[i].m])
     if held_e:
-        e = [_multipliers(_stream_words(boots[i].seed, 0, boots[i].m), eps[i].size)
-             for i in held_e]
+        e = [_multipliers(words[i, :boots[i].m], eps[i].size) for i in held_e]
         t, reps = [0.0] * len(e), [np.zeros(len(rows)) for rows in e]
         # per column: a dataset's summands (under 2 n doubles) and its products, squares,
         # mask and moduli (under 5 m); n and the largest m, not B, size every product
@@ -493,13 +498,13 @@ def _sups(z, core: ResidualCore, boots, grid) -> list:
     return runs
 
 
-def _row_walk(s, boot):
-    """The runs of a dataset that holds its summands ``s``: E is drawn in the
-    row blocks of ``_row_blocks``, each freed before the next is drawn."""
+def _row_walk(s, boot, words):
+    """The runs of a dataset that holds its summands ``s``: E is drawn from
+    the stream ``words`` in the row blocks of ``_row_blocks``, each freed
+    before the next is drawn."""
     n_int, k = s.shape
     scale = math.sqrt(n_int)
     t_tilde = float(np.abs(s.sum(axis=0)).max()) / scale
-    words = _stream_words(boot.seed, 0, boot.m)
     # per replicate row: its multipliers and its products, squares, mask and moduli (under 5 K)
     fit = WORKSPACE_BYTES // (8 * (n_int + 5 * k))
     for lo, hi in _row_blocks(boot.m, _retain_count(boot.m, boot.alpha) + 1, fit):

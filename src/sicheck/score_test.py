@@ -100,10 +100,17 @@ def covariance_matrix(eps_hat, s_values, s_smoothed) -> np.ndarray:
     smoothed = np.atleast_2d(np.asarray(s_smoothed, dtype=float))
     if values.shape != smoothed.shape or values.shape[0] != eps.size:
         raise DataError("weight value matrices must be (n, d) and matching")
-    centered = values - smoothed
-    weighted = centered * (eps**2)[:, None]
-    sigma = centered.T @ weighted / eps.size
-    return 0.5 * (sigma + sigma.T)
+    return _score_sums(eps[None], (values - smoothed)[None], np.array([eps.size]))[1][0]
+
+
+def _score_sums(eps, centered, count) -> tuple[np.ndarray, np.ndarray]:
+    """Score vectors (B, d) and covariances (B, d, d) of a stack: residuals eps
+    (B, n), zero outside the rows summed, centered weights (B, n, d) and each
+    dataset's count (B,) of rows summed."""
+    t_vec = np.matmul(eps[:, None], centered)[:, 0] / np.sqrt(count)[:, None]
+    sigma = np.matmul(np.swapaxes(centered, 1, 2), centered * (eps**2)[..., None])
+    sigma /= count[:, None, None]
+    return t_vec, 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
 
 
 def maximin_statistic(t_vec, sigma_mat):
@@ -119,23 +126,20 @@ def maximin_statistic(t_vec, sigma_mat):
 def _scores(block: Block, weights, alpha) -> tuple[ResidualCore, np.ndarray, np.ndarray]:
     """Residual core, interior score vectors (B, d) and their covariances
     (B, d, d) of a block for a tuple of d weights: the one score path of
-    both tests.  The smooths run once over the block; each dataset's
-    interior sums then run over its own interior rows.  Refuses a level
+    both tests.  The smooths and the sums each run once over the block:
+    residuals outside a dataset's interior are zeroed, and its sums are
+    divided by its own interior count.  Refuses a level
     outside (0, 1), names h where the windows reach no neighbouring rank or
     the sums overflow, and names the first weight whose score variance is
     zero."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    t_vec, sigma = [], []
     with sums_guard(block.n, block.h):
         core = block.core()
         values = np.stack([w.evaluate(block.x) for w in weights], axis=-1)
-        smoothed = core.smoother.smooth(values)
-        for v, s, eps, keep in zip(values, smoothed, core.eps, core.keep):
-            eps = eps[keep]
-            t_vec.append((v - s)[keep].T @ eps / math.sqrt(eps.size))
-            sigma.append(covariance_matrix(eps, v[keep], s[keep]))
-    sigma = np.array(sigma)
+        t_vec, sigma = _score_sums(np.where(core.keep, core.eps, 0.0),
+                                   values - core.smoother.smooth(values),
+                                   np.count_nonzero(core.keep, axis=1))
     for variances in np.diagonal(sigma, axis1=1, axis2=2).tolist():
         for weight, variance in zip(weights, variances):
             if variance <= 0.0:
@@ -143,7 +147,7 @@ def _scores(block: Block, weights, alpha) -> tuple[ResidualCore, np.ndarray, np.
                     f"weight {weight.label!r} has zero score variance: it is fully "
                     "explained by the projection, or the residuals vanish"
                 )
-    return core, np.array(t_vec), sigma
+    return core, t_vec, sigma
 
 
 def score_reports(block: Block, weight: WeightSpec,

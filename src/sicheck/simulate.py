@@ -13,19 +13,21 @@ model has no additive noise and refuses a sigma_eps other than 1.
 
 The harness runs a line's replicates in blocks of consecutive ones.
 Replicate r draws from the stream (seed, r): x, then the response, then
-the bootstrap seed of an omnibus check.  A block stacks its B datasets and
-runs ``run_block`` on them: one pass fits every direction and ranks every
-projection, one batched search picks every bandwidth (the kernel spectra
-of the pilot grid depend on n alone, so the block shares them), and the
-check's ``run`` takes the whole block.  ``sicheck check`` runs the same
-pipeline on one CSV, as a block of one (``apply_check``).  Each replicate
-is computed as it would be alone, so its result does not depend on the
-block it falls in, and the rejection fraction, reported with its binomial
-standard error, is identical under any thread count.  Block boundaries
-depend on n and r alone (``block_size``); a thread count is an upper
-bound, each thread takes whole blocks, and a line with n below
-``THREADED_MIN_N`` runs in the calling thread, since its blocks are too
-small to pay for threads.
+the bootstrap seed of an omnibus check.  A block seeds its B streams from
+one vectorised hash, each fills its rows of the block's x and noise
+stacks, and the mean function computes every response in one pass.  The
+block then runs ``run_block`` on its stacked datasets: one pass fits
+every direction and ranks every projection, one batched search picks
+every bandwidth (the kernel spectra of the pilot grid depend on n alone,
+so the block shares them), and the check's ``run`` takes the whole block.
+``sicheck check`` runs the same pipeline on one CSV, as a block of one
+(``apply_check``).  Each replicate is computed as it would be alone, so
+its result does not depend on the block it falls in, and the rejection
+fraction, reported with its binomial standard error, is identical under
+any thread count.  Block boundaries depend on n and r alone
+(``block_size``); a thread count is an upper bound, each thread takes
+whole blocks, and a line with n below ``THREADED_MIN_N`` runs in the
+calling thread, since its blocks are too small to pay for threads.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from .omnibus import (
     DEFAULT_GRID_BOUND,
     DEFAULT_GRID_PER_AXIS,
     BootstrapConfig,
+    _stream_types,
+    _stream_words,
     gamma_grid,
     omnibus_decisions,
     omnibus_reports,
@@ -136,13 +140,13 @@ class Scenario:
 def cubic_mean(x, beta, c: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     proj = x @ np.asarray(beta, dtype=float)
-    return proj**3 + c * np.abs(x).sum(axis=1)
+    return proj**3 + c * np.abs(x).sum(axis=-1)
 
 
 def binary_success_prob(x, beta, c: float) -> np.ndarray:
     """Success probability logistic(-b'x + c sum|x_l|), computed stably."""
     x = np.asarray(x, dtype=float)
-    t = -(x @ np.asarray(beta, dtype=float)) + c * np.abs(x).sum(axis=1)
+    t = -(x @ np.asarray(beta, dtype=float)) + c * np.abs(x).sum(axis=-1)
     return np.exp(-np.logaddexp(0.0, -t))
 
 
@@ -152,36 +156,48 @@ def interaction_mean(x, beta, c_triple) -> np.ndarray:
     proj = x @ np.asarray(beta, dtype=float)
     return (
         proj**3
-        + c1 * np.abs(x[:, 0] * x[:, 1])
-        + c2 * np.abs(x[:, 0] * x[:, 2])
-        + c3 * np.abs(x[:, 1] * x[:, 2])
+        + c1 * np.abs(x[..., 0] * x[..., 1])
+        + c2 * np.abs(x[..., 0] * x[..., 2])
+        + c3 * np.abs(x[..., 1] * x[..., 2])
     )
 
 
 def bump_mean(x, c: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    t = x[:, 0] + x[:, 1]
-    return t + 4.0 * np.exp(-(t**2)) + c * np.sqrt((x**2).sum(axis=1))
+    t = x[..., 0] + x[..., 1]
+    return t + 4.0 * np.exp(-(t**2)) + c * np.sqrt((x**2).sum(axis=-1))
 
 
 def generate(scn: Scenario, *, rng=None) -> Dataset:
     """Draw x ~ N(0, I), then the response; deterministic given the seed.
 
-    ``rng`` defaults to ``default_rng(scn.seed)``.
+    ``rng`` defaults to ``default_rng(scn.seed)``.  A Monte Carlo block
+    draws its replicates through the same code, one generator each.
     """
     rng = rng if rng is not None else np.random.default_rng(scn.seed)
-    x = rng.standard_normal((scn.n, scn.p))
+    x, y = _draw(scn, [rng])
+    return Dataset(x=x[0], y=y[0])
+
+
+def _draw(scn: Scenario, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Covariates (B, n, p) and responses (B, n), one dataset per generator of
+    ``rngs``: each draws its x, then the noise of its response (a uniform per
+    row in the binary model); the mean function runs once over the stack."""
+    x = np.empty((len(rngs), scn.n, scn.p))
+    noise = np.empty((len(rngs), scn.n))
+    binary = scn.model is ModelKind.BINARY
+    for rng, x_rows, noise_rows in zip(rngs, x, noise):
+        rng.standard_normal(out=x_rows)
+        (rng.random if binary else rng.standard_normal)(out=noise_rows)
+    if binary:
+        return x, (noise < binary_success_prob(x, scn.beta_vec, scn.c)).astype(float)
     if scn.model is ModelKind.CUBIC:
         mean = cubic_mean(x, scn.beta_vec, scn.c)
-    elif scn.model is ModelKind.BINARY:
-        mean = binary_success_prob(x, scn.beta_vec, scn.c)
     elif scn.model is ModelKind.INTERACTION:
         mean = interaction_mean(x, scn.beta_vec, scn.c_triple)
     else:
         mean = bump_mean(x, scn.c)
-    if scn.model is ModelKind.BINARY:
-        return Dataset(x=x, y=(rng.random(scn.n) < mean).astype(float))
-    return Dataset(x=x, y=mean + scn.sigma_eps * rng.standard_normal(scn.n))
+    return x, mean + scn.sigma_eps * noise
 
 
 @dataclass(frozen=True)
@@ -290,6 +306,8 @@ def validate_run(check, alpha: float, reps: int = 1, seed: int = 0, p: int | Non
     touches no data, so a front end can call it before any work."""
     if reps < 1:
         raise ConfigError(f"replications must be >= 1, got {reps}")
+    if reps > 2**32:  # replicate r seeds its stream with one 32-bit word
+        raise ConfigError(f"a line takes at most 2^32 replications, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     if n is not None and check.h is not None:
@@ -349,11 +367,14 @@ def _fitted_block(x, y, check):
     return Block(x, y, slots, h), h1
 
 
-def _replicate(scn: Scenario, r: int) -> tuple[Dataset, int]:
-    """Replicate r's dataset and bootstrap seed, both from the stream (seed, r)."""
-    rng = np.random.default_rng([scn.seed, r])
-    data = generate(scn, rng=rng)
-    return data, int(rng.integers(2**63))  # the stream's first draw after the data
+def _draw_block(scn: Scenario, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Covariates (B, n, p), responses (B, n) and bootstrap seeds of replicates
+    lo, ..., hi - 1.  Replicate r draws from the stream ``default_rng([seed,
+    r])``: x, then the response, then its seed; one hash seeds every stream."""
+    generator, pcg64, preset = _stream_types()
+    rngs = [generator(pcg64(preset(words))) for words in _stream_words([scn.seed], lo, hi)[0]]
+    x, y = _draw(scn, rngs)
+    return x, y, [int(rng.integers(2**63)) for rng in rngs]
 
 
 def _block_rejects(scn: Scenario, check, alpha: float, lo: int, hi: int) -> list[bool]:
@@ -361,10 +382,8 @@ def _block_rejects(scn: Scenario, check, alpha: float, lo: int, hi: int) -> list
     block fails, each replicate runs as a block of its own, so that the
     error names the first replicate that fails."""
     try:
-        rows = [_replicate(scn, r) for r in range(lo, hi)]
-        return decide_block(np.stack([data.x for data, _ in rows]),
-                            np.stack([data.y for data, _ in rows]),
-                            check, alpha, [seed for _, seed in rows])
+        x, y, seeds = _draw_block(scn, lo, hi)
+        return decide_block(x, y, check, alpha, seeds)
     except Exception as exc:
         if hi - lo == 1:
             raise RuntimeError(f"replicate {lo} failed for scenario {scn}: {exc}") from exc

@@ -433,7 +433,7 @@ def test_main_simulate_unwritable_out_fails_before_any_replicate(tmp_path, capsy
     def never(*args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(simulate, "_replicate", never)
+    monkeypatch.setattr(simulate, "_draw_block", never)
     batch = tmp_path / "batch.jsonl"
     batch.write_text(BATCH.splitlines()[0] + "\n")
     out = tmp_path / "missing" / "mc.csv"
@@ -443,14 +443,14 @@ def test_main_simulate_unwritable_out_fails_before_any_replicate(tmp_path, capsy
 
 
 def test_main_simulate_keeps_rows_of_finished_lines(tmp_path, capsys, monkeypatch):
-    replicate = simulate._replicate
+    draw_block = simulate._draw_block
 
-    def fail_seed_6(scn, r):
+    def fail_seed_6(scn, lo, hi):
         if scn.seed == 6:
             raise ValueError("boom")
-        return replicate(scn, r)
+        return draw_block(scn, lo, hi)
 
-    monkeypatch.setattr(simulate, "_replicate", fail_seed_6)
+    monkeypatch.setattr(simulate, "_draw_block", fail_seed_6)
     line = {"model": "cubic", "n": 40, "p": 2, "seed": 5, "test": "score", "reps": 2}
     batch = tmp_path / "batch.jsonl"
     batch.write_text(json.dumps(line) + "\n" + json.dumps(dict(line, seed=6)) + "\n")
@@ -467,15 +467,15 @@ def test_main_simulate_keeps_rows_of_finished_lines(tmp_path, capsys, monkeypatc
 def test_main_simulate_names_the_failing_replicate_of_a_block(tmp_path, capsys, monkeypatch):
     # the second line's replicate 7 fails inside a block of 20; the first
     # line's row stays written
-    replicate = simulate._replicate
+    draw_block = simulate._draw_block
 
-    def flat_7(scn, r):
-        data, seed = replicate(scn, r)
-        if scn.seed == 6 and r == 7:
-            data = Dataset(x=data.x, y=np.zeros(scn.n))
-        return data, seed
+    def flat_7(scn, lo, hi):
+        x, y, seeds = draw_block(scn, lo, hi)
+        if scn.seed == 6 and lo <= 7 < hi:
+            y[7 - lo] = 0.0
+        return x, y, seeds
 
-    monkeypatch.setattr(simulate, "_replicate", flat_7)
+    monkeypatch.setattr(simulate, "_draw_block", flat_7)
     line = {"model": "cubic", "n": 50, "p": 2, "seed": 5, "test": "score", "reps": 20}
     assert simulate.block_size(50) >= 20
     batch = tmp_path / "batch.jsonl"

@@ -14,6 +14,7 @@ from sicheck import (
     project,
     rank_transform,
 )
+from sicheck.index import fit_stack, rank_slots
 from sicheck.simulate import apply_check
 
 
@@ -71,6 +72,98 @@ def test_fit_ols_refuses_a_non_finite_slope_naming_the_response_scale(rng):
     data = Dataset(x=x, y=1e308 * np.sign(x[:, 0]))  # slope about 1e311
     with pytest.raises(DataError, match=r"\|y\| = 1e\+308"):
         fit_index_ols(data)
+
+
+def _lstsq_fit(x, y):
+    """The per-dataset reference of ``fit_stack``: ``np.linalg.lstsq`` on the
+    design (1, x), its rank rule, and the unit slope signed by its first
+    entry above 1e-10; returns the direction and the rank slots."""
+    design = np.column_stack([np.ones(len(x)), x])
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
+        raise SingularDesignError("rank deficient")
+    norm = np.linalg.norm(coef[1:])
+    if norm < 1e-10:
+        raise DegenerateDirectionError("zero slope")
+    unit = coef[1:] / norm
+    lead = unit[np.abs(unit) > 1e-10][0]
+    unit = -unit if lead < 0 else unit
+    return unit, rank_slots(x @ unit)
+
+
+_COVARIATES = {
+    "continuous": lambda x: x,
+    "rounded": lambda x: np.round(x, 1),
+    "integer": lambda x: np.clip(np.round(x) + 1.0, 0.0, 2.0),  # ties and rank deficiency
+}
+
+
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 5), n=st.integers(12, 200),
+       p=st.integers(1, 4), kind=st.sampled_from(sorted(_COVARIATES)))
+def test_fit_stack_is_each_datasets_block_of_one_and_the_lstsq_fit(seed, b, n, p, kind):
+    rng = np.random.default_rng(seed)
+    x = _COVARIATES[kind](rng.standard_normal((b, n, p)))
+    y = (x @ rng.standard_normal(p)) ** 3 + rng.standard_normal((b, n))
+    refs = []
+    for i in range(b):
+        try:
+            refs.append(_lstsq_fit(x[i], y[i]))
+        except (SingularDesignError, DegenerateDirectionError) as exc:
+            refs.append(type(exc))
+            with pytest.raises(type(exc)):
+                fit_stack(x[i:i + 1], y[i:i + 1])
+    failed = [ref for ref in refs if isinstance(ref, type)]
+    if failed:  # the first failing dataset names the block's error
+        with pytest.raises(failed[0]):
+            fit_stack(x, y)
+        return
+    stacked = fit_stack(x, y)
+    for i, (beta, slots) in enumerate(refs):
+        alone = fit_stack(x[i:i + 1], y[i:i + 1])
+        for whole, one in zip(stacked, alone):
+            assert np.array_equal(whole[i], one[0])
+        assert np.array_equal(stacked[2][i], slots)
+        np.testing.assert_allclose(stacked[0][i], beta, rtol=0.0, atol=1e-12)
+
+
+def _spoil(x, y, i, how):
+    if how == "singular":
+        x[i, :, 1] = 2.0 * x[i, :, 0]
+    elif how == "constant":
+        y[i] = 3.0
+    else:  # a slope of about 1e311
+        x[i] *= 1e-3
+        y[i] = 1e308 * np.sign(x[i, :, 0])
+
+
+@pytest.mark.parametrize("how, error", [("singular", SingularDesignError),
+                                        ("constant", DegenerateDirectionError),
+                                        ("overflow", DataError)])
+def test_fit_stack_raises_a_failing_datasets_own_error(rng, how, error):
+    x = rng.standard_normal((4, 50, 2))
+    y = x[..., 0] ** 3 + rng.standard_normal((4, 50))
+    _spoil(x, y, 2, how)
+    with pytest.raises(error) as alone:
+        fit_stack(x[2:3], y[2:3])
+    with pytest.raises(error) as block:
+        fit_stack(x, y)
+    assert str(block.value) == str(alone.value)
+    # a later dataset failing otherwise does not change the block's error
+    _spoil(x, y, 3, "constant" if how == "singular" else "singular")
+    with pytest.raises(error) as block:
+        fit_stack(x, y)
+    assert str(block.value) == str(alone.value)
+
+
+def test_fit_stack_rescales_a_slope_whose_squared_norm_overflows_in_a_block(rng):
+    x = rng.standard_normal((3, 200, 2))
+    y = (x @ np.array([1.0, -1.0])) ** 3 + rng.standard_normal((3, 200))
+    y[1] *= 1e160
+    stacked = fit_stack(x, y)
+    for whole, one in zip(stacked, fit_stack(x[1:2], y[1:2])):
+        assert np.array_equal(whole[1], one[0])
+    np.testing.assert_allclose(stacked[0][1], fit_stack(x[1:2], y[1:2] / 1e160)[0][0],
+                               rtol=1e-12)
 
 
 def test_project_basis_rows():

@@ -520,7 +520,7 @@ _SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
        for seed in (0, 2**64 - 1) for lo, hi in ((1, 2), (37, 140), (999, 1000))],
 )
 def test_multipliers_are_the_default_rng_streams(seed, lo, hi):
-    e = omnibus._multipliers(omnibus._stream_words(seed, lo, hi), 5)
+    e = omnibus._multipliers(omnibus._stream_words([seed], lo, hi)[0], 5)
     assert e.shape == (hi - lo, 5)
     assert e.tobytes() == _stream_rows(seed, hi, 5)[lo:].tobytes()
 
@@ -528,8 +528,17 @@ def test_multipliers_are_the_default_rng_streams(seed, lo, hi):
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2**64 - 1), m=st.sampled_from([1, 100, 1000]))
 def test_multipliers_are_the_default_rng_streams_for_any_seed(seed, m):
-    e = omnibus._multipliers(omnibus._stream_words(seed, 0, m), 3)
+    e = omnibus._multipliers(omnibus._stream_words([seed], 0, m)[0], 3)
     assert e.tobytes() == _stream_rows(seed, m, 3).tobytes()
+
+
+def test_one_hash_seeds_the_streams_of_seeds_of_one_and_two_words():
+    # a seed below 2^32 is one entropy word, one at or above it two
+    seeds = [0, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1]
+    words = omnibus._stream_words(seeds, 3, 40)
+    assert words.shape == (len(seeds), 37, 4)
+    for seed, rows in zip(seeds, words):
+        assert omnibus._multipliers(rows, 5).tobytes() == _stream_rows(seed, 40, 5)[3:].tobytes()
 
 
 def test_standardize_columns(rng):

@@ -20,6 +20,9 @@ from sicheck import (
     standardized_test,
     variance_estimate,
 )
+from sicheck import simulate
+from sicheck.score_test import _scores
+from sicheck.smoother import Block
 from sicheck.special import chisq_quantile
 
 from helpers import brute_covariance, random_small_case
@@ -107,6 +110,33 @@ def test_covariance_positive_semidefinite_fuzz(rng):
         cov = covariance_matrix(eps, vals, smooth)
         assert cov == pytest.approx(cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
+
+
+@pytest.mark.parametrize("weights", [(WeightSpec.sum_abs(),),
+                                     (WeightSpec.sum_abs(), WeightSpec.sum_squares())],
+                         ids=["d1", "d2"])
+def test_block_score_sums_are_each_datasets_own(weights):
+    # replicates 130-149 of a bump line; replicate 136 keeps fewer than
+    # MIN_INTERIOR interior points, so all n enter its sums
+    scn = simulate.Scenario(model=simulate.ModelKind.BUMP, n=50, p=2, c=0.5, sigma_eps=0.3,
+                            seed=11)
+    x, y, _ = simulate._draw_block(scn, 130, 150)
+    block, _ = simulate._fitted_block(x, y, simulate.ScoreCheck())
+    core, t_vec, sigma = _scores(block, weights, 0.05)
+    assert core.keep[6].all() and not core.keep.all()
+    for b in range(len(x)):
+        one = Block(x[b:b + 1], y[b:b + 1], block.slots[b:b + 1], block.h[b:b + 1])
+        one_core, one_t, one_sigma = _scores(one, weights, 0.05)
+        assert one_t[0].tobytes() == t_vec[b].tobytes()
+        assert one_sigma[0].tobytes() == sigma[b].tobytes()
+        # the per-dataset interior form: the sums over the interior rows alone
+        keep, eps = one_core.keep[0], one_core.eps[0][one_core.keep[0]]
+        values = np.stack([w.evaluate(x[b]) for w in weights], axis=-1)
+        smoothed = one_core.smoother.smooth(values[None])[0]
+        centered = (values - smoothed)[keep]
+        assert t_vec[b] == pytest.approx(centered.T @ eps / math.sqrt(eps.size), rel=1e-12)
+        assert sigma[b] == pytest.approx(covariance_matrix(eps, values[keep], smoothed[keep]),
+                                         rel=1e-12)
 
 
 def test_standardized_test_report_fields(rng):

@@ -4,11 +4,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sicheck import (
     ConfigError,
-    Dataset,
     DegenerateDirectionError,
     MaximinCheck,
     ModelKind,
@@ -368,7 +367,7 @@ def test_monte_carlo_builds_the_omnibus_grid_before_any_replicate(monkeypatch):
     def never(*args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(simulate, "_replicate", never)
+    monkeypatch.setattr(simulate, "_draw_block", never)
     scn = Scenario(model=ModelKind.CUBIC, n=40, p=26)
     with pytest.raises(ConfigError, match="dimension 26 exceeds the supported maximum 25"):
         monte_carlo(scn, OmnibusCheck(boot_m=100), reps=2)
@@ -378,7 +377,7 @@ def test_monte_carlo_refuses_an_overflowing_grid_bound_before_any_replicate(monk
     def never(*args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(simulate, "_replicate", never)
+    monkeypatch.setattr(simulate, "_draw_block", never)
     scn = Scenario(model=ModelKind.CUBIC, n=40, p=2)
     with pytest.raises(ConfigError, match="grid bound 1e\\+308 overflows the phases"):
         monte_carlo(scn, OmnibusCheck(boot_m=100, grid_bound=1e308), reps=2)
@@ -394,13 +393,52 @@ def test_monte_carlo_refuses_a_fixed_h_reaching_no_neighbour_before_any_replicat
     def never(*args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(simulate, "_replicate", never)
+    monkeypatch.setattr(simulate, "_draw_block", never)
     scn = Scenario(model=ModelKind.CUBIC, n=200, p=2)
     with pytest.raises(ConfigError, match=f"h={check.h!r} reaches no neighbouring rank at n=200"):
         monte_carlo(scn, check, reps=2)
     # at n h > 1 validation passes and the replicates run
     with pytest.raises(RuntimeError, match="a replicate ran"):
         monte_carlo(scn, dataclasses.replace(check, h=0.0051), reps=2)
+
+
+def test_monte_carlo_refuses_more_replicates_than_one_stream_word_holds(monkeypatch):
+    # replicate r seeds its stream with r as one 32-bit word: replicate 2^32
+    # would reuse replicate 0's stream
+    def never(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulate, "_draw_block", never)
+    scn = Scenario(model=ModelKind.CUBIC, n=40, p=2)
+    with pytest.raises(ConfigError, match="at most 2\\^32 replications, got 4294967297"):
+        monte_carlo(scn, ScoreCheck(), reps=2**32 + 1)
+    simulate.validate_run(ScoreCheck(), 0.05, reps=2**32)  # replicates 0 to 2^32 - 1
+
+
+_DRAWN_MODELS = ([(ModelKind.CUBIC, p) for p in range(1, 5)]
+                 + [(ModelKind.BINARY, p) for p in range(1, 5)]
+                 + [(ModelKind.INTERACTION, 3), (ModelKind.BUMP, 2)])
+
+
+@given(model_p=st.sampled_from(_DRAWN_MODELS), n=st.sampled_from([12, 50, 200]),
+       seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+       lo=st.integers(0, 3 * simulate.block_size(50)), size=st.integers(1, 40))
+@example(model_p=(ModelKind.BUMP, 2), n=50, seed=2**32, lo=simulate.block_size(50) - 3, size=7)
+def test_a_block_draw_is_each_replicates_own_stream(model_p, n, seed, lo, size):
+    # replicate r of a block is generate() on default_rng([seed, r]), then the
+    # stream's next integers(2**63), bit for bit; seeds of one and of two
+    # 32-bit words, across block boundaries
+    model, p = model_p
+    sigma_eps = 1.0 if model is ModelKind.BINARY else 0.3
+    scn = Scenario(model=model, n=n, p=p, c=0.5, sigma_eps=sigma_eps, seed=seed)
+    x, y, seeds = simulate._draw_block(scn, lo, lo + size)
+    assert x.shape == (size, n, p) and y.shape == (size, n) and len(seeds) == size
+    for i, r in enumerate(range(lo, lo + size)):
+        rng = np.random.default_rng([seed, r])
+        data = generate(scn, rng=rng)
+        assert x[i].tobytes() == data.x.tobytes()
+        assert y[i].tobytes() == data.y.tobytes()
+        assert seeds[i] == int(rng.integers(2**63))
 
 
 def test_maximin_null_rate_is_sane():
@@ -413,10 +451,8 @@ def test_maximin_null_rate_is_sane():
 def _stacked(scn, replicates, tie=False):
     """Replicates of a line stacked for ``run_block``, with covariates
     rounded to 0.5 when ``tie`` is set."""
-    rows = [simulate._replicate(scn, r) for r in replicates]
-    x = np.stack([data.x for data, _ in rows])
-    x = np.round(2.0 * x) / 2.0 if tie else x
-    return x, np.stack([data.y for data, _ in rows]), [seed for _, seed in rows]
+    x, y, seeds = simulate._draw_block(scn, replicates.start, replicates.stop)
+    return (np.round(2.0 * x) / 2.0 if tie else x), y, seeds
 
 
 BUMP_11 = Scenario(model=ModelKind.BUMP, n=50, p=2, c=0.5, sigma_eps=0.3, seed=11)
@@ -460,13 +496,15 @@ def test_a_replicate_does_not_depend_on_its_block(scn, tie, check):
 def test_a_failure_inside_a_block_names_its_replicate(monkeypatch):
     # replicate 7 of a 20-replicate block has a constant response, whose
     # least-squares slope is zero
-    replicate = simulate._replicate
+    draw_block = simulate._draw_block
 
-    def flat_7(scn, r):
-        data, seed = replicate(scn, r)
-        return (Dataset(x=data.x, y=np.zeros(scn.n)) if r == 7 else data), seed
+    def flat_7(scn, lo, hi):
+        x, y, seeds = draw_block(scn, lo, hi)
+        if lo <= 7 < hi:
+            y[7 - lo] = 0.0
+        return x, y, seeds
 
-    monkeypatch.setattr(simulate, "_replicate", flat_7)
+    monkeypatch.setattr(simulate, "_draw_block", flat_7)
     scn = Scenario(model=ModelKind.CUBIC, n=50, p=2, seed=3)
     assert simulate.block_size(scn.n) >= 20
     with pytest.raises(RuntimeError, match="replicate 7 failed for scenario .*: least-squares "
@@ -495,10 +533,8 @@ def test_every_report_of_a_line_rejects_iff_p_is_at_most_alpha(check):
     # replicate 2 of this null line once read "reject" with p = 26/501 > 0.05:
     # its omnibus statistic lay between the 475th and the 476th replicate sups
     scn = Scenario(model=ModelKind.CUBIC, n=50, p=2, c=0.0, seed=103)
-    rows = [simulate._replicate(scn, r) for r in range(40)]
-    reports, _ = simulate.run_block(np.stack([data.x for data, _ in rows]),
-                                    np.stack([data.y for data, _ in rows]),
-                                    check, 0.05, [seed for _, seed in rows])
+    x, y, seeds = _stacked(scn, range(40))
+    reports, _ = simulate.run_block(x, y, check, 0.05, seeds)
     assert any(report.reject for report in reports)
     for report in reports:
         assert report.reject == (report.p_value <= report.alpha)
