@@ -1,4 +1,6 @@
-"""Exception types raised by the package."""
+"""Exception types raised by the package, and the integer check that raises one."""
+
+import numbers
 
 
 class SicheckError(Exception):
@@ -31,3 +33,11 @@ class DegenerateVarianceError(SicheckError):
 
 class NearSingularCovarianceError(SicheckError):
     """Weight covariance matrix is numerically singular."""
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int if it is a Python or NumPy integer, else a
+    ConfigError naming ``name``; a bool is refused, though Python counts it one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -25,36 +25,29 @@ not.  Covariate columns are standardized (zero mean, unit variance)
 before any frequency evaluation so the grid box is scale-meaningful;
 every report records the grid convention.
 
-Evaluation.  Replicate r draws its multipliers from its own stream
-``default_rng([seed, r])``; the m draws form the rows of an (m, n_int)
-matrix E.  The streams of every bootstrap of a block are seeded in one
-vectorised pass: NumPy's ``SeedSequence`` hash runs over arrays holding
-every seed and r at once, and a stream's PCG64 is seeded from its row of
-words when its row is drawn, so every row is bit for bit what its
-``default_rng`` call would draw.  Only one frequency of each +/-gamma pair is evaluated, plus the
-origin: the residuals, the multipliers and the smoothing weights are
-real, so the summands at -gamma are the complex conjugates of those at
-gamma and T(-gamma), T_r(-gamma) have the same modulus as T(gamma),
-T_r(gamma).  The sup over half the grid is the sup over all of it.
+Evaluation.  A block of datasets runs one bootstrap setting (m, alpha);
+replicate r of a dataset draws its multipliers from its own stream
+``default_rng([seed, r])``, and the m draws form the rows of an (m, n_int)
+matrix E.  One vectorised pass of NumPy's ``SeedSequence`` hash seeds
+every stream of the block, and a stream's PCG64 is seeded from its words
+when its row is drawn, bit for bit as ``default_rng`` would.  Only one
+frequency of each +/-gamma pair is evaluated, plus the origin: the
+residuals, multipliers and smoothing weights are real, so T(-gamma) and
+T_r(-gamma) have the moduli of T(gamma) and T_r(gamma).
 
 Every replicate at every frequency is an entry of the matrix product E S
 (the multiplier-bootstrap maxima of Chernozhukov, Chetverikov and Kato,
 2013), where S holds the centered interior summands at the K half-grid
-frequencies, one complex column each.  E is 8 m n_int bytes and S
-16 K n_int.  A dataset holds the smaller whole; a block of datasets
-smooths all their phase columns, a few per FFT pass, with one smoother.
-When 2K <= m, S is built once and E drawn in row blocks, each giving its
-replicates' maxima.  Otherwise E is drawn once and the half grid walked
-in column blocks, all datasets in step, with a running max of each
-statistic and replicate; n and the largest m size the column blocks, so
-where all share one m, as in ``simulate``, each rounds as it would alone.
-Per dataset, a streamed block and its workspace fit in WORKSPACE_BYTES.
-A block holds sum min(8 m, 16 K) n_int bytes, which stops growing with m
-once E outweighs S, plus its streams' seed words, 32 m bytes a dataset;
-``simulate`` caps B n by the search budget, so it does not grow with n.
-Two floors outgrow the budget at large n: an FFT
-pass smooths at least one column, about 128 n bytes, and a streamed block
-may hold MIN_BLOCK rows or columns, 128 n_int or 256 n_int bytes.
+frequencies, one complex column each, smoothed a few per FFT pass by the
+block's one smoother.  E is 8 m n_int bytes and S 16 K n_int, and the
+block holds the smaller: when 2K <= m, each S whole with E drawn in row
+blocks, else each E whole with the half grid walked in column blocks,
+all datasets in step.  n and m, not B, size every block, so a dataset
+rounds as it would alone.  Per dataset, a streamed block and its
+workspace fit in WORKSPACE_BYTES; the block also holds its streams' seed
+words, 32 m bytes a dataset.  Two floors outgrow the budget at large n:
+an FFT pass smooths at least one column, about 128 n bytes, and a
+streamed block may hold MIN_BLOCK rows or columns.
 
 A statistic is rejected iff at most c replicate sups reach it, c the
 largest count with (1 + c) / (m + 1) <= alpha.  The row blocks of E
@@ -64,8 +57,8 @@ budget allows.  A report walks every block.  A decision alone
 block at which more than c sups reach the statistic, since the retain is
 then certain: the curtailed sequential Monte Carlo test (Besag and
 Clifford, 1991).  Both walk the same blocks, so the decision is the
-report's, bit for bit; a reject, and any bootstrap that holds E, draws
-all m streams.
+report's, bit for bit; a reject, and any block that holds E, draws all
+m streams.
 """
 
 from __future__ import annotations
@@ -78,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .exceptions import ConfigError, DataError
+from .exceptions import ConfigError, DataError, integer
 from .index import IndexFit
 from .smoother import DEFAULT_ALPHA, Block, Report, ResidualCore, SmootherConfig
 from .smoother import WORKSPACE_BYTES, sums_guard
@@ -147,7 +140,7 @@ class GammaGrid:
     half_points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p, bound, per_axis = self.p, self.bound, self.per_axis
+        p, bound, per_axis = integer("p", self.p), self.bound, integer("per_axis", self.per_axis)
         if p < 1:
             raise ConfigError(f"dimension must be >= 1, got {p}")
         if p > len(_PRIMES):
@@ -173,6 +166,7 @@ class GammaGrid:
         half_points = points[lead >= 0.0]  # lead is +/-0.0 only at the origin
         points.setflags(write=False)
         half_points.setflags(write=False)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "bound", float(bound))
         object.__setattr__(self, "per_axis", per_axis)
         object.__setattr__(self, "points", points)
@@ -191,14 +185,14 @@ class GammaGrid:
         }
 
 
-_cached_grid = functools.lru_cache(maxsize=64)(GammaGrid)
+_cached_grid = functools.lru_cache(maxsize=64, typed=True)(GammaGrid)
 
 
 def gamma_grid(p, bound=DEFAULT_GRID_BOUND, per_axis=DEFAULT_GRID_PER_AXIS) -> GammaGrid:
     """The frequency grid of (p, bound, per_axis), built once and shared.
 
-    The cache sees the settings in one positional form, so ``gamma_grid(3)``
-    and ``gamma_grid(3, bound=3.0, per_axis=7)`` return the same grid.
+    The cache sees the settings in one positional form and by type: ``gamma_grid(3)``
+    is ``gamma_grid(3, bound=3.0, per_axis=7)``, and ``gamma_grid(3.0)`` is refused.
     """
     return _cached_grid(p, bound, per_axis)
 
@@ -210,6 +204,8 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "m", integer("m", self.m))
+        object.__setattr__(self, "seed", stream_seed(self.seed))
         if self.m < 100:
             raise ConfigError(f"bootstrap needs at least 100 replicates, got {self.m}")
         if self.m > 2**32:  # replicate r seeds its stream with one 32-bit word
@@ -220,8 +216,15 @@ class BootstrapConfig:
             raise ConfigError(
                 f"m * alpha must be at least 1 (m={self.m}, alpha={self.alpha})"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be an unsigned 64-bit integer")
+
+
+def stream_seed(seed) -> int:
+    """``seed`` as an int if it is an unsigned 64-bit integer, which is what
+    seeds a stream, else a ConfigError."""
+    seed = integer("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,10 +340,10 @@ def _stream_words(seeds, lo: int, hi: int) -> np.ndarray:
 
 
 @functools.cache
-def _stream_types():
-    """``Generator``, ``PCG64`` and a seed sequence that hands PCG64 words
-    already hashed.  numpy.random loads on first use here, which keeps
-    ``import sicheck`` light."""
+def _stream_generator():
+    """The function from a row of ``_stream_words`` to its stream's generator,
+    ``default_rng([seed, r])`` bit for bit, as PCG64's own code seeds it from the
+    words; numpy.random loads here on first use, so ``import sicheck`` stays light."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -351,18 +354,21 @@ def _stream_types():
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    return Generator, PCG64, PresetWords
+    return lambda words: Generator(PCG64(PresetWords(words)))
+
+
+def _generators(words):
+    """The generator of each stream of ``words``, one at a time."""
+    return map(_stream_generator(), words)
 
 
 def _multipliers(words: np.ndarray, n_int: int) -> np.ndarray:
     """One row of ``n_int`` standard normals per stream of ``_stream_words``,
     as one (len(words), n_int) matrix: the row of stream (seed, r) is
-    ``default_rng([seed, r]).standard_normal(n_int)``, bit for bit, since
-    PCG64's own code seeds each stream from its words."""
-    generator, pcg64, preset = _stream_types()
+    ``default_rng([seed, r]).standard_normal(n_int)``."""
     e = np.empty((len(words), n_int))
-    for row, row_words in zip(e, words):
-        generator(pcg64(preset(row_words))).standard_normal(out=row)
+    for row, rng in zip(e, _generators(words)):
+        rng.standard_normal(out=row)
     return e
 
 
@@ -380,35 +386,41 @@ def omnibus_test(
     Replicate r draws its multipliers from the stream (seed, r), so the
     result is bit-reproducible regardless of evaluation order.
     """
-    return omnibus_reports(Block.of(data, fit, cfg), [boot], grid)[0]
+    return omnibus_reports(Block.of(data, fit, cfg), boot.m, boot.alpha, [boot.seed], grid)[0]
 
 
-def omnibus_reports(block: Block, boots, grid: GammaGrid | None = None) -> list[OmnibusReport]:
-    """``omnibus_test`` of every dataset of a block, the i-th under the bootstrap
-    settings ``boots[i]``.  The residual cores and the frequency columns come from
-    one smoother over the block; each dataset's bootstrap runs on its own summands."""
-    return _per_dataset(block, boots, grid, _omnibus_report)
+def omnibus_reports(block: Block, m: int, alpha: float, seeds, grid=None) -> list[OmnibusReport]:
+    """``omnibus_test`` of every dataset of a block at m replicates and level
+    ``alpha``, dataset i's from seed ``seeds[i]``.  The residual cores and the
+    frequency columns come from one smoother over the block; each dataset's
+    bootstrap runs on its own summands."""
+    return _per_dataset(block, m, alpha, seeds, grid, _omnibus_report)
 
 
-def omnibus_decisions(block: Block, boots, grid: GammaGrid | None = None) -> list[bool]:
+def omnibus_decisions(block: Block, m: int, alpha: float, seeds, grid=None) -> list[bool]:
     """The ``reject`` of each report of ``omnibus_reports``, bit for bit, without the
     rest of the report.  A dataset's bootstrap stops after the first row block at which
     more replicate sups reach the statistic than a rejected statistic allows, so a
     retained dataset draws fewer than m streams."""
-    return _per_dataset(block, boots, grid, _decide)
+    return _per_dataset(block, m, alpha, seeds, grid, _decide)
 
 
-def _per_dataset(block: Block, boots, grid, one) -> list:
-    """``one(runs, boot, grid, h, n, diagnostics)`` of every dataset, ``runs`` from ``_sups``."""
-    _, n, p = block.x.shape
+def _per_dataset(block: Block, m, alpha, seeds, grid, one) -> list:
+    """``one(runs, boot, c, seed, grid, h, n, diagnostics)`` of every dataset: ``runs``
+    from ``_sups``, ``boot`` the block's one bootstrap setting and c its ``_retain_count``."""
+    b, n, p = block.x.shape
+    boot, seeds = BootstrapConfig(m=m, alpha=alpha), [stream_seed(seed) for seed in seeds]
+    if len(seeds) != b:
+        raise ConfigError(f"a block of {b} datasets takes {b} seeds, got {len(seeds)}")
     grid = gamma_grid(p) if grid is None else grid
     if grid.p != p:
         raise DataError(f"grid dimension {grid.p} does not match covariate dimension {p}")
-    z = standardize_columns(block.x)
+    c, z = _retain_count(boot.m, boot.alpha), standardize_columns(block.x)
     with sums_guard(n, block.h):
         core = block.core(margin=SUP_INTERIOR_MARGIN)
-        return [one(runs, boot, grid, h, n, diagnostics) for runs, boot, h, diagnostics
-                in zip(_sups(z, core, boots, grid), boots, block.h.tolist(), core.diagnostics)]
+        return [one(runs, boot, c, seed, grid, h, n, diagnostics) for runs, seed, h, diagnostics
+                in zip(_sups(z, core, boot.m, c, seeds, grid), seeds, block.h.tolist(),
+                       core.diagnostics)]
 
 
 def _blocks(total: int, fit: int) -> list[tuple[int, int]]:
@@ -438,10 +450,10 @@ def _row_blocks(m: int, first: int, fit: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _summands(z, core: ResidualCore, eps, gammas, bound, datasets) -> list[np.ndarray]:
+def _summands(z, core: ResidualCore, eps, gammas, bound) -> list[np.ndarray]:
     """The centered interior summands eps_j [W_j(gamma) - Wbar_j(gamma)] of each
-    dataset of ``datasets``, one complex column per frequency of ``gammas``; the
-    block's phase columns are smoothed a few per FFT pass, one smoother call each."""
+    dataset, one complex column per frequency of ``gammas``; the block's phase
+    columns are smoothed a few per FFT pass, one smoother call each."""
     b, n, _ = z.shape
     # per complex column of each dataset: the weights, their slot-binned copy and gathered
     # fits (n each), the spectrum and its inverse (each below 2.31 n: the padded length
@@ -449,7 +461,7 @@ def _summands(z, core: ResidualCore, eps, gammas, bound, datasets) -> list[np.nd
     # passes of a block of one, as BLAS rounds a column of a product by the product's width
     alone = max(1, WORKSPACE_BYTES // (16 * 8 * n))
     width, cuts = max(1, alone // b), np.cumsum([e.size for e in eps])[:-1]
-    s = [np.empty((eps[i].size, len(gammas)), dtype=complex) for i in datasets]
+    s = [np.empty((e.size, len(gammas)), dtype=complex) for e in eps]
     for lo in range(0, len(gammas), alone):
         try:  # the sums guard makes numpy raise here
             phases = z @ gammas[lo:lo + alone].T
@@ -457,8 +469,8 @@ def _summands(z, core: ResidualCore, eps, gammas, bound, datasets) -> list[np.nd
             raise ConfigError(f"grid bound {bound} overflows the phases gamma'z") from None
         for start in range(0, phases.shape[2], width):
             rows = np.split(core.centered(np.exp(1j * phases[..., start:start + width])), cuts)
-            for out, i in zip(s, datasets):
-                out[:, lo:lo + alone][:, start:start + width] = rows[i] * eps[i][:, None]
+            for out, centered, e in zip(s, rows, eps):
+                out[:, lo:lo + alone][:, start:start + width] = centered * e[:, None]
     return s
 
 
@@ -472,56 +484,51 @@ def _row_maxima(prod) -> np.ndarray:
     return np.hypot(re, im, out=np.zeros_like(re), where=near).max(axis=1)
 
 
-def _sups(z, core: ResidualCore, boots, grid) -> list:
+def _sups(z, core: ResidualCore, m: int, c: int, seeds, grid) -> list:
     """Each dataset's scaled statistic with the scaled sups of runs of consecutive
-    replicates: one run per row block of E, drawn when asked for, if it holds its
-    summands (2K <= m), and one run of all m if it holds E."""
+    replicates: one run per row block of E, drawn when asked for, if the block holds
+    its summands (2K <= m), and one run of all m if it holds every E."""
     eps = [e[keep] for e, keep in zip(core.eps, core.keep)]
-    half, runs = grid.half_points, [None] * len(boots)
-    words = _stream_words([boot.seed for boot in boots], 0, max(boot.m for boot in boots))
-    held_e = [i for i, boot in enumerate(boots) if 2 * len(half) > boot.m]
-    held_s = [i for i in range(len(boots)) if i not in held_e]
-    for i, s in zip(held_s, _summands(z, core, eps, half, grid.bound, held_s) if held_s else []):
-        runs[i] = _row_walk(s, boots[i], words[i, :boots[i].m])
-    if held_e:
-        e = [_multipliers(words[i, :boots[i].m], eps[i].size) for i in held_e]
-        t, reps = [0.0] * len(e), [np.zeros(len(rows)) for rows in e]
-        # per column: a dataset's summands (under 2 n doubles) and its products, squares,
-        # mask and moduli (under 5 m); n and the largest m, not B, size every product
-        fit = WORKSPACE_BYTES // (8 * (2 * z.shape[1] + 5 * max(map(len, e))))
-        for start, stop in _blocks(len(half), fit):
-            for j, s in enumerate(_summands(z, core, eps, half[start:stop], grid.bound, held_e)):
-                t[j] = max(t[j], float(np.abs(s.sum(axis=0)).max()))
-                np.maximum(reps[j], _row_maxima(e[j] @ s.view(float)), out=reps[j])
-        for i, t_max, sups in zip(held_e, t, reps):
-            runs[i] = [(t_max / math.sqrt(eps[i].size), sups / math.sqrt(eps[i].size))]
-    return runs
+    half, words = grid.half_points, _stream_words(seeds, 0, m)
+    if 2 * len(half) <= m:
+        return [_row_walk(s, m, c, rows)
+                for s, rows in zip(_summands(z, core, eps, half, grid.bound), words)]
+    e = [_multipliers(rows, d.size) for rows, d in zip(words, eps)]
+    t, reps = [0.0] * len(e), [np.zeros(m) for _ in e]
+    # per column: a dataset's summands (under 2 n doubles) and its products, squares,
+    # mask and moduli (under 5 m); n and m, not B, size every product
+    fit = WORKSPACE_BYTES // (8 * (2 * z.shape[1] + 5 * m))
+    for start, stop in _blocks(len(half), fit):
+        for j, s in enumerate(_summands(z, core, eps, half[start:stop], grid.bound)):
+            t[j] = max(t[j], float(np.abs(s.sum(axis=0)).max()))
+            np.maximum(reps[j], _row_maxima(e[j] @ s.view(float)), out=reps[j])
+    return [[(t_max / math.sqrt(d.size), sups / math.sqrt(d.size))]
+            for t_max, sups, d in zip(t, reps, eps)]
 
 
-def _row_walk(s, boot, words):
+def _row_walk(s, m: int, c: int, words):
     """The runs of a dataset that holds its summands ``s``: E is drawn from
-    the stream ``words`` in the row blocks of ``_row_blocks``, each freed
-    before the next is drawn."""
+    the stream ``words`` in the row blocks of ``_row_blocks``, the first of
+    c + 1 rows, each freed before the next is drawn."""
     n_int, k = s.shape
     scale = math.sqrt(n_int)
     t_tilde = float(np.abs(s.sum(axis=0)).max()) / scale
     # per replicate row: its multipliers and its products, squares, mask and moduli (under 5 K)
     fit = WORKSPACE_BYTES // (8 * (n_int + 5 * k))
-    for lo, hi in _row_blocks(boot.m, _retain_count(boot.m, boot.alpha) + 1, fit):
+    for lo, hi in _row_blocks(m, c + 1, fit):
         yield t_tilde, _row_maxima(_multipliers(words[lo:hi], n_int) @ s.view(float)) / scale
 
 
-def _decide(runs, boot, *_) -> bool:
+def _decide(runs, boot, c, *_) -> bool:
     """The decision of ``_omnibus_report``: reject iff at most c = ``_retain_count`` of
     the m replicate sups reach the statistic; draws no row block once more have."""
-    c = _retain_count(boot.m, boot.alpha)
     reached = itertools.accumulate(int(np.count_nonzero(reps >= t)) for t, reps in runs)
     return all(count <= c for count in reached)
 
 
-def _omnibus_report(runs, boot, grid, h, n, diagnostics) -> OmnibusReport:
+def _omnibus_report(runs, boot, _, seed, grid, h, n, diagnostics) -> OmnibusReport:
     """One dataset's report from its ``runs``: the sup statistic and the
-    bootstrap at bandwidth ``h`` and sample size ``n``."""
+    bootstrap from ``seed`` at bandwidth ``h`` and sample size ``n``."""
     runs = list(runs)
     t_tilde, reps = runs[0][0], np.concatenate([sups for _, sups in runs])
     # p <= alpha iff t_tilde exceeds the critical value
@@ -539,6 +546,6 @@ def _omnibus_report(runs, boot, grid, h, n, diagnostics) -> OmnibusReport:
         diagnostics=diagnostics,
         critical_value=bootstrap_critical_value(reps, boot.alpha),
         m=boot.m,
-        seed=boot.seed,
+        seed=seed,
         grid=grid.summary(),
     )

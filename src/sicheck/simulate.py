@@ -42,18 +42,19 @@ import numpy as np
 
 from .bandwidth import default_bandwidth_grid, search_rows, select_bandwidths
 from .dataset import Dataset
-from .exceptions import ConfigError
+from .exceptions import ConfigError, integer
 from .index import fit_stack
 from .omnibus import (
     DEFAULT_BOOT_M,
     DEFAULT_GRID_BOUND,
     DEFAULT_GRID_PER_AXIS,
     BootstrapConfig,
-    _stream_types,
+    _generators,
     _stream_words,
     gamma_grid,
     omnibus_decisions,
     omnibus_reports,
+    stream_seed,
 )
 from .score_test import maximin_reports, score_reports
 from .smoother import DEFAULT_ALPHA, Block, SmootherConfig, narrow_bandwidth
@@ -87,6 +88,9 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "p"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", stream_seed(self.seed))
         for name in ("c", "sigma_eps", "beta", "c_interaction"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
@@ -103,8 +107,6 @@ class Scenario:
             raise ConfigError(f"noise scale must be positive, got {self.sigma_eps}")
         if self.model is ModelKind.BINARY and self.sigma_eps != 1.0:
             raise ConfigError("binary model has no additive noise; sigma_eps does not apply")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.model is ModelKind.BUMP:
             if self.beta is not None:
                 raise ConfigError("bump model has a fixed mean function; beta does not apply")
@@ -265,17 +267,16 @@ class OmnibusCheck:
         return f"omnibus[m={self.boot_m}]"
 
     def run(self, block, alpha, seeds):
-        return omnibus_reports(block, *self._settings(block, alpha, seeds))
+        return omnibus_reports(block, self.boot_m, alpha, seeds, self._grid(block))
 
     def decisions(self, block, alpha, seeds):
         """The ``reject`` of each report of ``run``, without the rest of the
         report: a retained dataset's bootstrap stops once its retain is
         certain."""
-        return omnibus_decisions(block, *self._settings(block, alpha, seeds))
+        return omnibus_decisions(block, self.boot_m, alpha, seeds, self._grid(block))
 
-    def _settings(self, block, alpha, seeds):
-        boots = [BootstrapConfig(m=self.boot_m, alpha=alpha, seed=seed) for seed in seeds]
-        return boots, gamma_grid(block.x.shape[2], self.grid_bound, self.grid_per_axis)
+    def _grid(self, block):
+        return gamma_grid(block.x.shape[2], self.grid_bound, self.grid_per_axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,11 +300,13 @@ def mise_weight_values(check, x) -> np.ndarray:
 
 def validate_run(check, alpha: float, reps: int = 1, seed: int = 0, p: int | None = None,
                  n: int | None = None) -> None:
-    """Raise ConfigError for a level, replicate count or bootstrap seed the
-    check cannot run with, an omnibus grid it cannot build at dimension
+    """Raise ConfigError for a level, replicate count or seed the check
+    cannot run with, an omnibus grid it cannot build at dimension
     ``p`` (when given), and, at sample size ``n`` (when given), grid phases
     that may overflow or a fixed ``h`` with n h <= 1 (``narrow_bandwidth``);
     touches no data, so a front end can call it before any work."""
+    reps = integer("reps", reps)
+    stream_seed(seed)
     if reps < 1:
         raise ConfigError(f"replications must be >= 1, got {reps}")
     if reps > 2**32:  # replicate r seeds its stream with one 32-bit word
@@ -315,7 +318,7 @@ def validate_run(check, alpha: float, reps: int = 1, seed: int = 0, p: int | Non
         if reason is not None:
             raise ConfigError(reason)
     if isinstance(check, OmnibusCheck):
-        BootstrapConfig(m=check.boot_m, alpha=alpha, seed=seed)
+        BootstrapConfig(m=check.boot_m, alpha=alpha)
         if p is not None:
             gamma_grid(p, check.grid_bound, check.grid_per_axis)
             # standardized covariates satisfy |z_l| <= sqrt(n), so |gamma'z| <= p bound sqrt(n)
@@ -371,8 +374,7 @@ def _draw_block(scn: Scenario, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray
     """Covariates (B, n, p), responses (B, n) and bootstrap seeds of replicates
     lo, ..., hi - 1.  Replicate r draws from the stream ``default_rng([seed,
     r])``: x, then the response, then its seed; one hash seeds every stream."""
-    generator, pcg64, preset = _stream_types()
-    rngs = [generator(pcg64(preset(words))) for words in _stream_words([scn.seed], lo, hi)[0]]
+    rngs = list(_generators(_stream_words([scn.seed], lo, hi)[0]))
     x, y = _draw(scn, rngs)
     return x, y, [int(rng.integers(2**63)) for rng in rngs]
 
@@ -424,7 +426,7 @@ def monte_carlo(
     scenario attached.
     """
     validate_run(check, alpha, reps, p=scn.p, n=scn.n)
-    if threads < 1:
+    if integer("threads", threads) < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
     size = block_size(scn.n)
     blocks = [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]

@@ -237,6 +237,18 @@ def test_main_omnibus_refuses_bad_settings(csv_path, capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("test", ["score", "maximin", "omnibus"])
+def test_main_check_refuses_a_seed_outside_64_bits_for_every_test(tmp_path, csv_path, capsys,
+                                                                  test, seed):
+    out = tmp_path / "report.json"
+    code = main(["check", "--input", str(csv_path), "--test", test, "--seed", str(seed),
+                 "--out", str(out)])
+    assert code == 2
+    assert f"seed must be an unsigned 64-bit integer, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("test, flags", [
     ("score", []), ("maximin", []), ("omnibus", ["--boot-m", "100"]),
 ])

@@ -23,7 +23,7 @@ from sicheck import (
 )
 from sicheck import omnibus
 from sicheck.omnibus import SUP_INTERIOR_MARGIN
-from sicheck.smoother import Block, LatticeSmoother, residual_core
+from sicheck.smoother import DEFAULT_ALPHA, Block, LatticeSmoother, residual_core
 
 from helpers import brute_cf, brute_multiplier_sup, brute_residuals, brute_smoothed
 
@@ -278,15 +278,15 @@ def _part(block, lo, hi):
     return Block(block.x[lo:hi], block.y[lo:hi], block.slots[lo:hi], block.h[lo:hi])
 
 
-def _statistics_and_sups(block, ms, first=0):
+def _statistics_and_sups(block, m, first=0):
     """Each dataset's statistic and replicate sups, as its report sees them;
-    dataset b runs m = ms[b] replicates from seed first + b."""
+    dataset b runs m replicates from seed first + b."""
     def collect(runs, *_):
         runs = list(runs)
         return runs[0][0], np.concatenate([sups for _, sups in runs])
 
-    boots = [BootstrapConfig(m=m, seed=first + b) for b, m in enumerate(ms)]
-    return omnibus._per_dataset(block, boots, None, collect)
+    seeds = range(first, first + len(block.x))
+    return omnibus._per_dataset(block, m, DEFAULT_ALPHA, seeds, None, collect)
 
 
 def test_a_block_builds_one_smoother(rng, monkeypatch):
@@ -301,12 +301,11 @@ def test_a_block_builds_one_smoother(rng, monkeypatch):
         init(self, slots, h)
 
     monkeypatch.setattr(LatticeSmoother, "__init__", counting)
-    for p, ms in ((2, [100] * 5), (3, [100] * 5), (3, [100, 400] * 2 + [100])):
+    for p, m in ((2, 100), (3, 100), (3, 400)):
         block = _block(rng, 80, p, 5)
-        boots = [BootstrapConfig(m=m, seed=b) for b, m in enumerate(ms)]
         for run in (omnibus.omnibus_reports, omnibus.omnibus_decisions):
             built.clear()
-            run(block, boots)
+            run(block, m, DEFAULT_ALPHA, range(5))
             assert built == [(5, 80)]
 
 
@@ -315,14 +314,14 @@ def test_held_multipliers_and_held_summands_agree(rng, tied):
     # at p = 3 (K = 172) m = 343 holds E while the summands stream by
     # columns, and m = 344 holds the summands while E streams by rows; replicate
     # r draws the same stream either way, so each dataset's statistic and first
-    # 343 sups agree, alone, in a block of four and in a block mixing both walks
+    # 343 sups agree, alone and in a block of four
     assert gamma_grid(3).half_points.shape[0] == 172
     block = _block(rng, 150, 3, 4, tied)
     assert any(np.unique(row).size < 150 for row in block.slots) == tied
-    held_e = _statistics_and_sups(block, [343] * 4)
-    runs = [_statistics_and_sups(block, [344] * 4), _statistics_and_sups(block, [343, 344] * 2)]
+    held_e = _statistics_and_sups(block, 343)
+    runs = [_statistics_and_sups(block, 344)]
     for m in (343, 344):
-        runs.append([_statistics_and_sups(_part(block, b, b + 1), [m], b)[0] for b in range(4)])
+        runs.append([_statistics_and_sups(_part(block, b, b + 1), m, b)[0] for b in range(4)])
     for run in runs:
         for (t, sups), (t_e, sups_e) in zip(run, held_e):
             assert t == pytest.approx(t_e, rel=1e-12)
@@ -345,17 +344,22 @@ def test_omnibus_memory_does_not_grow_with_m():
     assert _omnibus_peak(data, fit, 1000) <= 1.25 * _omnibus_peak(data, fit, 100)
 
 
-@pytest.mark.parametrize("n, p, m", [(50, 3, 500), (600, 3, 500), (50, 4, 100), (50, 4, 500)],
-                         ids=["p3-held-summands", "p3-n600", "p4-held-multipliers", "p4-m500"])
-def test_a_dataset_is_computed_as_in_its_block_of_one(n, p, m):
+@pytest.mark.parametrize(
+    "n, p, m, count",
+    [(50, 3, 500, 4), (600, 3, 500, 4), (50, 4, 100, 4), (50, 4, 500, 4), (50, 1, 100, 4),
+     (50, 5, 500, 4), (50, 4, 500, 29)],
+    ids=["p3-held-summands", "p3-n600", "p4-held-multipliers", "p4-m500", "p1",
+         "p5-quasi-random", "p4-block-of-29"])
+def test_a_dataset_is_computed_as_in_its_block_of_one(n, p, m, count):
     # bit for bit: at p = 4 BLAS rounds a few phases gamma'z by the width of
     # the product that holds them, so a block takes them in the passes of a
     # block of one, and its column blocks do not depend on its size; at
-    # n = 600 a block of one takes 54 columns a pass and a block of four 13
+    # n = 600 a block of one takes 54 columns a pass and a block of four 13.
+    # p = 5 is the quasi-random grid (K = 1001), so its datasets hold E at m = 500
     for seed in range(3):
-        block = _block(np.random.default_rng(seed), n, p, 4)
-        for b, (t, sups) in enumerate(_statistics_and_sups(block, [m] * 4)):
-            alone, alone_sups = _statistics_and_sups(_part(block, b, b + 1), [m], b)[0]
+        block = _block(np.random.default_rng(seed), n, p, count)
+        for b, (t, sups) in enumerate(_statistics_and_sups(block, m)):
+            alone, alone_sups = _statistics_and_sups(_part(block, b, b + 1), m, b)[0]
             assert t == alone
             assert np.array_equal(sups, alone_sups)
 
@@ -364,10 +368,9 @@ def test_a_block_holding_every_multiplier_matrix_stays_bounded():
     # a simulate-sized block of 29 at n = 50 and p = 4 holds every dataset's
     # E (2K = 2402 > m = 500) while their summands stream by columns in step
     block = _block(np.random.default_rng(5), 50, 4, 29)
-    boots = [BootstrapConfig(m=500, seed=b) for b in range(29)]
     tracemalloc.start()
     try:
-        reports = omnibus.omnibus_reports(block, boots)
+        reports = omnibus.omnibus_reports(block, 500, DEFAULT_ALPHA, range(29))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -498,6 +501,41 @@ def test_bootstrap_config_validation():
         BootstrapConfig(m=200, alpha=1.2)
     with pytest.raises(ConfigError):
         BootstrapConfig(m=200, seed=-1)
+
+
+@pytest.mark.parametrize("field", ["m", "seed"])
+def test_bootstrap_config_refuses_a_non_integral_count_or_seed(field):
+    # a NumPy integer is read as a Python int; a float or a bool is refused
+    assert type(getattr(BootstrapConfig(**{field: np.int64(200)}), field)) is int
+    for value in (200.0, 3.5, True, "200"):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}"):
+            BootstrapConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["p", "per_axis"])
+def test_grid_refuses_a_non_integral_dimension_or_axis_count(field):
+    # a NumPy integer is read as a Python int; a float, None or a bool is refused
+    settings = {"p": 2, "bound": 3.0, "per_axis": 7}
+    grid = gamma_grid(*dict(settings, **{field: np.int64(settings[field])}).values())
+    assert type(getattr(grid, field)) is int
+    for value in (3.0, 7.5, None, False):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            GammaGrid(**dict(settings, **{field: value}))
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            gamma_grid(*dict(settings, **{field: value}).values())
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ([0, -1], "seed must be an unsigned 64-bit integer, got -1"),
+    ([0, 2**64], "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
+    ([0, 1.5], "seed must be an integer, got 1.5"),
+    ([0], "a block of 2 datasets takes 2 seeds, got 1"),
+])
+def test_omnibus_blocks_refuse_seeds_outside_64_bits_or_one_per_dataset(rng, seeds, message):
+    block = _block(rng, 50, 2, 2)
+    for run in (omnibus.omnibus_reports, omnibus.omnibus_decisions):
+        with pytest.raises(ConfigError, match=message):
+            run(block, 100, DEFAULT_ALPHA, seeds)
 
 
 def test_bootstrap_config_refuses_more_streams_than_one_seed_word():

@@ -415,6 +415,29 @@ def test_monte_carlo_refuses_more_replicates_than_one_stream_word_holds(monkeypa
     simulate.validate_run(ScoreCheck(), 0.05, reps=2**32)  # replicates 0 to 2^32 - 1
 
 
+@pytest.mark.parametrize("field", ["n", "p", "seed"])
+def test_scenario_refuses_a_non_integral_size_or_seed(field):
+    # a NumPy integer is read as a Python int; a float or a bool is refused
+    settings = {"n": 40, "p": 2, "seed": 7}
+    scn = Scenario(model=ModelKind.CUBIC, **dict(settings, **{field: np.int64(settings[field])}))
+    assert type(getattr(scn, field)) is int
+    for value in (float(settings[field]), 1.5, True):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}"):
+            Scenario(model=ModelKind.CUBIC, **dict(settings, **{field: value}))
+
+
+@pytest.mark.parametrize("field", ["reps", "threads"])
+def test_monte_carlo_refuses_a_non_integral_replicate_or_thread_count(monkeypatch, field):
+    def never(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulate, "_draw_block", never)
+    scn = Scenario(model=ModelKind.CUBIC, n=40, p=2)
+    for value in (2.0, 10.5, True):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}"):
+            monte_carlo(scn, ScoreCheck(), **dict({"reps": 2, "threads": 1}, **{field: value}))
+
+
 _DRAWN_MODELS = ([(ModelKind.CUBIC, p) for p in range(1, 5)]
                  + [(ModelKind.BINARY, p) for p in range(1, 5)]
                  + [(ModelKind.INTERACTION, 3), (ModelKind.BUMP, 2)])
