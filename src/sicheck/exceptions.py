@@ -1,4 +1,4 @@
-"""Exception types raised by the package, and the integer check that raises one."""
+"""Exception types raised by the package, and the integer and number checks that raise one."""
 
 import numbers
 
@@ -41,3 +41,11 @@ def integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def number(name: str, value) -> float:
+    """``value`` as a float if it is a real Python or NumPy number, else a
+    ConfigError naming ``name``; a bool is refused, though Python counts it one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .exceptions import ConfigError, DataError, integer
+from .exceptions import ConfigError, DataError, integer, number
 from .index import IndexFit
 from .smoother import DEFAULT_ALPHA, Block, Report, ResidualCore, SmootherConfig
 from .smoother import WORKSPACE_BYTES, sums_guard
@@ -140,7 +140,8 @@ class GammaGrid:
     half_points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p, bound, per_axis = integer("p", self.p), self.bound, integer("per_axis", self.per_axis)
+        p, per_axis = integer("p", self.p), integer("per_axis", self.per_axis)
+        bound = number("bound", self.bound)
         if p < 1:
             raise ConfigError(f"dimension must be >= 1, got {p}")
         if p > len(_PRIMES):
@@ -167,7 +168,7 @@ class GammaGrid:
         points.setflags(write=False)
         half_points.setflags(write=False)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "bound", float(bound))
+        object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "per_axis", per_axis)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "half_points", half_points)
@@ -205,6 +206,7 @@ class BootstrapConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "m", integer("m", self.m))
+        object.__setattr__(self, "alpha", number("alpha", self.alpha))
         object.__setattr__(self, "seed", stream_seed(self.seed))
         if self.m < 100:
             raise ConfigError(f"bootstrap needs at least 100 replicates, got {self.m}")

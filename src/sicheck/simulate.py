@@ -42,7 +42,7 @@ import numpy as np
 
 from .bandwidth import default_bandwidth_grid, search_rows, select_bandwidths
 from .dataset import Dataset
-from .exceptions import ConfigError, integer
+from .exceptions import ConfigError, integer, number
 from .index import fit_stack
 from .omnibus import (
     DEFAULT_BOOT_M,
@@ -90,6 +90,8 @@ class Scenario:
     def __post_init__(self):
         for name in ("n", "p"):
             object.__setattr__(self, name, integer(name, getattr(self, name)))
+        for name in ("c", "sigma_eps"):
+            object.__setattr__(self, name, number(name, getattr(self, name)))
         object.__setattr__(self, "seed", stream_seed(self.seed))
         for name in ("c", "sigma_eps", "beta", "c_interaction"):
             value = getattr(self, name)

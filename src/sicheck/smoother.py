@@ -17,9 +17,9 @@ binned into n integer slots, with the table K(d / (n h)), |d| < n h
 no binning error).  ``LatticeSmoother`` alone computes it, for the tests
 and the pilot search, in O(n log n) time and O(n) memory per column; no
 n x n matrix is built.  ``loo_matrix`` keeps the dense O(n^2) form as the
-reference the tests compare against.  A ``Block`` stacks datasets of one
-size with their rank slots and bandwidths; the smoother and the residual
-core take it in one pass, each dataset computed as it would be alone.
+reference the tests compare against.  The smoother and the residual core
+take only stacks: a ``Block`` of datasets of one size with their rank slots
+and bandwidths, each computed as it would be alone; one dataset is a block of one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import Dataset
-from .exceptions import ConfigError, DataError, InsufficientDataError
+from .exceptions import ConfigError, DataError, InsufficientDataError, number
 from .index import IndexFit
 from .kernels import quartic_kernel
 
@@ -41,6 +41,7 @@ class SmootherConfig:
     h: float
 
     def __post_init__(self):
+        object.__setattr__(self, "h", number("h", self.h))
         if not 0.0 < self.h <= 1.0:
             raise ConfigError(
                 f"bandwidth must lie in (0, 1] on the rank scale, got {self.h}"
@@ -99,13 +100,12 @@ def kernel_table(n: int, h) -> np.ndarray:
 
 
 class LatticeSmoother:
-    """Leave-one-out smoothing on the integer rank slots k_i = n U_i of one
-    index fit (``slots`` of shape (n,)) or of each fit of a stack (B, n).
+    """Leave-one-out smoothing on the integer rank slots k_i = n U_i of each
+    index fit of a stack, ``slots`` of shape (B, n); one fit is a stack of one.
 
-    ``h`` gives one bandwidth per fit (a scalar, or shape (B,) for a stack)
-    or, one row of fits each, a block of bandwidths per fit (shape (G,), or
-    (B, G) or (1, G) for a stack); fits come out with the leading shape of
-    the slots' stack and the block.
+    ``h`` gives one bandwidth per fit, shape (B,), or a block of bandwidths
+    per fit, one row of fits each, shape (B, G) or (1, G) for every fit alike;
+    fits come out with the leading shape (B,) or (B, G).
 
     Every rank distance is a multiple of 1/n, so the smooth is an exact
     convolution on n slots: scatter the values into their slots (tied ranks
@@ -122,28 +122,26 @@ class LatticeSmoother:
     def __init__(self, slots, h):
         k = np.asarray(slots, dtype=np.intp) - 1
         hs = np.asarray(h, dtype=float)
-        lead = k.ndim - 1  # 1 for a stack of fits
-        if not (k.ndim in (1, 2) and hs.ndim <= k.ndim and hs.size and hs.min() > 0
-                and hs.max() < np.inf):
+        if k.ndim != 2:
+            raise ConfigError(f"rank slots must be a (B, n) stack of fits, got shape {k.shape}")
+        if not (hs.size and hs.min() > 0 and hs.max() < np.inf):
             raise ConfigError(f"bandwidth must be positive and finite, got {h}")
-        n = k.shape[-1]
+        b, n = k.shape
         if n < 2:
             raise InsufficientDataError("leave-one-out smoothing needs n >= 2")
-        rows = hs.shape[0] if lead and hs.ndim else 1
-        if rows not in (1, k.size // n):
-            raise ConfigError(f"{k.size // n} stacked fits take 1 or {k.size // n} bandwidth rows")
-        self._lead, self._fit_shape = lead, k.shape
-        self._shape = k.shape[:-1] + hs.shape[lead:]  # leading shape of the fits
-        self._k = k.reshape(-1, n)  # (B, n)
-        self._h = hs.reshape(rows, -1)  # (1 or B, G)
-        cells = self._k + n * np.arange(len(self._k))[:, None]
-        self._counts = np.bincount(cells.ravel(), minlength=self._k.size).reshape(-1, n)
+        if hs.ndim not in (1, 2) or len(hs) not in (1, b):
+            raise ConfigError(f"{b} stacked fits take 1 or {b} bandwidth rows, got {hs.shape}")
+        rows = len(hs)
+        self._shape = (b,) + hs.shape[1:]  # leading shape of the fits
+        self._k, self._h = k, hs.reshape(rows, -1)  # (B, n), (1 or B, G)
+        cells = k + n * np.arange(b)[:, None]
+        self._counts = np.bincount(cells.ravel(), minlength=k.size).reshape(b, n)
         self._tied = self._counts.max(axis=1) > 1
         self._any_tied = bool(self._tied.any())
         table = kernel_table(n, self._h.ravel()).reshape(rows, self._h.shape[1], -1)
         top = kernel_radius(n, self._h.max(axis=1)).tolist()  # at each row's widest bandwidth
         by_size = {}  # fits whose FFT shares a padded length
-        for j in range(len(self._k)):
+        for j in range(b):
             by_size.setdefault(fft_length(n + top[j if rows > 1 else 0]), []).append(j)
         self._groups = []  # (padded length, fits, spectra of their circulant tables)
         for size, group in by_size.items():
@@ -180,12 +178,12 @@ class LatticeSmoother:
 
     def smooth(self, values) -> np.ndarray:
         """Fits 1/((n-1) h) sum_{i != j} v_i K((U_j - U_i) / h) at every j,
-        for a vector or an (n, d) column stack per fit, real or complex; one
-        row of them per bandwidth of a block."""
+        for values (B, n) or (B, n, d), a vector or a column stack per fit,
+        real or complex; one row of them per bandwidth of a block."""
         k = self._k
-        (b, n), lead = k.shape, self._lead
+        b, n = k.shape
         v = np.asarray(values)
-        if v.ndim - lead not in (1, 2) or v.shape[:lead + 1] != self._fit_shape:
+        if v.ndim not in (2, 3) or v.shape[:2] != k.shape:
             raise DataError("values and ranks must have equal length")
         cplx = v.dtype.kind == "c"
         stack = np.ascontiguousarray(v, dtype=complex if cplx else float).reshape(b, n, -1)
@@ -211,15 +209,15 @@ class LatticeSmoother:
             for j in np.flatnonzero(self._tied):
                 out[j] += tied[j]
         out /= ((n - 1) * self._h)[..., None, None]
-        return (out.view(complex) if cplx else out).reshape(self._shape + v.shape[lead:])
+        return (out.view(complex) if cplx else out).reshape(self._shape + v.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
 class ResidualCore:
     """The lattice ``smoother`` (rank slots and bandwidth), residuals
     ``eps = y - fit(y)`` at every observation, and the interior mask
-    ``keep`` that the test sums run over, for one dataset or, with a leading
-    axis on each, for every dataset of a ``Block``.  No n x n matrix is held.
+    ``keep`` that the test sums run over, (B, n) each, for every dataset of a
+    ``Block``.  No n x n matrix is held.
     """
 
     smoother: LatticeSmoother
@@ -232,14 +230,12 @@ class ResidualCore:
         return (v - self.smoother.smooth(v))[self.keep]
 
     @property
-    def diagnostics(self):
+    def diagnostics(self) -> list[dict]:
         """Empty kernel windows (nonzero flags undersmoothing: those residuals
-        reduce to the raw responses) and the interior count: one dict, or
-        one per dataset of a block."""
+        reduce to the raw responses) and the interior count, one dict per
+        dataset."""
         empty = np.count_nonzero(self.smoother.empty, axis=-1).tolist()
         kept = np.count_nonzero(self.keep, axis=-1).tolist()
-        if isinstance(kept, int):
-            return {"empty_windows": empty, "n_interior": kept}
         return [{"empty_windows": e, "n_interior": k} for e, k in zip(empty, kept)]
 
 
@@ -266,8 +262,11 @@ class Block:
         return self.y.shape[1]
 
     def core(self, margin: float = 1.0) -> ResidualCore:
-        """The residual core of every dataset; ``margin`` as in ``residual_core``."""
-        return _core(self.y, self.slots, self.h, margin)
+        """The residual core of every dataset, its interior ``margin``
+        bandwidths from the rank boundary (``interior_mask``)."""
+        smoother = LatticeSmoother(self.slots, self.h)
+        return ResidualCore(smoother=smoother, eps=self.y - smoother.smooth(self.y),
+                            keep=interior_mask(self.slots / self.n, self.h, margin))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,21 +299,6 @@ def _json_value(value):
     if isinstance(value, tuple):
         return list(value)
     return dict(value) if isinstance(value, dict) else value
-
-
-def residual_core(
-    data: Dataset, fit: IndexFit, cfg: SmootherConfig, margin: float = 1.0
-) -> ResidualCore:
-    """Build the shared core; ``margin`` is the interior margin in bandwidths."""
-    if fit.n != data.n:
-        raise DataError("index fit and dataset sizes differ")
-    return _core(data.y, fit.slots, cfg.h, margin)
-
-
-def _core(y, slots, h, margin: float) -> ResidualCore:
-    smoother = LatticeSmoother(slots, h)
-    return ResidualCore(smoother=smoother, eps=y - smoother.smooth(y),
-                        keep=interior_mask(slots / y.shape[-1], h, margin))
 
 
 def narrow_bandwidth(n: int, h: float) -> str | None:
@@ -358,7 +342,7 @@ def sums_guard(n: int, h):
 
 def residuals(data: Dataset, fit: IndexFit, cfg: SmootherConfig) -> np.ndarray:
     """y_j minus the leave-one-out fit at U_j, for every observation."""
-    return residual_core(data, fit, cfg).eps
+    return Block.of(data, fit, cfg).core().eps[0]
 
 
 def smoothed_weights(w_values, fit: IndexFit, cfg: SmootherConfig) -> np.ndarray:
@@ -366,7 +350,7 @@ def smoothed_weights(w_values, fit: IndexFit, cfg: SmootherConfig) -> np.ndarray
 
     ``w_values`` may be a vector or an (n, d) column stack, real or complex.
     """
-    return LatticeSmoother(fit.slots, cfg.h).smooth(w_values)
+    return LatticeSmoother(fit.slots[None], [cfg.h]).smooth(np.asarray(w_values)[None])[0]
 
 
 #: Default level of the score, maximin and omnibus tests.

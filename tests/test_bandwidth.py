@@ -138,7 +138,7 @@ def test_mise_is_continuous_in_h(rng):
 
 
 def _mise_by_smoother(data, fit, w, h):
-    resid = data.y - LatticeSmoother(fit.slots, h).smooth(data.y)
+    resid = data.y - LatticeSmoother(fit.slots[None], [h]).smooth(data.y[None])[0]
     return float(np.sum(resid**2 * w**2))
 
 

@@ -78,22 +78,22 @@ def _check_case(case, kind):
     values = _values(rng, n, kind)
     ref, dense_empty = _dense(values, u, h)
     slots = np.rint(u * n).astype(np.intp)
-    smoother = LatticeSmoother(slots, h)
-    out = smoother.smooth(values)
+    smoother = LatticeSmoother(slots[None], [h])
+    out = smoother.smooth(values[None])[0]
     assert out.shape == values.shape and out.dtype == ref.dtype
     assert out == pytest.approx(ref, rel=1e-12, abs=1e-12)
     if not _on_window_edge(n, h):
-        assert np.array_equal(smoother.empty, dense_empty)
+        assert np.array_equal(smoother.empty[0], dense_empty)
         assert np.all(out[dense_empty] == 0.0)
     # a block of bandwidths: one row per bandwidth, each the single smooth
-    rows = LatticeSmoother(slots, block)
-    fits = rows.smooth(values)
+    rows = LatticeSmoother(slots[None], [block])
+    fits = rows.smooth(values[None])[0]
     assert fits.shape == (block.size,) + values.shape and fits.dtype == ref.dtype
-    assert rows.empty.shape == (block.size, n)
-    for row, empty, hb in zip(fits, rows.empty, block):
-        single = LatticeSmoother(slots, hb)
-        assert row == pytest.approx(single.smooth(values), rel=1e-12, abs=1e-12)
-        assert np.array_equal(empty, single.empty)
+    assert rows.empty[0].shape == (block.size, n)
+    for row, empty, hb in zip(fits, rows.empty[0], block):
+        single = LatticeSmoother(slots[None], [hb])
+        assert row == pytest.approx(single.smooth(values[None])[0], rel=1e-12, abs=1e-12)
+        assert np.array_equal(empty, single.empty[0])
         assert np.all(row[empty] == 0.0)
 
 
@@ -112,7 +112,14 @@ def test_lattice_matches_dense_wide_windows(case, kind):
 @pytest.mark.parametrize("h", [np.inf, [0.3, np.inf]])
 def test_lattice_smoother_refuses_infinite_bandwidths(h):
     with pytest.raises(ConfigError, match="positive and finite"):
-        LatticeSmoother(np.arange(1, 11), h)
+        LatticeSmoother(np.arange(1, 11)[None], [h])
+
+
+def test_lattice_smoother_refuses_unstacked_slots():
+    # one fit is a stack of one: (1, n) slots, not (n,)
+    message = r"^rank slots must be a \(B, n\) stack of fits, got shape \(10,\)$"
+    with pytest.raises(ConfigError, match=message):
+        LatticeSmoother(np.arange(1, 11), [0.3])
 
 
 def test_fft_length_is_smallest_5_smooth_at_least_k():
@@ -131,8 +138,8 @@ def test_every_window_empty_at_half_a_slot(kind):
     u = rank_transform(rng.standard_normal(n))
     values = _values(rng, n, kind)
     for h in (1.0 / (2 * n), [1.0 / (2 * n), 1.0 / (3 * n)]):
-        smoother = LatticeSmoother(np.rint(u * n).astype(np.intp), h)
-        assert np.all(smoother.smooth(values) == 0.0)
+        smoother = LatticeSmoother(np.rint(u * n).astype(np.intp)[None], [h])
+        assert np.all(smoother.smooth(values[None]) == 0.0)
         assert smoother.empty.all()
 
 
@@ -156,7 +163,7 @@ def test_a_stacked_fit_does_not_depend_on_its_stack(kind, block):
     smoother = LatticeSmoother(slots, hs)
     assert smoother.empty.any()  # the empty-window mask is exercised
     for fit, s, hb, v in zip(smoother.smooth(values), slots, hs, values):
-        assert np.array_equal(fit, LatticeSmoother(s, hb).smooth(v))
+        assert np.array_equal(fit, LatticeSmoother(s[None], [hb]).smooth(v[None])[0])
 
 
 def test_a_smooth_transforms_only_the_values(monkeypatch):
@@ -206,8 +213,8 @@ def test_isolated_observation_fits_exactly_zero(kind, h):
     ranks = np.ones(n)
     ranks[0] = 1.0 / n
     values = _values(np.random.default_rng(4), n, kind)
-    smoother = LatticeSmoother(np.rint(ranks * n).astype(np.intp), h)
-    fits = smoother.smooth(values).reshape((-1,) + values.shape)
+    smoother = LatticeSmoother(np.rint(ranks * n).astype(np.intp)[None], [h])
+    fits = smoother.smooth(values[None]).reshape((-1,) + values.shape)
     for out, hb in zip(fits, np.ravel(h)):
         assert np.all(out[0] == 0.0)
         assert out[1:] == pytest.approx(_dense(values, ranks, hb)[0][1:], rel=1e-12, abs=1e-12)

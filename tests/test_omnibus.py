@@ -23,7 +23,7 @@ from sicheck import (
 )
 from sicheck import omnibus
 from sicheck.omnibus import SUP_INTERIOR_MARGIN
-from sicheck.smoother import DEFAULT_ALPHA, Block, LatticeSmoother, residual_core
+from sicheck.smoother import DEFAULT_ALPHA, Block, LatticeSmoother
 
 from helpers import brute_cf, brute_multiplier_sup, brute_residuals, brute_smoothed
 
@@ -171,11 +171,11 @@ def test_sup_statistic_origin_column(rng):
     cfg = SmootherConfig(h=h)
     grid = gamma_grid(2)
     rep = omnibus_test(data, fit, cfg, BootstrapConfig(m=100), grid)
-    core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
+    core = Block.of(data, fit, cfg).core(margin=SUP_INTERIOR_MARGIN)
     origin = np.flatnonzero(np.all(grid.points == 0.0, axis=1))
     assert origin.size == 1
     weights = np.exp(1j * (standardize_columns(data.x) @ grid.points[origin].T))
-    column = core.eps[core.keep] * core.centered(weights)[:, 0]
+    column = core.eps[core.keep] * core.centered(weights[None])[:, 0]
     u = fit.ranks_u
     eps = brute_residuals(data.y, u, h)
     centered = 1.0 - brute_smoothed(np.ones(30), u, h)
@@ -218,9 +218,10 @@ def test_sup_statistic_half_grid_lossless(rng):
     boot = BootstrapConfig(m=100, seed=4)
     grid = gamma_grid(3)
     rep = omnibus_test(data, fit, cfg, boot, grid)
-    core = residual_core(data, fit, cfg, margin=SUP_INTERIOR_MARGIN)
+    core = Block.of(data, fit, cfg).core(margin=SUP_INTERIOR_MARGIN)
     eps = core.eps[core.keep]
-    summands = eps[:, None] * core.centered(np.exp(1j * (standardize_columns(data.x) @ grid.points.T)))
+    weights = np.exp(1j * (standardize_columns(data.x) @ grid.points.T))
+    summands = eps[:, None] * core.centered(weights[None])
     scale = np.sqrt(eps.size)
     assert rep.statistic == pytest.approx(np.abs(summands.sum(axis=0)).max() / scale, rel=1e-12)
     reps = [

@@ -1,9 +1,21 @@
 import os
+import re
 import subprocess
 import sys
 import types
 
+import numpy as np
+import pytest
+
 import sicheck
+from sicheck import (
+    BootstrapConfig,
+    ConfigError,
+    GammaGrid,
+    ModelKind,
+    Scenario,
+    SmootherConfig,
+)
 
 
 def test_all_names_resolve_once():
@@ -30,3 +42,26 @@ def test_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+#: Each float setting of a settings class, built from one value, and a value it takes.
+FLOAT_SETTINGS = {
+    "h": (lambda v: SmootherConfig(h=v), 0.1),
+    "alpha": (lambda v: BootstrapConfig(alpha=v), 0.05),
+    "bound": (lambda v: GammaGrid(2, v), 3.0),
+    "c": (lambda v: Scenario(ModelKind.CUBIC, 40, 2, c=v), 1.0),
+    "sigma_eps": (lambda v: Scenario(ModelKind.CUBIC, 40, 2, sigma_eps=v), 2.0),
+}
+
+
+@pytest.mark.parametrize("field", list(FLOAT_SETTINGS))
+def test_float_settings_refuse_a_non_number_by_name(field):
+    # a NumPy float is read as a Python float; a string, a bool, None or a
+    # complex number is refused with a ConfigError naming the setting
+    build, valid = FLOAT_SETTINGS[field]
+    value = getattr(build(np.float64(valid)), field)
+    assert type(value) is float and value == valid
+    for bad in (str(valid), True, None, 1j):
+        message = f"^{field} must be a number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ConfigError, match=message):
+            build(bad)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from sicheck import (
     InsufficientDataError,
     SmootherConfig,
     fit_from_direction,
+    fit_index_ols,
     interior_mask,
     loo_matrix,
     residuals,
     smoothed_weights,
 )
-from sicheck.smoother import residual_core
+from sicheck.smoother import Block, LatticeSmoother, fft_length
 
 from helpers import brute_residuals, brute_smoothed, random_small_case
 
@@ -89,8 +92,8 @@ def test_residuals_tiny_bandwidth_returns_response():
     fit = fit_from_direction(data, np.array([1.0]))
     out = residuals(data, fit, SmootherConfig(h=0.2))
     assert out == pytest.approx(data.y)
-    core = residual_core(data, fit, SmootherConfig(h=0.2))
-    assert core.diagnostics["empty_windows"] == 3
+    core = Block.of(data, fit, SmootherConfig(h=0.2)).core()
+    assert core.diagnostics[0]["empty_windows"] == 3
 
 
 def test_residuals_frozen_triple():
@@ -227,3 +230,26 @@ def test_interior_mask_margins():
     assert keep.tolist() == [False, True, True, True, True, True, True, True, False, False]
     # margin too wide for the sample: falls back to everything
     assert interior_mask(u, 0.45).all()
+
+
+def test_one_dataset_is_its_block_of_one(rng):
+    # four datasets, the second and fourth tied, at bandwidths on four padded
+    # lengths: each dataset's residuals and smoothed weights are exactly its
+    # row of the stack's
+    n, h = 200, np.array([0.02, 0.3, 0.1, 0.6])
+    assert len({fft_length(n + math.ceil(n * hb) - 1) for hb in h}) == 4
+    data = []
+    for j in range(4):
+        x = rng.standard_normal((n, 2))
+        data.append(Dataset(x=np.round(2.0 * x) / 2.0 if j % 2 else x, y=rng.standard_normal(n)))
+    fits = [fit_index_ols(d) for d in data]
+    assert [np.unique(f.slots).size < n for f in fits] == [False, True, False, True]
+    block = Block(np.stack([d.x for d in data]), np.stack([d.y for d in data]),
+                  np.stack([f.slots for f in fits]), h)
+    eps = block.core().eps
+    weights = np.exp(1j * block.x)  # a complex column stack per dataset
+    smooth = LatticeSmoother(block.slots, block.h).smooth(weights)
+    for j, (d, f) in enumerate(zip(data, fits)):
+        cfg = SmootherConfig(h=h[j])
+        assert np.array_equal(residuals(d, f, cfg), eps[j])
+        assert np.array_equal(smoothed_weights(weights[j], f, cfg), smooth[j])
