@@ -3,24 +3,17 @@
 The CSV contract: a header row, exactly one column named ``y`` holding the
 response, and every other column a numeric covariate, kept in file order.
 
-A file is read in two stages.  The header is read with ``csv``; the body
-then streams, line by line, through numpy's C parser (``np.loadtxt``),
-and its table is kept when it has at least ``MIN_ROWS`` rows, one cell per
-header name and only finite values.  Anything else sends the whole file to
-the Python reader, which converts cell by cell with ``float``: a header
-without exactly one ``y``, an empty body, a blank line (the C parser would
-skip it), a cell the C parser refuses (text, an empty cell, ``1_000``,
-non-ASCII digits), a ragged row, a non-finite value or bytes that are not
-UTF-8.  Both parse a number with the same CPython routine, so the Python
-reader returns the same values the C parser would have, or raises the
-DataError that names the row and column.
+A file that loads is read once: the header with ``csv``, the body line by
+line with numpy's C parser (``np.loadtxt``), which names the record and
+column of a cell it refuses (``1_000`` and non-ASCII digits among them).
+A blank line, which that parser would skip, stops the stream.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,40 +62,39 @@ class Dataset:
 def load_dataset(path) -> Dataset:
     """Read a CSV file into a Dataset.
 
-    The body streams through numpy's C parser; a file that does not parse
-    there into a finite table of at least ``MIN_ROWS`` rows, one cell per
-    header name, is read again by the Python reader (see the module
-    docstring), which returns the same values or raises.
-
-    Raises DataError naming the offending row and column for non-numeric,
-    missing or non-finite cells, naming the row for ragged rows, blank lines
-    and a cell longer than the ``csv`` field limit, and when fewer than
-    ``MIN_ROWS`` data rows are present.
+    Raises DataError naming the row, and the column of a bad cell, for a
+    non-numeric, missing or non-finite cell, a ragged row, a blank line or a
+    header cell beyond the ``csv`` field limit, and for fewer than ``MIN_ROWS`` rows.
     """
-    data = _load_streamed(path)
-    return data if data is not None else _load_by_cell(path)
-
-
-def _load_streamed(path) -> Dataset | None:
-    """The file parsed by ``np.loadtxt``, or None when the Python reader must read it."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                return None
-            header = [name.strip() for name in header]
-            if header.count("y") != 1 or len(header) < 2:
-                return None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            header = [name.strip() for name in next(csv.reader(fh))]
+            if header.count("y") != 1:
+                raise DataError(f"{path}: header {header} must name exactly one column 'y'")
+            if len(header) < 2:
+                raise DataError(f"{path}: no covariate columns besides 'y'")
             lines = _unblank_lines(fh)
-            first = next(lines, None)
-            if first is None:  # header only: loadtxt would warn "input contained no data"
-                return None
-            table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                               comments=None, quotechar='"', ndmin=2)
-    except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
-        return None
-    if table.shape[0] < MIN_ROWS or table.shape[1] != len(header) or not np.isfinite(table).all():
-        return None
+            first = next(lines, None)  # None: loadtxt would warn "input contained no data"
+            table = np.empty((0, len(header))) if first is None else np.loadtxt(
+                itertools.chain([first], lines), delimiter=",", comments=None, quotechar='"',
+                ndmin=2)
+        except StopIteration:
+            raise DataError(f"{path}: file is empty") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:  # a header cell beyond the field limit; before 3.11 a NUL
+            raise DataError(f"{path}: row 1: {exc}") from None
+        except ValueError as exc:
+            raise DataError(f"{path}: {_refusal(path, header, str(exc))}") from None
+    if table.shape[1] != len(header):  # numpy takes the first row's width for the table's
+        raise DataError(f"{path}: row 2: expected {len(header)} cells, found {table.shape[1]}")
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
+        raise DataError(f"{path}: row {row + 2}, column '{header[col]}': "
+                        f"non-finite cell, read as {table[row, col]}")
+    if table.shape[0] < MIN_ROWS:
+        raise DataError(f"{path}: parsed {table.shape[0]} data rows; at least {MIN_ROWS} are "
+                        "required for index estimation and smoothing")
     y_col = header.index("y")  # y is copied so that the table can be freed
     return Dataset(x=np.delete(table, y_col, axis=1), y=table[:, y_col].copy())
 
@@ -115,53 +107,35 @@ def _unblank_lines(fh):
         yield line
 
 
-def _load_by_cell(path) -> Dataset:
-    """Read a CSV file cell by cell with ``float``, naming the row and column of a bad cell."""
-    header, rows = None, []
-    try:
+def _refusal(path, header, text) -> str:
+    """np.loadtxt's refusal ``text`` in the file's rows and header names, else as it is.
+    numpy counts a width's record from 1 at the first data row, a cell's from 0."""
+    width = len(header)
+    if text == "blank line":  # read again, counting records as csv does
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [name.strip() for name in next(reader)]
-            except StopIteration:
-                raise DataError(f"{path}: file is empty") from None
-            if header.count("y") != 1:
-                raise DataError(f"{path}: header {header} must name exactly one column 'y'")
-            if len(header) < 2:
-                raise DataError(f"{path}: no covariate columns besides 'y'")
-            y_col = header.index("y")
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: row {line_no}: expected {len(header)} cells, found {len(row)}"
-                    )
-                values = []
-                for name, cell in zip(header, row):
-                    text = cell.strip()
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {line_no}, column '{name}': non-numeric cell {text!r}"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise DataError(
-                            f"{path}: row {line_no}, column '{name}': non-finite cell {text!r}"
-                        )
-                    values.append(value)
-                rows.append(values)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    except csv.Error as exc:  # an oversized cell; before Python 3.11 also a NUL byte
-        row = 1 if header is None else len(rows) + 2
-        raise DataError(f"{path}: row {row}: {exc}") from None
-    if len(rows) < MIN_ROWS:
-        raise DataError(
-            f"{path}: parsed {len(rows)} data rows; at least {MIN_ROWS} are "
-            "required for index estimation and smoothing"
-        )
-    table = np.array(rows, dtype=float)
-    return Dataset(x=np.delete(table, y_col, axis=1), y=table[:, y_col].copy())
+            next(csv.reader(fh))
+            row, quoted = 2, False
+            while not (line := next(fh)).isspace():
+                quoted ^= line.count('"') % 2 == 1  # a quoted cell holds this line break
+                row += not quoted
+        found = 1 if line.rstrip("\r\n") else 0  # csv reads a line of spaces as one cell
+        return (f"row {row}: blank line in a quoted cell" if quoted else
+                f"row {row}: expected {width} cells, found {found}")
+    if match := re.match(r"the number of columns changed from (\d+) to (\d+) at row (\d+);", text):
+        first, found, record = map(int, match.groups())
+        row, found = (2, first) if first != width else (record + 1, found)
+        return f"row {row}: expected {width} cells, found {found}"
+    match = re.match(r"could not convert string (.*) to .+ at row (\d+), column (\d+)", text, re.S)
+    if match and int(match[3]) <= width:
+        return (f"row {int(match[2]) + 2}, column '{header[int(match[3]) - 1]}': "
+                f"non-numeric cell {match[1]}")
+    if match:  # the first row is wider than the header: numpy reads it again, as text
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            next(csv.reader(fh))
+            cells = np.loadtxt(_unblank_lines(fh), dtype=str, delimiter=",", comments=None,
+                               quotechar='"', max_rows=1)
+        return f"row 2: expected {width} cells, found {cells.size}"
+    return text
 
 
 def save_dataset(data: Dataset, path) -> None:

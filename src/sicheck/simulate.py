@@ -92,6 +92,14 @@ class Scenario:
             object.__setattr__(self, name, integer(name, getattr(self, name)))
         for name in ("c", "sigma_eps"):
             object.__setattr__(self, name, number(name, getattr(self, name)))
+        for name in ("beta", "c_interaction"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not np.iterable(value):
+                raise ConfigError(f"{name} must be a sequence of numbers, got {value!r}")
+            entries = tuple(number(f"{name}[{i}]", v) for i, v in enumerate(value))
+            object.__setattr__(self, name, entries)
         object.__setattr__(self, "seed", stream_seed(self.seed))
         for name in ("c", "sigma_eps", "beta", "c_interaction"):
             value = getattr(self, name)
@@ -127,10 +135,8 @@ class Scenario:
                 raise ConfigError("c_interaction applies to the interaction model only")
             if self.c != 0.0:
                 raise ConfigError(f"c_interaction replaces c; leave c out or 0, got c={self.c}")
-            triple = tuple(float(v) for v in self.c_interaction)
-            if len(triple) != 3:
-                raise ConfigError(f"c_interaction takes 3 values, got {len(triple)}")
-            object.__setattr__(self, "c_interaction", triple)
+            if len(self.c_interaction) != 3:
+                raise ConfigError(f"c_interaction takes 3 values, got {len(self.c_interaction)}")
 
     @property
     def beta_vec(self) -> np.ndarray:

@@ -65,3 +65,27 @@ def test_float_settings_refuse_a_non_number_by_name(field):
         message = f"^{field} must be a number, got {re.escape(repr(bad))}$"
         with pytest.raises(ConfigError, match=message):
             build(bad)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("beta", (True, False), "beta[0] must be a number, got True"),
+    ("beta", (0.6, "0.8"), "beta[1] must be a number, got '0.8'"),
+    ("beta", ("1", 1.0), "beta[0] must be a number, got '1'"),
+    ("beta", 1.0, "beta must be a sequence of numbers, got 1.0"),
+    ("c_interaction", ("1", 0.0, 0.0), "c_interaction[0] must be a number, got '1'"),
+    ("c_interaction", (True, 0, 0), "c_interaction[0] must be a number, got True"),
+    ("c_interaction", (0.0, None, 0.0), "c_interaction[1] must be a number, got None"),
+    ("c_interaction", 0.5, "c_interaction must be a sequence of numbers, got 0.5"),
+])
+def test_tuple_settings_refuse_a_non_number_entry_by_name(field, value, message):
+    model = ModelKind.INTERACTION if field == "c_interaction" else ModelKind.CUBIC
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        Scenario(model, 50, 3 if field == "c_interaction" else 2, **{field: value})
+
+
+def test_tuple_settings_read_numpy_numbers_as_floats():
+    scn = Scenario(ModelKind.CUBIC, 50, 2, beta=np.array([0.6, 0.8]))
+    assert scn.beta == (0.6, 0.8) and all(type(b) is float for b in scn.beta)
+    scn = Scenario(ModelKind.INTERACTION, 50, 3, c_interaction=(np.int64(3), 3, np.float64(0.5)))
+    assert scn.c_interaction == (3.0, 3.0, 0.5)
+    assert all(type(c) is float for c in scn.c_interaction)
