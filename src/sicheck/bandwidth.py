@@ -14,7 +14,11 @@ The search sorts the grid and walks it in passes of bandwidths that fit in
 per pass fits them in one batched FFT, so memory stays O(n) and every fit
 is the exact lattice convolution of a single smooth.  A stack of datasets
 of one size (``mise_rows``, ``select_bandwidths``) shares each pass: the
-grid and its kernel spectra depend on n alone.
+grid and its kernel spectra depend on n alone.  A larger stack takes
+fewer bandwidths per pass, and each pass pads its FFTs to its own widest
+radius, so a dataset's curve may differ in its last bits from its stack
+of one's; its argmin, all that the tests use, moves only where two
+candidates tie to within rounding.
 """
 
 from __future__ import annotations

@@ -21,13 +21,14 @@ every direction and ranks every projection, one batched search picks
 every bandwidth (the kernel spectra of the pilot grid depend on n alone,
 so the block shares them), and the check's ``run`` takes the whole block.
 ``sicheck check`` runs the same pipeline on one CSV, as a block of one
-(``apply_check``).  Each replicate is computed as it would be alone, so
-its result does not depend on the block it falls in, and the rejection
-fraction, reported with its binomial standard error, is identical under
-any thread count.  Block boundaries depend on n and r alone
-(``block_size``); a thread count is an upper bound, each thread takes
-whole blocks, and a line with n below ``THREADED_MIN_N`` runs in the
-calling thread, since its blocks are too small to pay for threads.
+(``apply_check``).  Each replicate gets the pilot bandwidth and the report
+it gets alone, so its result does not depend on the block it falls in,
+and the rejection fraction, reported with its binomial standard error, is
+identical under any thread count.  Block boundaries depend on n, the
+check and r (``block_size``); a thread count is an upper bound, each
+thread takes whole blocks, and a line with n below ``THREADED_MIN_N``
+runs in the calling thread, since its blocks are too small to pay for
+threads.
 """
 
 from __future__ import annotations
@@ -404,11 +405,32 @@ def _block_rejects(scn: Scenario, check, alpha: float, lo: int, hi: int) -> list
         ) from exc
 
 
-def block_size(n: int) -> int:
-    """Replicates per block of a line of size n: as many as one search pass
-    holds at every pilot bandwidth (``search_rows``), at least one."""
+def block_size(n: int, check) -> int:
+    """Replicates per block of a line of size n running ``check``, at least one.
+
+    An omnibus block, and every block of a line from ``THREADED_MIN_N`` up,
+    holds as many replicates as one pass of the pilot search holds at every
+    bandwidth (``search_rows``): an omnibus block holds min(16K, 8m) n_int +
+    32m bytes of bootstrap per dataset, and a threaded line needs many
+    blocks for its threads to split.  Any other block holds as many as one
+    pass holds at ``PASS_BANDWIDTHS`` bandwidths: 176 at n = 50, 43 at
+    n = 200 and 9 at n = 999.  A block's fixed cost (the stream hash and
+    the batched fit, search and score sums: about 1 ms at n = 50, against
+    60 us a replicate) then fades, while each search pass stays within the
+    workspace.  On a 2-vCPU VM with BLAS on one thread (best of 5), a
+    1000-replicate n = 50 score line took 97 ms at blocks of 29, 82 ms at
+    50, 69-76 ms at 100 to 300 and 70-75 ms at 882, one bandwidth per
+    pass; a 440-replicate n = 200 line took 189 ms at 7 and 108-123 ms at
+    20 to 147.
+    """
     grid = default_bandwidth_grid(n)
-    return max(1, search_rows(n, grid) // grid.size)
+    wide = n >= THREADED_MIN_N or isinstance(check, OmnibusCheck)
+    return max(1, search_rows(n, grid) // (grid.size if wide else PASS_BANDWIDTHS))
+
+
+#: Bandwidths per search pass that size a serial score or maximin block
+#: (``block_size``).
+PASS_BANDWIDTHS = 5
 
 
 #: Smallest line size n that runs on threads.  Below it a block is many
@@ -436,7 +458,7 @@ def monte_carlo(
     validate_run(check, alpha, reps, p=scn.p, n=scn.n)
     if integer("threads", threads) < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
-    size = block_size(scn.n)
+    size = block_size(scn.n, check)
     blocks = [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
     if scn.n < THREADED_MIN_N:
         threads = 1

@@ -116,7 +116,7 @@ class LatticeSmoother:
     ``empty`` windows are set to exactly 0.  The smoother transforms its
     tables once, so a smooth transforms only the values.  Each fit of a
     stack is computed as it would be alone: fits that share a padded length
-    share one batched transform.
+    share one batched transform and one gather.
     """
 
     def __init__(self, slots, h):
@@ -138,28 +138,38 @@ class LatticeSmoother:
         self._counts = np.bincount(cells.ravel(), minlength=k.size).reshape(b, n)
         self._tied = self._counts.max(axis=1) > 1
         self._any_tied = bool(self._tied.any())
+        tied = np.flatnonzero(self._tied)
+        self._tied_fits = slice(None) if tied.size == b else tied  # all: add in place
         table = kernel_table(n, self._h.ravel()).reshape(rows, self._h.shape[1], -1)
-        top = kernel_radius(n, self._h.max(axis=1)).tolist()  # at each row's widest bandwidth
-        by_size = {}  # fits whose FFT shares a padded length
-        for j in range(b):
-            by_size.setdefault(fft_length(n + top[j if rows > 1 else 0]), []).append(j)
-        self._groups = []  # (padded length, fits, spectra of their circulant tables)
-        for size, group in by_size.items():
-            part = table[group] if rows > 1 else table
-            r = max(top[j] for j in group) if rows > 1 else top[0]
+        top = kernel_radius(n, self._h.max(axis=1))  # at each row's widest bandwidth
+        self._groups = []  # (padded length, fits, spectra of their tables, gather index)
+        lo, widest = int(top.min()), int(top.max())
+        while lo <= widest:  # the rows of radii lo, ..., size - n share the padded length size
+            size = fft_length(n + lo)
+            shared = np.flatnonzero((top >= lo) & (top <= size - n))
+            lo = size - n + 1
+            if not shared.size:
+                continue
+            group, part = (shared, table[shared]) if rows > 1 else (np.arange(b), table)
+            r = int(top[shared].max())
             circ = np.zeros(part.shape[:2] + (size,))
             circ[..., 1:r + 1] = part[..., 1:r + 1]
             circ[..., size - r:] = part[..., r:0:-1]
-            self._groups.append((size, group, np.fft.rfft(circ)))
+            # the group's inverse transforms of one bandwidth, flattened, hold fit i's
+            # padded slots at rows i size, ..., i size + size - 1
+            index = np.arange(group.size)[:, None] * size + k[group]
+            spectra = np.fft.rfft(circ).transpose(1, 0, 2)[..., None]  # bandwidth-major
+            self._groups.append((size, group, spectra, index))
 
     @functools.cached_property
     def _empty(self) -> np.ndarray | None:
         """The ``empty`` mask as (B, G, n), None when no window is empty."""
         k, (b, n) = self._k, self._k.shape
         r = kernel_radius(n, self._h)[..., None]
-        widest = 1  # the widest gap between occupied slots; untied, they are 1..n
-        for counts in self._counts[self._tied]:
-            widest = max(widest, int(np.diff(np.flatnonzero(counts)).max(initial=0)))
+        # the widest gap between occupied slots of one fit; untied, they are 1..n
+        occupied = np.flatnonzero(self._counts[self._tied])
+        gaps = np.diff(occupied)[np.diff(occupied // n) == 0]
+        widest = max(1, int(gaps.max(initial=0)))
         if r.min() >= widest:
             return None
         cum = np.zeros((b, 1, n + 1), dtype=np.intp)
@@ -193,21 +203,25 @@ class LatticeSmoother:
             cells = ((k + n * fit)[..., None] * m + np.arange(m)).reshape(-1)
             binned = np.bincount(cells, weights=real.reshape(-1), minlength=b * n * m)
             binned = binned.reshape(b, n, m)
-            tied = quartic_kernel(0.0) * (binned[fit, k] - real)  # slot mates, at distance 0
         else:  # each fit's slots are a permutation of 1..n
             binned = np.empty(real.shape)
             binned[fit, k] = real
         out = np.empty((b, self._h.shape[1], n, m))
-        for size, group, kernel in self._groups:
-            part = binned[group] if len(group) < b else binned
-            spectrum = np.fft.rfft(part, size, axis=1)[:, None] * kernel[..., None]
-            for j, fits in zip(group, np.fft.irfft(spectrum, size, axis=2)):
-                np.take(fits, k[j], axis=1, out=out[j], mode="clip")  # clip: k is in range
+        by_h = out.transpose(1, 0, 2, 3)  # (G, B, n, m)
+        for size, group, kernel, index in self._groups:
+            whole = group.size == b
+            part = binned if whole else binned[group]
+            spectrum = np.fft.rfft(part, size, axis=1) * kernel  # (G, fits, frequencies, m)
+            fits = np.fft.irfft(spectrum, size, axis=2).reshape(len(kernel), -1, m)
+            fits = np.take(fits, index, axis=1, mode="clip",  # clip: k is in range
+                           out=by_h if whole else None)
+            if not whole:
+                by_h[:, group] = fits
         if self._empty is not None:
             out[self._empty] = 0.0
-        if self._any_tied:
-            for j in np.flatnonzero(self._tied):
-                out[j] += tied[j]
+        if self._any_tied:  # slot mates, at distance 0
+            t = self._tied_fits
+            out[t] += (quartic_kernel(0.0) * (binned[fit[t], k[t]] - real[t]))[:, None]
         out /= ((n - 1) * self._h)[..., None, None]
         return (out.view(complex) if cplx else out).reshape(self._shape + v.shape[1:])
 

@@ -488,7 +488,7 @@ def test_main_simulate_names_the_failing_replicate_of_a_block(tmp_path, capsys, 
 
     monkeypatch.setattr(simulate, "_draw_block", flat_7)
     line = {"model": "cubic", "n": 50, "p": 2, "seed": 5, "test": "score", "reps": 20}
-    assert simulate.block_size(50) >= 20
+    assert simulate.block_size(50, simulate.ScoreCheck()) >= 20
     batch = tmp_path / "batch.jsonl"
     batch.write_text(json.dumps(line) + "\n" + json.dumps(dict(line, seed=6)) + "\n")
     out = tmp_path / "mc.csv"

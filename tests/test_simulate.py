@@ -1,10 +1,11 @@
 import dataclasses
 import pickle
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sicheck import (
     ConfigError,
@@ -25,6 +26,7 @@ from sicheck import (
 )
 from sicheck import omnibus, simulate
 from sicheck.simulate import mise_weight_values
+from sicheck.smoother import WORKSPACE_BYTES
 
 
 class Stub:
@@ -258,7 +260,7 @@ def test_monte_carlo_never_starts_more_workers_than_cpus(monkeypatch, cpus, thre
             return list(map(fn, items))
 
     scn = Scenario(model=ModelKind.CUBIC, n=simulate.THREADED_MIN_N, p=2, seed=5)
-    reps = blocks * simulate.block_size(scn.n)
+    reps = blocks * simulate.block_size(scn.n, Stub(flip))
     serial = monte_carlo(scn, Stub(flip), reps=reps)
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
@@ -267,10 +269,12 @@ def test_monte_carlo_never_starts_more_workers_than_cpus(monkeypatch, cpus, thre
     assert started == workers
 
 
-@pytest.mark.parametrize("n", [50, simulate.THREADED_MIN_N])
-def test_monte_carlo_blocks_depend_only_on_the_line_size(monkeypatch, n):
+@pytest.mark.parametrize("n, check", [(50, Stub(flip)), (50, OmnibusCheck(boot_m=100)),
+                                      (simulate.THREADED_MIN_N, Stub(flip))],
+                         ids=["50-stub", "50-omnibus", "1000-stub"])
+def test_monte_carlo_blocks_depend_only_on_the_line_size_and_the_check(monkeypatch, n, check):
     # whatever the thread count, a line runs as the same blocks of
-    # consecutive replicates, each of block_size(n) but the last
+    # consecutive replicates, each of block_size(n, check) but the last
     ranges = []
     run_block = simulate._block_rejects
 
@@ -280,20 +284,26 @@ def test_monte_carlo_blocks_depend_only_on_the_line_size(monkeypatch, n):
 
     monkeypatch.setattr(simulate, "_block_rejects", record)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-    size = simulate.block_size(n)
+    size = simulate.block_size(n, check)
     reps = 2 * size + 1
     scn = Scenario(model=ModelKind.CUBIC, n=n, p=2, seed=5)
     for threads in (1, 3):
         ranges.clear()
-        monte_carlo(scn, Stub(flip), reps=reps, threads=threads)
+        monte_carlo(scn, check, reps=reps, threads=threads)
         assert sorted(ranges) == [(0, size), (size, 2 * size), (2 * size, reps)]
 
 
 def test_block_sizes_are_pinned():
-    # as many replicates as one pass of the pilot search holds at all 30
-    # bandwidths under the 4 MB workspace; from n = 817 up a block is one
-    sizes = [simulate.block_size(n) for n in (50, 200, 400, 816, 817, 10**5)]
-    assert sizes == [29, 7, 3, 2, 1, 1]
+    # as many replicates as one pass of the pilot search holds under the 4 MB
+    # workspace: at 5 bandwidths for a serial score or maximin line, at all 30
+    # for an omnibus line (from n = 817 up a block is one) and for every line
+    # from THREADED_MIN_N = 1000 up
+    ns = (50, 100, 200, 400, 816, 999)
+    for check in (ScoreCheck(), MaximinCheck(), Stub(flip)):
+        assert [simulate.block_size(n, check) for n in ns] == [176, 87, 43, 22, 12, 9]
+    assert [simulate.block_size(n, OmnibusCheck()) for n in ns] == [29, 14, 7, 3, 2, 1]
+    for check in (ScoreCheck(), MaximinCheck(), OmnibusCheck()):
+        assert [simulate.block_size(n, check) for n in (1000, 2000, 10**5)] == [1, 1, 1]
 
 
 def test_monte_carlo_runs_a_line_below_the_threshold_serially(monkeypatch):
@@ -445,8 +455,9 @@ _DRAWN_MODELS = ([(ModelKind.CUBIC, p) for p in range(1, 5)]
 
 @given(model_p=st.sampled_from(_DRAWN_MODELS), n=st.sampled_from([12, 50, 200]),
        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
-       lo=st.integers(0, 3 * simulate.block_size(50)), size=st.integers(1, 40))
-@example(model_p=(ModelKind.BUMP, 2), n=50, seed=2**32, lo=simulate.block_size(50) - 3, size=7)
+       lo=st.integers(0, 3 * simulate.block_size(50, ScoreCheck())), size=st.integers(1, 40))
+@example(model_p=(ModelKind.BUMP, 2), n=50, seed=2**32,
+         lo=simulate.block_size(50, ScoreCheck()) - 3, size=7)
 def test_a_block_draw_is_each_replicates_own_stream(model_p, n, seed, lo, size):
     # replicate r of a block is generate() on default_rng([seed, r]), then the
     # stream's next integers(2**63), bit for bit; seeds of one and of two
@@ -516,6 +527,60 @@ def test_a_replicate_does_not_depend_on_its_block(scn, tie, check):
         assert [rep.to_json_dict() for rep in reports] == [rep.to_json_dict() for rep in whole]
 
 
+_LARGE_BLOCK_LINES = [(ModelKind.CUBIC, 2), (ModelKind.BINARY, 2), (ModelKind.BUMP, 2),
+                      (ModelKind.INTERACTION, 3)]
+
+
+# a few drawn lines besides the examples; the ci profile's 500 draws 25 of them
+@settings(max_examples=settings.default.max_examples // 20)
+@given(check=st.sampled_from([ScoreCheck(), MaximinCheck()]), n=st.sampled_from([50, 200]),
+       decimals=st.sampled_from([None, 1]), model_p=st.sampled_from(_LARGE_BLOCK_LINES),
+       c=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+@example(check=ScoreCheck(), n=50, decimals=None, model_p=(ModelKind.CUBIC, 2), c=0.5, seed=21)
+@example(check=ScoreCheck(), n=50, decimals=1, model_p=(ModelKind.CUBIC, 2), c=0.5, seed=21)
+@example(check=ScoreCheck(), n=200, decimals=None, model_p=(ModelKind.CUBIC, 2), c=0.5, seed=21)
+@example(check=MaximinCheck(), n=50, decimals=None, model_p=(ModelKind.CUBIC, 2), c=0.5, seed=21)
+@example(check=MaximinCheck(), n=50, decimals=1, model_p=(ModelKind.CUBIC, 2), c=0.5, seed=21)
+@example(check=MaximinCheck(), n=200, decimals=None, model_p=(ModelKind.CUBIC, 2), c=0.5,
+         seed=21)
+def test_a_large_block_is_each_replicates_block_of_one(check, n, decimals, model_p, c, seed):
+    # a score or maximin line's first block, of block_size(n, check) replicates
+    # (176 at n = 50, 43 at n = 200), against each replicate run as a block of
+    # one: every report and h1 agree bit for bit.  The block's search passes
+    # hold 5 bandwidths each, a block of one's all 30; covariates rounded to
+    # 0.1 tie the projections, so the smoother's tied-slot path runs too
+    model, p = model_p
+    scn = Scenario(model=model, n=n, p=p, c=c, seed=seed)
+    size = simulate.block_size(n, check)
+    x, y, seeds = simulate._draw_block(scn, 0, size)
+    if decimals is not None:
+        x = np.round(x, decimals)
+        assert any(np.unique(row).size < n for row in simulate.fit_stack(x, y)[2])
+    reports, h1 = simulate.run_block(x, y, check, 0.05, seeds)
+    for i in range(size):
+        one, one_h1 = simulate.run_block(x[i:i + 1], y[i:i + 1], check, 0.05, seeds[i:i + 1])
+        assert one_h1.tolist() == [h1[i]]
+        assert one[0].to_json_dict() == reports[i].to_json_dict()
+
+
+@pytest.mark.parametrize("n", [50, 200, 999])
+@pytest.mark.parametrize("check", [ScoreCheck(), MaximinCheck()], ids=["score", "maximin"])
+def test_a_full_block_stays_within_its_memory_bound(check, n):
+    # a serial line's full block holds its data and the search's workspace:
+    # the traced peak of deciding it stays below twice the workspace budget
+    # plus 8 B n (p + 4) bytes for the block's data
+    scn = Scenario(model=ModelKind.CUBIC, n=n, p=2, c=0.5, seed=9)
+    size = simulate.block_size(n, check)
+    x, y, seeds = simulate._draw_block(scn, 0, size)
+    tracemalloc.start()
+    try:
+        simulate.decide_block(x, y, check, 0.05, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * WORKSPACE_BYTES + 8 * size * n * (scn.p + 4)
+
+
 def test_a_failure_inside_a_block_names_its_replicate(monkeypatch):
     # replicate 7 of a 20-replicate block has a constant response, whose
     # least-squares slope is zero
@@ -529,7 +594,7 @@ def test_a_failure_inside_a_block_names_its_replicate(monkeypatch):
 
     monkeypatch.setattr(simulate, "_draw_block", flat_7)
     scn = Scenario(model=ModelKind.CUBIC, n=50, p=2, seed=3)
-    assert simulate.block_size(scn.n) >= 20
+    assert simulate.block_size(scn.n, ScoreCheck()) >= 20
     with pytest.raises(RuntimeError, match="replicate 7 failed for scenario .*: least-squares "
                                            "slope vector is zero") as err:
         monte_carlo(scn, ScoreCheck(), reps=20)
@@ -543,11 +608,11 @@ def test_a_block_that_fails_only_as_a_whole_names_its_replicates():
                 raise ValueError("boom")
             return super().run(block, alpha, seeds)
 
-    scn = Scenario(model=ModelKind.CUBIC, n=30, p=2, seed=1)
-    assert simulate.block_size(scn.n) >= 12
+    scn, check = Scenario(model=ModelKind.CUBIC, n=30, p=2, seed=1), WholeBlocksFail(flip)
+    assert simulate.block_size(scn.n, check) >= 12
     with pytest.raises(RuntimeError, match="replicates 0 to 11 failed as one block for scenario "
                                            ".*: boom"):
-        monte_carlo(scn, WholeBlocksFail(flip), reps=12)
+        monte_carlo(scn, check, reps=12)
 
 
 @pytest.mark.parametrize("check", [ScoreCheck(), MaximinCheck(), OmnibusCheck()],
@@ -650,7 +715,7 @@ def test_a_retained_replicate_stops_drawing_streams(monkeypatch):
     # the same streams each time
     monkeypatch.setattr(simulate, "THREADED_MIN_N", 1)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    assert simulate.block_size(NULL_103.n) < 40  # two blocks, one per thread
+    assert simulate.block_size(NULL_103.n, OmnibusCheck()) < 40  # two blocks, one per thread
     for threads in (1, 2, 1, 2):
         drawn.clear()
         res = monte_carlo(NULL_103, OmnibusCheck(), reps=40, threads=threads)
