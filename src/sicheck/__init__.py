@@ -28,6 +28,7 @@ from .kernels import quartic_kernel
 from .omnibus import (
     BootstrapConfig,
     GammaGrid,
+    OmnibusCheck,
     OmnibusReport,
     bootstrap_critical_value,
     cf_process,
@@ -36,7 +37,9 @@ from .omnibus import (
     standardize_columns,
 )
 from .score_test import (
+    MaximinCheck,
     MaximinReport,
+    ScoreCheck,
     ScoreReport,
     covariance_matrix,
     maximin_statistic,
@@ -46,12 +49,9 @@ from .score_test import (
     variance_estimate,
 )
 from .simulate import (
-    MaximinCheck,
     MCResult,
     ModelKind,
-    OmnibusCheck,
     Scenario,
-    ScoreCheck,
     binary_success_prob,
     bump_mean,
     cubic_mean,

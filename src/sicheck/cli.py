@@ -18,17 +18,10 @@ import sys
 
 from . import __version__, smoother
 from .dataset import load_dataset
-from .exceptions import ConfigError, SicheckError
-from .simulate import (
-    MaximinCheck,
-    ModelKind,
-    OmnibusCheck,
-    Scenario,
-    ScoreCheck,
-    apply_check,
-    monte_carlo,
-    validate_run,
-)
+from .exceptions import ConfigError, SicheckError, integer
+from .omnibus import OmnibusCheck
+from .score_test import MaximinCheck, ScoreCheck
+from .simulate import ModelKind, Scenario, apply_check, monte_carlo, validate_run
 from .weights import WeightSpec
 
 _WEIGHTS = {"sumabs": WeightSpec.sum_abs, "sumsq": WeightSpec.sum_squares}
@@ -156,7 +149,7 @@ def run_simulation(batch_path, out_path, threads: int = 1) -> int:
     Every line is parsed and validated, and the output opened, before the
     first replicate runs; each row is written when its line finishes.
     """
-    if threads < 1:
+    if integer("threads", threads) < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
     try:
         with open(batch_path, encoding="utf-8-sig") as fh:

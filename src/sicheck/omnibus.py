@@ -25,14 +25,15 @@ not.  Covariate columns are standardized (zero mean, unit variance)
 before any frequency evaluation so the grid box is scale-meaningful;
 every report records the grid convention.
 
-Evaluation.  A block of datasets runs one bootstrap setting (m, alpha);
-replicate r of a dataset draws its multipliers from its own stream
-``default_rng([seed, r])``, and the m draws form the rows of an (m, n_int)
-matrix E.  One vectorised pass of NumPy's ``SeedSequence`` hash seeds
-every stream of the block, and a stream's PCG64 is seeded from its words
-when its row is drawn, bit for bit as ``default_rng`` would.  Only one
-frequency of each +/-gamma pair is evaluated, plus the origin: the
-residuals, multipliers and smoothing weights are real, so T(-gamma) and
+Evaluation.  ``OmnibusCheck.run`` tests every dataset of a ``Block`` at
+one bootstrap setting (m, alpha), and ``omnibus_test`` one dataset as a
+block of one.  Replicate r of a dataset draws its multipliers from its
+own stream ``default_rng([seed, r])``, and the m draws form the rows of
+an (m, n_int) matrix E.  One vectorised pass of NumPy's ``SeedSequence``
+hash seeds every stream of the block, and a stream's PCG64 is seeded from
+its words when its row is drawn, bit for bit as ``default_rng`` would.
+Only one frequency of each +/-gamma pair is evaluated, plus the origin:
+the residuals, multipliers and smoothing weights are real, so T(-gamma) and
 T_r(-gamma) have the moduli of T(gamma) and T_r(gamma).
 
 Every replicate at every frequency is an entry of the matrix product E S
@@ -53,7 +54,7 @@ A statistic is rejected iff at most c replicate sups reach it, c the
 largest count with (1 + c) / (m + 1) <= alpha.  The row blocks of E
 therefore start at c + 1 rows and double up to the widest block the
 budget allows.  A report walks every block.  A decision alone
-(``omnibus_decisions``, which ``simulate`` uses) stops after the first
+(``OmnibusCheck.decisions``, which ``simulate`` uses) stops after the first
 block at which more than c sups reach the statistic, since the retain is
 then certain: the curtailed sequential Monte Carlo test (Besag and
 Clifford, 1991).  Both walk the same blocks, so the decision is the
@@ -388,23 +389,46 @@ def omnibus_test(
     Replicate r draws its multipliers from the stream (seed, r), so the
     result is bit-reproducible regardless of evaluation order.
     """
-    return omnibus_reports(Block.of(data, fit, cfg), boot.m, boot.alpha, [boot.seed], grid)[0]
+    return _per_dataset(Block.of(data, fit, cfg), boot.m, boot.alpha, [boot.seed], grid,
+                        _omnibus_report)[0]
 
 
-def omnibus_reports(block: Block, m: int, alpha: float, seeds, grid=None) -> list[OmnibusReport]:
-    """``omnibus_test`` of every dataset of a block at m replicates and level
-    ``alpha``, dataset i's from seed ``seeds[i]``.  The residual cores and the
-    frequency columns come from one smoother over the block; each dataset's
-    bootstrap runs on its own summands."""
-    return _per_dataset(block, m, alpha, seeds, grid, _omnibus_report)
+@dataclass(frozen=True)
+class OmnibusCheck:
+    """The bootstrap-calibrated sup-statistic test at ``boot_m`` replicates, on
+    the grid of ``grid_bound`` and ``grid_per_axis``."""
 
+    boot_m: int = DEFAULT_BOOT_M
+    grid_bound: float = DEFAULT_GRID_BOUND
+    grid_per_axis: int = DEFAULT_GRID_PER_AXIS
+    h: float | None = None
 
-def omnibus_decisions(block: Block, m: int, alpha: float, seeds, grid=None) -> list[bool]:
-    """The ``reject`` of each report of ``omnibus_reports``, bit for bit, without the
-    rest of the report.  A dataset's bootstrap stops after the first row block at which
-    more replicate sups reach the statistic than a rejected statistic allows, so a
-    retained dataset draws fewer than m streams."""
-    return _per_dataset(block, m, alpha, seeds, grid, _decide)
+    def __post_init__(self):
+        if self.h is not None:
+            SmootherConfig(h=self.h)  # raises outside (0, 1]
+        BootstrapConfig(m=self.boot_m)  # raises on a replicate count below 100
+        gamma_grid(1, self.grid_bound, self.grid_per_axis)  # raises on bad grid values
+
+    @property
+    def label(self) -> str:
+        return f"omnibus[m={self.boot_m}]"
+
+    def run(self, block: Block, alpha: float, seeds) -> list[OmnibusReport]:
+        """``omnibus_test`` of every dataset of a block at level ``alpha``, dataset
+        i's bootstrap from seed ``seeds[i]``.  The residual cores and the frequency
+        columns come from one smoother over the block; each dataset's bootstrap runs
+        on its own summands."""
+        return _per_dataset(block, self.boot_m, alpha, seeds, self._grid(block), _omnibus_report)
+
+    def decisions(self, block: Block, alpha: float, seeds) -> list[bool]:
+        """The ``reject`` of each report of ``run``, bit for bit, without the rest of
+        the report.  A dataset's bootstrap stops after the first row block at which
+        more replicate sups reach the statistic than a rejected statistic allows, so
+        a retained dataset draws fewer than m streams."""
+        return _per_dataset(block, self.boot_m, alpha, seeds, self._grid(block), _decide)
+
+    def _grid(self, block: Block) -> GammaGrid:
+        return gamma_grid(block.x.shape[2], self.grid_bound, self.grid_per_axis)
 
 
 def _per_dataset(block: Block, m, alpha, seeds, grid, one) -> list:

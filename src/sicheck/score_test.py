@@ -20,12 +20,16 @@ standard normal.  For a family of d weight functions, the vector of score
 statistics with its estimated covariance gives a chi-square test with d
 degrees of freedom that is maximin against shift families spanned by the
 weights.
+
+Each test is a check, ``ScoreCheck`` and ``MaximinCheck``, whose ``run``
+tests every dataset of a ``Block`` at once; ``standardized_test`` and
+``maximin_test`` run one dataset as a block of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .exceptions import (
     DataError,
     DegenerateVarianceError,
     NearSingularCovarianceError,
+    number,
 )
 from .index import IndexFit
 from .smoother import DEFAULT_ALPHA, Block, Report, ResidualCore, SmootherConfig, sums_guard
@@ -132,7 +137,7 @@ def _scores(block: Block, weights, alpha) -> tuple[ResidualCore, np.ndarray, np.
     outside (0, 1), names h where the windows reach no neighbouring rank or
     the sums overflow, and names the first weight whose score variance is
     zero."""
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < number("alpha", alpha) < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     with sums_guard(block.n, block.h):
         core = block.core()
@@ -150,30 +155,48 @@ def _scores(block: Block, weights, alpha) -> tuple[ResidualCore, np.ndarray, np.
     return core, t_vec, sigma
 
 
-def score_reports(block: Block, weight: WeightSpec,
-                  alpha: float = DEFAULT_ALPHA) -> list[ScoreReport]:
-    """``standardized_test`` of every dataset of a block."""
-    core, t_vec, sigma = _scores(block, (weight,), alpha)
-    reports = []
-    for t_hat, sigma2, h, diagnostics in zip(t_vec[:, 0].tolist(), sigma[:, 0, 0].tolist(),
-                                             block.h.tolist(), core.diagnostics):
-        t_bar = t_hat / math.sqrt(sigma2)
-        p_value = normal_two_sided_p(t_bar)
-        reports.append(ScoreReport(
-            test="score",
-            statistic=t_bar,
-            p_value=p_value,
-            reject=bool(p_value <= alpha),
-            alpha=alpha,
-            calibration="normal",
-            h=h,
-            n=block.n,
-            weight_kinds=(weight.label,),
-            diagnostics=diagnostics,
-            t_hat=t_hat,
-            sigma_n2=sigma2,
-        ))
-    return reports
+@dataclass(frozen=True)
+class ScoreCheck:
+    """The scalar standardized score test with one weight, sum_abs by default.
+
+    A fixed ``h`` bypasses the data-driven selector (bandwidth
+    sensitivity studies); the default reselects per replicate.
+    """
+
+    weight: WeightSpec = field(default_factory=WeightSpec.sum_abs)
+    h: float | None = None
+
+    def __post_init__(self):
+        if self.h is not None:
+            SmootherConfig(h=self.h)  # raises outside (0, 1]
+
+    @property
+    def label(self) -> str:
+        return f"score[{self.weight.label}]"
+
+    def run(self, block: Block, alpha: float, seeds=None) -> list[ScoreReport]:
+        """``standardized_test`` of every dataset of a block; the test draws no seed."""
+        core, t_vec, sigma = _scores(block, (self.weight,), alpha)
+        reports = []
+        for t_hat, sigma2, h, diagnostics in zip(t_vec[:, 0].tolist(), sigma[:, 0, 0].tolist(),
+                                                 block.h.tolist(), core.diagnostics):
+            t_bar = t_hat / math.sqrt(sigma2)
+            p_value = normal_two_sided_p(t_bar)
+            reports.append(ScoreReport(
+                test="score",
+                statistic=t_bar,
+                p_value=p_value,
+                reject=bool(p_value <= alpha),
+                alpha=alpha,
+                calibration="normal",
+                h=h,
+                n=block.n,
+                weight_kinds=(self.weight.label,),
+                diagnostics=diagnostics,
+                t_hat=t_hat,
+                sigma_n2=sigma2,
+            ))
+        return reports
 
 
 def standardized_test(
@@ -185,7 +208,7 @@ def standardized_test(
 ) -> ScoreReport:
     """Two-sided standardized score test against the normal quantiles: the
     d = 1 case of the maximin test."""
-    return score_reports(Block.of(data, fit, cfg), weight, alpha)[0]
+    return ScoreCheck(weight).run(Block.of(data, fit, cfg), alpha)[0]
 
 
 def _most_collinear_pair(sigma: np.ndarray) -> tuple[int, int]:
@@ -196,48 +219,64 @@ def _most_collinear_pair(sigma: np.ndarray) -> tuple[int, int]:
     return int(min(i, j)), int(max(i, j))
 
 
-def maximin_reports(block: Block, weights, alpha: float = DEFAULT_ALPHA) -> list[MaximinReport]:
-    """``maximin_test`` of every dataset of a block."""
-    weights = tuple(weights)
-    if not weights:
-        raise ConfigError("maximin test needs at least one weight function")
-    core, t_vec, sigma = _scores(block, weights, alpha)
-    labels = tuple(w.label for w in weights)
-    cond = np.linalg.cond(sigma)
-    try:
-        if not np.all(cond <= CONDITION_LIMIT):  # also an infinite or undefined one
-            raise np.linalg.LinAlgError
-        statistics = maximin_statistic(t_vec, sigma)
-    except np.linalg.LinAlgError:
-        b = int(np.argmin(cond <= CONDITION_LIMIT))  # the first refused dataset
-        i, j = _most_collinear_pair(sigma[b])
-        raise NearSingularCovarianceError(
-            f"score covariance is numerically singular (condition number "
-            f"{cond[b]:.3g}); weights {labels[i]!r} and {labels[j]!r} are "
-            "linearly dependent"
-        ) from None
-    c_alpha = chisq_isf(alpha, len(weights))
-    p_values = [chisq_sf(statistic, len(weights)) for statistic in statistics.tolist()]
-    return [
-        MaximinReport(
-            test="maximin",
-            statistic=statistic,
-            p_value=p_value,
-            reject=bool(p_value <= alpha),
-            alpha=alpha,
-            calibration="chi-square",
-            h=h,
-            n=block.n,
-            weight_kinds=labels,
-            diagnostics=diagnostics,
-            c_alpha=c_alpha,
-            d=len(weights),
-            t_vec=t_vec[b],
-            sigma_mat=sigma[b],
-        )
-        for b, (statistic, p_value, h, diagnostics)
-        in enumerate(zip(statistics.tolist(), p_values, block.h.tolist(), core.diagnostics))
-    ]
+@dataclass(frozen=True)
+class MaximinCheck:
+    """The chi-square test on a family of weights, (sum_abs, sum_squares) by default."""
+
+    weights: tuple[WeightSpec, ...] = (WeightSpec.sum_abs(), WeightSpec.sum_squares())
+    h: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(self.weights))
+        if not self.weights:
+            raise ConfigError("maximin test needs at least one weight function")
+        if self.h is not None:
+            SmootherConfig(h=self.h)  # raises outside (0, 1]
+
+    @property
+    def label(self) -> str:
+        return "maximin[" + "+".join(w.label for w in self.weights) + "]"
+
+    def run(self, block: Block, alpha: float, seeds=None) -> list[MaximinReport]:
+        """``maximin_test`` of every dataset of a block; the test draws no seed."""
+        core, t_vec, sigma = _scores(block, self.weights, alpha)
+        labels = tuple(w.label for w in self.weights)
+        cond = np.linalg.cond(sigma)
+        try:
+            if not np.all(cond <= CONDITION_LIMIT):  # also an infinite or undefined one
+                raise np.linalg.LinAlgError
+            statistics = maximin_statistic(t_vec, sigma)
+        except np.linalg.LinAlgError:
+            b = int(np.argmin(cond <= CONDITION_LIMIT))  # the first refused dataset
+            i, j = _most_collinear_pair(sigma[b])
+            raise NearSingularCovarianceError(
+                f"score covariance is numerically singular (condition number "
+                f"{cond[b]:.3g}); weights {labels[i]!r} and {labels[j]!r} are "
+                "linearly dependent"
+            ) from None
+        d = len(self.weights)
+        c_alpha = chisq_isf(alpha, d)
+        p_values = [chisq_sf(statistic, d) for statistic in statistics.tolist()]
+        return [
+            MaximinReport(
+                test="maximin",
+                statistic=statistic,
+                p_value=p_value,
+                reject=bool(p_value <= alpha),
+                alpha=alpha,
+                calibration="chi-square",
+                h=h,
+                n=block.n,
+                weight_kinds=labels,
+                diagnostics=diagnostics,
+                c_alpha=c_alpha,
+                d=d,
+                t_vec=t_vec[b],
+                sigma_mat=sigma[b],
+            )
+            for b, (statistic, p_value, h, diagnostics)
+            in enumerate(zip(statistics.tolist(), p_values, block.h.tolist(), core.diagnostics))
+        ]
 
 
 def maximin_test(
@@ -248,4 +287,4 @@ def maximin_test(
     alpha: float = DEFAULT_ALPHA,
 ) -> MaximinReport:
     """Chi-square test on the vector of score statistics for d weights."""
-    return maximin_reports(Block.of(data, fit, cfg), weights, alpha)[0]
+    return MaximinCheck(weights).run(Block.of(data, fit, cfg), alpha)[0]

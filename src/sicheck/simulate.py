@@ -20,6 +20,9 @@ block then runs ``run_block`` on its stacked datasets: one pass fits
 every direction and ranks every projection, one batched search picks
 every bandwidth (the kernel spectra of the pilot grid depend on n alone,
 so the block shares them), and the check's ``run`` takes the whole block.
+The checks live beside their tests, ``ScoreCheck`` and ``MaximinCheck`` in
+``score_test`` and ``OmnibusCheck`` in ``omnibus``; this module binds all
+three, so a check pickled under its name here still loads.
 ``sicheck check`` runs the same pipeline on one CSV, as a block of one
 (``apply_check``).  Each replicate gets the pilot bandwidth and the report
 it gets alone, so its result does not depend on the block it falls in,
@@ -37,7 +40,7 @@ import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +48,10 @@ from .bandwidth import default_bandwidth_grid, search_rows, select_bandwidths
 from .dataset import Dataset
 from .exceptions import ConfigError, integer, number
 from .index import fit_stack
-from .omnibus import (
-    DEFAULT_BOOT_M,
-    DEFAULT_GRID_BOUND,
-    DEFAULT_GRID_PER_AXIS,
-    BootstrapConfig,
-    _generators,
-    _stream_words,
-    gamma_grid,
-    omnibus_decisions,
-    omnibus_reports,
-    stream_seed,
-)
-from .score_test import maximin_reports, score_reports
-from .smoother import DEFAULT_ALPHA, Block, SmootherConfig, narrow_bandwidth
+from .omnibus import BootstrapConfig, OmnibusCheck, gamma_grid, stream_seed
+from .omnibus import _generators, _stream_words
+from .score_test import MaximinCheck, ScoreCheck
+from .smoother import DEFAULT_ALPHA, Block, narrow_bandwidth
 from .weights import WeightSpec
 
 
@@ -211,83 +204,6 @@ def _draw(scn: Scenario, rngs) -> tuple[np.ndarray, np.ndarray]:
     return x, mean + scn.sigma_eps * noise
 
 
-@dataclass(frozen=True)
-class ScoreCheck:
-    """Run the scalar standardized score test with one weight, sum_abs by default.
-
-    A fixed ``h`` bypasses the data-driven selector (bandwidth
-    sensitivity studies); the default reselects per replicate.
-    """
-
-    weight: WeightSpec = field(default_factory=WeightSpec.sum_abs)
-    h: float | None = None
-
-    def __post_init__(self):
-        if self.h is not None:
-            SmootherConfig(h=self.h)  # raises outside (0, 1]
-
-    @property
-    def label(self) -> str:
-        return f"score[{self.weight.label}]"
-
-    def run(self, block, alpha, seeds):
-        return score_reports(block, self.weight, alpha)
-
-
-@dataclass(frozen=True)
-class MaximinCheck:
-    """Run the chi-square test on a family of weights, (sum_abs, sum_squares) by default."""
-
-    weights: tuple[WeightSpec, ...] = (WeightSpec.sum_abs(), WeightSpec.sum_squares())
-    h: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights:
-            raise ConfigError("maximin check needs at least one weight")
-        if self.h is not None:
-            SmootherConfig(h=self.h)  # raises outside (0, 1]
-
-    @property
-    def label(self) -> str:
-        return "maximin[" + "+".join(w.label for w in self.weights) + "]"
-
-    def run(self, block, alpha, seeds):
-        return maximin_reports(block, self.weights, alpha)
-
-
-@dataclass(frozen=True)
-class OmnibusCheck:
-    """Run the bootstrap-calibrated sup-statistic test."""
-
-    boot_m: int = DEFAULT_BOOT_M
-    grid_bound: float = DEFAULT_GRID_BOUND
-    grid_per_axis: int = DEFAULT_GRID_PER_AXIS
-    h: float | None = None
-
-    def __post_init__(self):
-        if self.h is not None:
-            SmootherConfig(h=self.h)  # raises outside (0, 1]
-        BootstrapConfig(m=self.boot_m)  # raises on a replicate count below 100
-        gamma_grid(1, self.grid_bound, self.grid_per_axis)  # raises on bad grid values
-
-    @property
-    def label(self) -> str:
-        return f"omnibus[m={self.boot_m}]"
-
-    def run(self, block, alpha, seeds):
-        return omnibus_reports(block, self.boot_m, alpha, seeds, self._grid(block))
-
-    def decisions(self, block, alpha, seeds):
-        """The ``reject`` of each report of ``run``, without the rest of the
-        report: a retained dataset's bootstrap stops once its retain is
-        certain."""
-        return omnibus_decisions(block, self.boot_m, alpha, seeds, self._grid(block))
-
-    def _grid(self, block):
-        return gamma_grid(block.x.shape[2], self.grid_bound, self.grid_per_axis)
-
-
 @dataclass(frozen=True, eq=False)
 class MCResult:
     """What ``monte_carlo`` measured; the run's inputs stay with the caller."""
@@ -320,7 +236,7 @@ def validate_run(check, alpha: float, reps: int = 1, seed: int = 0, p: int | Non
         raise ConfigError(f"replications must be >= 1, got {reps}")
     if reps > 2**32:  # replicate r seeds its stream with one 32-bit word
         raise ConfigError(f"a line takes at most 2^32 replications, got {reps}")
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < number("alpha", alpha) < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     if n is not None and check.h is not None:
         reason = narrow_bandwidth(n, check.h)
@@ -448,7 +364,7 @@ def monte_carlo(
     """Rejection rate of a check over ``reps`` seeded replicates at level
     ``alpha``, with its binomial standard error.
 
-    The replicates run in blocks of ``block_size(scn.n)`` consecutive ones.
+    The replicates run in blocks of ``block_size(scn.n, check)`` consecutive ones.
     ``threads`` caps the worker count, as do the block count and the CPU
     count; each worker takes whole blocks.  A line with ``scn.n`` below
     ``THREADED_MIN_N`` runs in the calling thread and starts no pool.  Any

@@ -618,6 +618,17 @@ def test_main_simulate_refuses_zero_threads_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", [True, 1.5, "2"])
+def test_run_simulation_refuses_a_non_integer_thread_count_before_writing(tmp_path, threads):
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(BATCH)
+    out = tmp_path / "mc.csv"
+    out.write_bytes(b"an earlier run's rows\n")
+    with pytest.raises(ConfigError, match=f"^threads must be an integer, got {threads!r}$"):
+        run_simulation(batch, out, threads=threads)
+    assert out.read_bytes() == b"an earlier run's rows\n"
+
+
 def test_main_simulate_roundtrip(tmp_path, capsys):
     batch = tmp_path / "batch.jsonl"
     batch.write_text(BATCH.splitlines()[0] + "\n")

@@ -22,7 +22,7 @@ from sicheck import (
     standardize_columns,
 )
 from sicheck import omnibus
-from sicheck.omnibus import SUP_INTERIOR_MARGIN
+from sicheck.omnibus import SUP_INTERIOR_MARGIN, OmnibusCheck
 from sicheck.smoother import DEFAULT_ALPHA, Block, LatticeSmoother
 
 from helpers import brute_cf, brute_multiplier_sup, brute_residuals, brute_smoothed
@@ -304,9 +304,10 @@ def test_a_block_builds_one_smoother(rng, monkeypatch):
     monkeypatch.setattr(LatticeSmoother, "__init__", counting)
     for p, m in ((2, 100), (3, 100), (3, 400)):
         block = _block(rng, 80, p, 5)
-        for run in (omnibus.omnibus_reports, omnibus.omnibus_decisions):
+        check = OmnibusCheck(boot_m=m)
+        for run in (check.run, check.decisions):
             built.clear()
-            run(block, m, DEFAULT_ALPHA, range(5))
+            run(block, DEFAULT_ALPHA, range(5))
             assert built == [(5, 80)]
 
 
@@ -371,7 +372,7 @@ def test_a_block_holding_every_multiplier_matrix_stays_bounded():
     block = _block(np.random.default_rng(5), 50, 4, 29)
     tracemalloc.start()
     try:
-        reports = omnibus.omnibus_reports(block, 500, DEFAULT_ALPHA, range(29))
+        reports = OmnibusCheck(boot_m=500).run(block, DEFAULT_ALPHA, range(29))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -534,9 +535,10 @@ def test_grid_refuses_a_non_integral_dimension_or_axis_count(field):
 ])
 def test_omnibus_blocks_refuse_seeds_outside_64_bits_or_one_per_dataset(rng, seeds, message):
     block = _block(rng, 50, 2, 2)
-    for run in (omnibus.omnibus_reports, omnibus.omnibus_decisions):
+    check = OmnibusCheck(boot_m=100)
+    for run in (check.run, check.decisions):
         with pytest.raises(ConfigError, match=message):
-            run(block, 100, DEFAULT_ALPHA, seeds)
+            run(block, DEFAULT_ALPHA, seeds)
 
 
 def test_bootstrap_config_refuses_more_streams_than_one_seed_word():

@@ -8,6 +8,7 @@ from sicheck import (
     DataError,
     Dataset,
     DegenerateVarianceError,
+    MaximinCheck,
     NearSingularCovarianceError,
     SmootherConfig,
     WeightSpec,
@@ -306,9 +307,13 @@ def test_maximin_recombination_invariance(rng):
 
 
 def test_maximin_empty_family(rng):
+    # the scalar test and its check refuse an empty family in the same words
     data, fit = pipeline_data(rng)
-    with pytest.raises(ConfigError):
+    message = "^maximin test needs at least one weight function$"
+    with pytest.raises(ConfigError, match=message):
         maximin_test(data, fit, [], SmootherConfig(h=0.3))
+    with pytest.raises(ConfigError, match=message):
+        MaximinCheck(weights=())
 
 
 def test_score_ops_match_brute_force_fuzz(rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -15,14 +16,18 @@ from sicheck import (
     OmnibusCheck,
     Scenario,
     ScoreCheck,
+    SmootherConfig,
     WeightSpec,
     binary_success_prob,
     bump_mean,
     cubic_mean,
     default_beta,
+    fit_index_ols,
     generate,
     interaction_mean,
+    maximin_test,
     monte_carlo,
+    standardized_test,
 )
 from sicheck import omnibus, simulate
 from sicheck.simulate import mise_weight_values
@@ -360,6 +365,35 @@ def test_checks_pickle_with_a_combination_weight(rng):
     assert np.array_equal(score.weight.evaluate(x), expected)
     assert np.array_equal(maximin.weights[0].evaluate(x), expected)
     assert np.array_equal(maximin.weights[1].evaluate(x), (x**2).sum(axis=1))
+    # each check is defined once, beside its test, and simulate binds all three: a
+    # check pickled under its sicheck.simulate name loads as the one class
+    assert [type(c).__module__ for c in checks] == ["sicheck.score_test"] * 2 + ["sicheck.omnibus"]
+    assert all(getattr(simulate, type(c).__name__) is type(c) for c in checks)
+    for check in checks:
+        home = f"c{type(check).__module__}\n".encode()
+        raw = pickle.dumps(check, protocol=0)
+        assert raw.count(home) == 1
+        loaded = pickle.loads(raw.replace(home, b"csicheck.simulate\n"))
+        assert type(loaded) is type(check) and loaded.label == check.label
+
+
+@pytest.mark.parametrize("alpha", ["0.05", None, [0.05]])
+@pytest.mark.parametrize("entry", ["monte_carlo", "validate_run", "apply_check",
+                                   "standardized_test", "maximin_test"])
+def test_a_non_number_alpha_is_refused_by_name(entry, alpha):
+    scn = Scenario(model=ModelKind.CUBIC, n=40, p=2, seed=3)
+    data = generate(scn)
+    fit, cfg = fit_index_ols(data), SmootherConfig(h=0.3)
+    run = {
+        "monte_carlo": lambda: monte_carlo(scn, ScoreCheck(), reps=2, alpha=alpha),
+        "validate_run": lambda: simulate.validate_run(MaximinCheck(), alpha),
+        "apply_check": lambda: simulate.apply_check(data, MaximinCheck(), alpha),
+        "standardized_test": lambda: standardized_test(data, fit, WeightSpec.sum_abs(), cfg,
+                                                       alpha),
+        "maximin_test": lambda: maximin_test(data, fit, [WeightSpec.sum_abs()], cfg, alpha),
+    }[entry]
+    with pytest.raises(ConfigError, match=f"^alpha must be a number, got {re.escape(repr(alpha))}"):
+        run()
 
 
 def test_monte_carlo_validation():
